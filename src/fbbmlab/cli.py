@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -65,19 +66,19 @@ def write_plotdata(path: str, table: Table, config_hash: str) -> None:
 
 def write_summary(path: str, summary: dict, scenario: str) -> None:
     jsonschema.validate(summary, load_schema(scenario))
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_manifest(path: str, manifest: dict) -> None:
     jsonschema.validate(manifest, load_schema("manifest"))
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".manifest-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -95,15 +96,45 @@ def _out_dir(cfg: ScenarioConfig, cli_out: str | None) -> str:
 
 
 def _checks_to_json(checks: list[Check]) -> list[dict]:
-    return [
-        {
-            "name": c.name,
-            "passed": bool(c.passed),
-            "value": None if c.value is None else float(c.value),
-            "threshold": c.threshold,
-        }
-        for c in checks
-    ]
+    """Manifest form of the checks.  Strict JSON has no NaN, so a
+    non-finite value is written as null and fails its check."""
+    out = []
+    for c in checks:
+        value = None if c.value is None else float(c.value)
+        finite = value is None or math.isfinite(value)
+        out.append(
+            {
+                "name": c.name,
+                "passed": bool(c.passed) and finite,
+                "value": value if finite else None,
+                "threshold": c.threshold,
+            }
+        )
+    return out
+
+
+def _write_outputs(
+    cfg: ScenarioConfig, result: ScenarioResult, out_dir: str, config_hash: str
+) -> list[str]:
+    """Write the emitted tables, summary and plot data; return their names."""
+    outputs = []
+    if cfg.emit["csv"]:
+        for table in result.tables:
+            name = f"{table.name}.csv"
+            write_csv(os.path.join(out_dir, name), table, config_hash)
+            outputs.append(name)
+    if cfg.emit["json"]:
+        name = "summary.json"
+        write_summary(os.path.join(out_dir, name), result.summary, cfg.scenario)
+        outputs.append(name)
+    if cfg.emit["plotdata"]:
+        for table in result.tables:
+            if table.plot is None:
+                continue
+            name = f"{table.name}.dat"
+            write_plotdata(os.path.join(out_dir, name), table, config_hash)
+            outputs.append(name)
+    return outputs
 
 
 def _run(args) -> int:
@@ -134,30 +165,19 @@ def _run(args) -> int:
     error = None
     result = ScenarioResult()
     try:
-        result = run_scenario(cfg, threads=args.threads)
+        result = run_scenario(cfg)
     except Exception as e:  # runner failures land in the manifest
         error = f"{type(e).__name__}: {e}"
     wall = time.perf_counter() - t0
 
     outputs = []
     if error is None:
-        if cfg.emit["csv"]:
-            for table in result.tables:
-                name = f"{table.name}.csv"
-                write_csv(os.path.join(out_dir, name), table, config_hash)
-                outputs.append(name)
-        if cfg.emit["json"]:
-            name = "summary.json"
-            write_summary(os.path.join(out_dir, name), result.summary, cfg.scenario)
-            outputs.append(name)
-        if cfg.emit["plotdata"]:
-            for table in result.tables:
-                if table.plot is None:
-                    continue
-                name = f"{table.name}.dat"
-                write_plotdata(os.path.join(out_dir, name), table, config_hash)
-                outputs.append(name)
+        try:
+            outputs = _write_outputs(cfg, result, out_dir, config_hash)
+        except Exception as e:  # so do writer failures, schema violations included
+            error = f"{type(e).__name__}: {e}"
 
+    checks = _checks_to_json(result.checks)
     manifest = {
         "tool": "fbbmlab",
         "version": __version__,
@@ -170,23 +190,22 @@ def _run(args) -> int:
             "emit": cfg.emit,
         },
         "grid": result.grid,
-        "checks": _checks_to_json(result.checks),
+        "checks": checks,
         "outputs": outputs,
         "wall_clock_s": wall,
         "error": error,
     }
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
 
-    for c in result.checks:
-        status = "PASS" if c.passed else "FAIL"
-        val = "n/a" if c.value is None else f"{c.value:.6g}"
-        print(f"check {c.name}: {status} ({val} {c.threshold})")
+    for c in checks:
+        status = "PASS" if c["passed"] else "FAIL"
+        val = "n/a" if c["value"] is None else f"{c['value']:.6g}"
+        print(f"check {c['name']}: {status} ({val} {c['threshold']})")
+    print(f"manifest: {os.path.join(out_dir, 'manifest.json')}")
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
-        print(f"manifest: {os.path.join(out_dir, 'manifest.json')}")
         return EXIT_ERROR
-    print(f"manifest: {os.path.join(out_dir, 'manifest.json')}")
-    if not all(c.passed for c in result.checks):
+    if not all(c["passed"] for c in checks):
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -231,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the JSON config file")
     p_run.add_argument("--out", default=None, help="output directory (overrides config and FBBMLAB_OUT)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads for corpus sweeps")
+    p_run.add_argument("--threads", type=int, default=1, help="ignored; accepted for old command lines")
     p_run.set_defaults(func=_run)
 
     p_val = sub.add_parser("validate", help="validate a config and exit")

@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+
+from .estimates import RATIO_FAMILIES
 
 SCENARIOS = ("evolve", "groundstate", "stein", "commutators", "weighted-growth", "ucp")
 
 EMIT_KEYS = ("csv", "json", "plotdata")
-
-RATIO_FAMILY_PARAMS = {
-    "generator": ("alpha",),
-    "hilbert": ("l", "m"),
-    "fractional": ("alpha", "beta"),
-}
 
 
 class ConfigError(ValueError):
@@ -151,9 +148,9 @@ def _families(v):
         if not isinstance(entry, dict) or "family" not in entry:
             return f"families[{i}] must be an object with a 'family' key"
         fam = entry["family"]
-        if fam not in RATIO_FAMILY_PARAMS:
+        if fam not in RATIO_FAMILIES:
             return f"families[{i}]: unknown family {fam!r}"
-        want = set(RATIO_FAMILY_PARAMS[fam])
+        want = set(RATIO_FAMILIES[fam][1])
         got = set(entry) - {"family"}
         if got != want:
             return f"families[{i}]: family {fam!r} takes parameters {sorted(want)}"
@@ -380,10 +377,19 @@ def validate_config(obj) -> ScenarioConfig:
     )
 
 
+def _finite(token: str) -> float:
+    # NaN, Infinity and overflowing literals would leave the manifest's
+    # config echo without a strict JSON form
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError([f"number {token} is not finite"])
+    return value
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Decode and validate a JSON config document."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as e:
         raise ConfigError(
             [f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"]

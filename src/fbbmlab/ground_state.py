@@ -30,6 +30,7 @@ from .spectral import (
     inverse,
     make_grid,
 )
+from .weighted import _loglog_fit
 
 __all__ = [
     "PetviashviliResult",
@@ -198,11 +199,5 @@ def fit_tail_exponent(
             "tail samples must be positive for a log-log fit; "
             "got nonpositive values in the window (under-resolved tail?)"
         )
-    lx, ly = np.log(xs), np.log(vals)
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    pred = A @ coef
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    ss_res = float(np.sum((ly - pred) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(-coef[0]), r2, int(xs.size)
+    slope, r2 = _loglog_fit(xs, vals)
+    return -slope, r2, int(xs.size)

@@ -15,10 +15,8 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .estimates import (
-    commutator_a_ratio,
-    frac_commutator_ratio,
+    RATIO_FAMILIES,
     group_weighted_growth,
-    hilbert_commutator_ratio,
     make_corpus,
     ratio_report,
     ucp_residual,
@@ -90,7 +88,7 @@ def _gaussian(grid: SpectralGrid, amplitude: float, width: float, center: float)
     return Field(grid, amplitude * np.exp(-(((grid.xs - center) / width) ** 2)))
 
 
-def run_evolve(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
     phi = _gaussian(grid, p["amplitude"], p["width"], p["center"])
@@ -166,7 +164,7 @@ def run_evolve(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 # -------------------------------------------------------------- groundstate
 
 
-def run_groundstate(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
     sol = petviashvili(grid, p["alpha"], tol=p["tol"])
@@ -288,7 +286,7 @@ def run_groundstate(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 # -------------------------------------------------------------------- stein
 
 
-def run_stein(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult(grid=None)
     rows = []
     pairs_out = []
@@ -354,20 +352,12 @@ def run_stein(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 # -------------------------------------------------------------- commutators
 
 
-def _constant_weight_ratio(family: str, fparams: dict, grid, probe_field) -> float:
-    const = Field(grid, np.full(grid.n, 1.5))
-    if family == "generator":
-        return commutator_a_ratio(const, probe_field, fparams["alpha"])
-    if family == "hilbert":
-        return hilbert_commutator_ratio(const, probe_field, fparams["l"], fparams["m"])
-    return frac_commutator_ratio(const, probe_field, fparams["alpha"], fparams["beta"])
-
-
-def run_commutators(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
     probe = make_corpus(p["n"], p["L"], 1, seed=cfg.seed)
     probe_field = Field(grid, probe.fields[0])
+    const = Field(grid, np.full(grid.n, 1.5))
 
     res = ScenarioResult(grid=_grid_dict(grid))
     rows = []
@@ -375,10 +365,8 @@ def run_commutators(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     for entry in p["families"]:
         family = entry["family"]
         fparams = {k: v for k, v in entry.items() if k != "family"}
-        rep = ratio_report(
-            family, p["n"], p["L"], p["size"], seed=cfg.seed, threads=threads, **fparams
-        )
-        const_ratio = _constant_weight_ratio(family, fparams, grid, probe_field)
+        rep = ratio_report(family, p["n"], p["L"], p["size"], seed=cfg.seed, **fparams)
+        const_ratio = RATIO_FAMILIES[family][0](const, probe_field, **fparams)
         tag = ";".join(f"{k}={v:g}" for k, v in sorted(fparams.items()))
         for i, r in enumerate(rep.ratios):
             rows.append((family, tag, i, r))
@@ -432,7 +420,7 @@ def run_commutators(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 # ----------------------------------------------------------- weighted growth
 
 
-def run_weighted_growth(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
     phi = Field(grid, np.exp(-(grid.xs**2)))
@@ -482,7 +470,7 @@ def run_weighted_growth(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult
 # ---------------------------------------------------------------------- ucp
 
 
-def run_ucp(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
     if p["profile"] == "gaussian":
@@ -562,6 +550,6 @@ RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Dispatch to the scenario's runner."""
-    return RUNNERS[cfg.scenario](cfg, threads=threads)
+    return RUNNERS[cfg.scenario](cfg)

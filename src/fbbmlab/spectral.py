@@ -106,11 +106,6 @@ def make_grid(n: int, L: float) -> SpectralGrid:
     return SpectralGrid(n=n, L=L, xs=xs, xis=xis, dx=dx)
 
 
-def _check_same_grid(a: SpectralGrid, b: SpectralGrid) -> None:
-    if a != b:
-        raise ValueError(f"grid mismatch: (n={a.n}, L={a.L}) vs (n={b.n}, L={b.L})")
-
-
 def forward(f: Field) -> Spectrum:
     """hat(u)(xi_k) = dx * sum_j u_j exp(-i xi_k x_j)."""
     g = f.grid
@@ -131,13 +126,6 @@ def inverse(s: Spectrum) -> Field:
     phase = np.exp(-1j * g.xis * g.L)
     vals = np.fft.ifft(phase * coeffs) / g.dx
     return Field(g, vals.real.copy())
-
-
-def inverse_complex(s: Spectrum) -> np.ndarray:
-    """Like inverse but keeps the imaginary part, for diagnostics."""
-    g = s.grid
-    phase = np.exp(-1j * g.xis * g.L)
-    return np.fft.ifft(phase * np.asarray(s.coeffs)) / g.dx
 
 
 def apply_multiplier(s: Spectrum, symbol: np.ndarray) -> Spectrum:

@@ -68,10 +68,6 @@ class WeightSpec:
             raise ValueError(f"truncation level N must be >= 2, got {self.N}")
 
 
-def _japanese_bracket(x):
-    return np.sqrt(1.0 + x * x)
-
-
 def _bracket_pow(x, theta):
     return (1.0 + x * x) ** (theta / 2.0)
 
@@ -190,12 +186,6 @@ def cutoff_bump(x, spec: CutoffSpec = CutoffSpec()):
     return a / (a + b)
 
 
-def companion_bump(x, spec: CutoffSpec = CutoffSpec()):
-    """A wider bump equal to 1 on the support of cutoff_bump(spec)."""
-    wide = CutoffSpec(inner=spec.outer, outer=spec.outer + (spec.outer - spec.inner))
-    return cutoff_bump(x, wide)
-
-
 # -------------------------------------------- pointwise probe quadrature
 
 
@@ -261,6 +251,7 @@ def stein_pointwise(
 
 
 def _loglog_fit(xs, ys):
+    """Least-squares slope of log ys against log xs, and its R^2."""
     lx, ly = np.log(xs), np.log(ys)
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)

@@ -332,7 +332,7 @@ def test_failed_check_exits_nonzero(tmp_path):
 def test_runner_error_lands_in_manifest(tmp_path, monkeypatch):
     import fbbmlab.cli as cli_mod
 
-    def boom(cfg, threads=1):
+    def boom(cfg):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(cli_mod, "run_scenario", boom)
@@ -347,7 +347,7 @@ def test_exit_code_tracks_checks_exactly(tmp_path, monkeypatch):
     import fbbmlab.cli as cli_mod
 
     def fake(result):
-        def run(cfg, threads=1):
+        def run(cfg):
             return result
 
         return run
@@ -371,6 +371,75 @@ def test_exit_code_tracks_checks_exactly(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "run_scenario", fake(failing))
     code, _ = run_cli(tmp_path, stein_cfg, "fail1")
     assert code == EXIT_CHECK_FAILED
+
+
+def test_writer_error_lands_in_manifest(tmp_path, monkeypatch):
+    import fbbmlab.cli as cli_mod
+
+    def full_disk(path, summary, scenario):
+        raise OSError("synthetic write failure")
+
+    monkeypatch.setattr(cli_mod, "write_summary", full_disk)
+    code, out = run_cli(tmp_path, EVOLVE_OK, "werr")
+    assert code == EXIT_ERROR
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    jsonschema.validate(manifest, load_schema("manifest"))
+    assert manifest["error"] == "OSError: synthetic write failure"
+    assert manifest["outputs"] == []
+    assert manifest["checks"]  # the run itself finished and was checked
+
+
+def _strict_load(path):
+    def reject(token):
+        raise ValueError(f"non-finite constant {token}")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(fh.read(), parse_constant=reject)
+
+
+def test_non_finite_values_keep_json_strict(tmp_path, monkeypatch):
+    import fbbmlab.cli as cli_mod
+
+    pair = {
+        "alpha": 0.25, "theta": 0.75, "p_small": -0.5, "r2_small": 1.0,
+        "p_large": -1.25, "r2_large": 1.0, "plateau": None, "subtracted": False,
+        "inconclusive_small": False, "inconclusive_large": False,
+        "target_small": -0.5, "target_large": -1.25,
+    }
+    summary = {"scenario": "stein", "config_hash": "0" * 64, "seed": 1,
+               "params": {}, "pairs": [pair]}
+    nan_check = ScenarioResult(checks=[Check("x", True, float("nan"), "<= 2")],
+                               summary=summary)
+    stein_cfg = {"scenario": "stein", "pairs": [[0.25, 0.75]]}
+
+    monkeypatch.setattr(cli_mod, "run_scenario", lambda cfg: nan_check)
+    code, out = run_cli(tmp_path, stein_cfg, "nancheck")
+    assert code == EXIT_CHECK_FAILED
+    manifest = _strict_load(os.path.join(out, "manifest.json"))
+    assert manifest["checks"] == [
+        {"name": "x", "passed": False, "value": None, "threshold": "<= 2"}
+    ]
+    assert manifest["error"] is None
+    _strict_load(os.path.join(out, "summary.json"))
+
+    nan_summary = ScenarioResult(summary={**summary, "pairs": [{**pair, "p_small": float("nan")}]})
+    monkeypatch.setattr(cli_mod, "run_scenario", lambda cfg: nan_summary)
+    code, out = run_cli(tmp_path, stein_cfg, "nansummary")
+    assert code == EXIT_ERROR
+    manifest = _strict_load(os.path.join(out, "manifest.json"))
+    assert manifest["error"].startswith("ValueError: Out of range float")
+    assert manifest["outputs"] == []
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_config_number_rejected(tmp_path, capsys, literal):
+    p = tmp_path / "nan.json"
+    p.write_text('{"scenario": "evolve", "alpha": 0.5, "n": 256, "L": 50.0, '
+                 f'"dt": 0.01, "T": 0.5, "amplitude": {literal}}}', encoding="utf-8")
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"number {literal} is not finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_seed_override_changes_hash(tmp_path):

@@ -9,6 +9,7 @@ the same continuum functions on the finer grid.
 import numpy as np
 import pytest
 
+from fbbmlab.cli import load_schema
 from fbbmlab.estimates import (
     BoundaryContaminationError,
     QuadratureInconsistencyError,
@@ -148,10 +149,26 @@ def test_corpus_ratio_parameter_validation(corpus):
     assert set(RATIO_FAMILIES) == {"generator", "hilbert", "fractional"}
 
 
-def test_threads_merge_in_order(corpus):
-    seq = corpus_ratios(corpus, "fractional", alpha=0.25, beta=0.5)
-    par = corpus_ratios(corpus, "fractional", alpha=0.25, beta=0.5, threads=3)
-    assert np.array_equal(seq, par)
+@pytest.mark.parametrize(
+    "family, kernel, params",
+    [
+        ("generator", commutator_a_ratio, dict(alpha=0.5)),
+        ("hilbert", hilbert_commutator_ratio, dict(l=1, m=1)),
+        ("fractional", frac_commutator_ratio, dict(alpha=0.25, beta=0.5)),
+    ],
+)
+def test_corpus_ratios_match_registry(corpus, family, kernel, params):
+    g = corpus.grid
+    want = [
+        kernel(Field(g, w), Field(g, f), **params)
+        for w, f in zip(corpus.weights, corpus.fields)
+    ]
+    got = corpus_ratios(corpus, family, **params)
+    assert got.tolist() == want  # bit for bit, in corpus order
+    # the summary schema's family enum is the output contract's copy
+    schema = load_schema("commutators")
+    enum = schema["properties"]["families"]["items"]["properties"]["family"]["enum"]
+    assert set(RATIO_FAMILIES) == set(enum)
 
 
 # ------------------------------------------------------------ corpus sweeps

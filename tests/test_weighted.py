@@ -15,7 +15,6 @@ from fbbmlab.weighted import (
     CutoffSpec,
     WeightSpec,
     bbm_symbol_stein_bound,
-    companion_bump,
     cutoff_bump,
     interpolation_ratio,
     l2_threshold_probe,
@@ -178,12 +177,6 @@ def test_cutoff_plateau_and_support():
     mid = cutoff_bump(np.linspace(1.2, 1.8, 50), spec)
     assert np.all((mid > 0) & (mid < 1))
     assert np.all(np.diff(mid) < 0)
-
-
-def test_companion_covers_cutoff_support():
-    spec = CutoffSpec(1.0, 2.0)
-    xs = np.linspace(-2.0, 2.0, 101)
-    np.testing.assert_allclose(companion_bump(xs, spec), 1.0, atol=1e-15)
 
 
 def test_cutoff_smooth_at_junction():
