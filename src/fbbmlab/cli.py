@@ -114,27 +114,31 @@ def _checks_to_json(checks: list[Check]) -> list[dict]:
 
 
 def _write_outputs(
-    cfg: ScenarioConfig, result: ScenarioResult, out_dir: str, config_hash: str
-) -> list[str]:
-    """Write the emitted tables, summary and plot data; return their names."""
-    outputs = []
+    cfg: ScenarioConfig,
+    result: ScenarioResult,
+    out_dir: str,
+    config_hash: str,
+    outputs: list[str],
+) -> None:
+    """Write the emitted tables, summary and plot data.  Each file name
+    joins outputs before its writer starts, so a failure leaves the list
+    of files this run wrote."""
     if cfg.emit["csv"]:
         for table in result.tables:
             name = f"{table.name}.csv"
-            write_csv(os.path.join(out_dir, name), table, config_hash)
             outputs.append(name)
+            write_csv(os.path.join(out_dir, name), table, config_hash)
     if cfg.emit["json"]:
         name = "summary.json"
-        write_summary(os.path.join(out_dir, name), result.summary, cfg.scenario)
         outputs.append(name)
+        write_summary(os.path.join(out_dir, name), result.summary, cfg.scenario)
     if cfg.emit["plotdata"]:
         for table in result.tables:
             if table.plot is None:
                 continue
             name = f"{table.name}.dat"
-            write_plotdata(os.path.join(out_dir, name), table, config_hash)
             outputs.append(name)
-    return outputs
+            write_plotdata(os.path.join(out_dir, name), table, config_hash)
 
 
 def _run(args) -> int:
@@ -173,9 +177,15 @@ def _run(args) -> int:
     outputs = []
     if error is None:
         try:
-            outputs = _write_outputs(cfg, result, out_dir, config_hash)
+            _write_outputs(cfg, result, out_dir, config_hash, outputs)
         except Exception as e:  # so do writer failures, schema violations included
             error = f"{type(e).__name__}: {e}"
+            # the manifest vouches for none of them: remove what this run wrote
+            for name in outputs:
+                path = os.path.join(out_dir, name)
+                if os.path.exists(path):
+                    os.unlink(path)
+            outputs = []
 
     checks = _checks_to_json(result.checks)
     manifest = {

@@ -386,10 +386,15 @@ def _finite(token: str) -> float:
     return value
 
 
+def _finite_int(token: str) -> int:
+    _finite(token)  # an integer beyond the double range is no usable number
+    return int(token)
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Decode and validate a JSON config document."""
     try:
-        obj = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        obj = json.loads(text, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite)
     except json.JSONDecodeError as e:
         raise ConfigError(
             [f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"]

@@ -68,6 +68,10 @@ class ScenarioResult:
     grid: dict | None = None
 
 
+def _at_most(name: str, value: float, tol: float) -> Check:
+    return Check(name, value <= tol, value, f"<= {tol:.0e}")
+
+
 def _grid_dict(g: SpectralGrid) -> dict:
     return {"n": g.n, "L": g.L, "dx": g.dx}
 
@@ -130,23 +134,9 @@ def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
             plot=(0, 4),
         )
     )
-    res.checks.append(
-        Check(
-            "mass_drift",
-            drift["mass"] <= MASS_DRIFT_TOL,
-            drift["mass"],
-            f"<= {MASS_DRIFT_TOL:.0e}",
-        )
-    )
+    res.checks.append(_at_most("mass_drift", drift["mass"], MASS_DRIFT_TOL))
     if p["linear_only"]:
-        res.checks.append(
-            Check(
-                "linear_l2_drift",
-                drift["l2"] <= LINEAR_L2_TOL,
-                drift["l2"],
-                f"<= {LINEAR_L2_TOL:.0e}",
-            )
-        )
+        res.checks.append(_at_most("linear_l2_drift", drift["l2"], LINEAR_L2_TOL))
     res.summary = {
         **_envelope(cfg),
         "grid": res.grid,
@@ -194,26 +184,14 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
             plot=(0, 1),
         )
     )
-    res.checks.append(
-        Check(
-            "residual_within_tol",
-            sol.residual <= p["tol"],
-            sol.residual,
-            f"<= {p['tol']:.0e}",
-        )
-    )
+    res.checks.append(_at_most("residual_within_tol", sol.residual, p["tol"]))
 
     oracle_sup_error = None
     if p["alpha"] == 2.0:
         exact = 3.0 / np.cosh(grid.xs / 2.0) ** 2
         oracle_sup_error = float(np.max(np.abs(np.asarray(sol.wave.values) - exact)))
         res.checks.append(
-            Check(
-                "closed_form_profile_error",
-                oracle_sup_error <= ORACLE_SUP_TOL,
-                oracle_sup_error,
-                f"<= {ORACLE_SUP_TOL:.0e}",
-            )
+            _at_most("closed_form_profile_error", oracle_sup_error, ORACLE_SUP_TOL)
         )
 
     scaled = None
@@ -233,14 +211,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
                 plot=(0, 1),
             )
         )
-        res.checks.append(
-            Check(
-                "tw_residual",
-                tw <= TW_RESIDUAL_TOL,
-                float(tw),
-                f"<= {TW_RESIDUAL_TOL:.0e}",
-            )
-        )
+        res.checks.append(_at_most("tw_residual", float(tw), TW_RESIDUAL_TOL))
 
     if p["assert_tail"]:
         if tail is None:
@@ -508,14 +479,7 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
             plot=(0, 2),
         )
     )
-    res.checks.append(
-        Check(
-            "mass_drift",
-            mass_drift <= MASS_DRIFT_TOL,
-            mass_drift,
-            f"<= {MASS_DRIFT_TOL:.0e}",
-        )
-    )
+    res.checks.append(_at_most("mass_drift", mass_drift, MASS_DRIFT_TOL))
     sign_asserted = p["k"] % 2 == 0 and mass0 >= 0.0
     if sign_asserted:
         res.checks.append(

@@ -13,10 +13,15 @@ Conventions used throughout the package:
 
 Odd (imaginary) symbols zero the unpaired Nyquist mode -n/2 so that real
 fields stay real and skew symmetry is exact on the grid.
+
+Since x_0 = -L and xi_k L = pi k, this transform is the plain DFT times
+exp(i xi_k L) = (-1)^k, a cached exact sign.  The hot loops work on half
+spectra k = 0..n/2 of real fields in the same normalization (_rfft/_irfft).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,15 +111,32 @@ def make_grid(n: int, L: float) -> SpectralGrid:
     return SpectralGrid(n=n, L=L, xs=xs, xis=xis, dx=dx)
 
 
+@functools.lru_cache(maxsize=8)
+def _sign(n: int) -> np.ndarray:
+    """exp(i xi_k L) = (-1)^k in FFT order; n is even, so it alternates."""
+    sign = np.ones(n)
+    sign[1::2] = -1.0
+    sign.setflags(write=False)
+    return sign
+
+
+def _rfft(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Half spectrum hat(u)(xi_k), k = 0..n/2, of real samples."""
+    return grid.dx * _sign(grid.n)[: grid.n // 2 + 1] * np.fft.rfft(values)
+
+
+def _irfft(half: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Real samples from a half spectrum; inverse of _rfft."""
+    return np.fft.irfft(_sign(grid.n)[: grid.n // 2 + 1] * half, grid.n) / grid.dx
+
+
 def forward(f: Field) -> Spectrum:
     """hat(u)(xi_k) = dx * sum_j u_j exp(-i xi_k x_j)."""
     g = f.grid
     vals = np.asarray(f.values)
     if vals.shape != (g.n,):
         raise ValueError(f"field has shape {vals.shape}, expected ({g.n},)")
-    # x_0 = -L, so the DFT needs the phase exp(-i xi x_0) = (-1)^k.
-    phase = np.exp(1j * g.xis * g.L)
-    return Spectrum(g, g.dx * phase * np.fft.fft(vals))
+    return Spectrum(g, g.dx * _sign(g.n) * np.fft.fft(vals))
 
 
 def inverse(s: Spectrum) -> Field:
@@ -123,8 +145,7 @@ def inverse(s: Spectrum) -> Field:
     coeffs = np.asarray(s.coeffs)
     if coeffs.shape != (g.n,):
         raise ValueError(f"spectrum has shape {coeffs.shape}, expected ({g.n},)")
-    phase = np.exp(-1j * g.xis * g.L)
-    vals = np.fft.ifft(phase * coeffs) / g.dx
+    vals = np.fft.ifft(_sign(g.n) * coeffs) / g.dx
     return Field(g, vals.real.copy())
 
 

@@ -387,6 +387,8 @@ def test_writer_error_lands_in_manifest(tmp_path, monkeypatch):
     assert manifest["error"] == "OSError: synthetic write failure"
     assert manifest["outputs"] == []
     assert manifest["checks"]  # the run itself finished and was checked
+    # the CSV written before the failure is removed with the failed write
+    assert os.listdir(out) == ["manifest.json"]
 
 
 def _strict_load(path):
@@ -432,7 +434,10 @@ def test_non_finite_values_keep_json_strict(tmp_path, monkeypatch):
     assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="huge-int")],
+)
 def test_non_finite_config_number_rejected(tmp_path, capsys, literal):
     p = tmp_path / "nan.json"
     p.write_text('{"scenario": "evolve", "alpha": 0.5, "n": 256, "L": 50.0, '

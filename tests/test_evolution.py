@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 
 from fbbmlab.spectral import (
     Field,
+    Spectrum,
+    a_symbol_grid,
     field_l2,
     forward,
     group_propagate,
+    inverse,
     make_grid,
     op_a,
     translate,
@@ -214,6 +217,20 @@ def test_blowup_abort_triggers():
     u0 = Field(g, 2.0 * np.exp(-g.xs**2))
     with pytest.raises(BlowUpError):
         evolve(u0, EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, blowup_factor=1.0001))
+    # dt = 0.05 is far beyond the stable step for this amplitude: the state
+    # is finite at t = 0.4 and overflows in the next step.  The error names
+    # that step whatever the snapshot stride.
+    g = make_grid(256, 10.0)
+    big = Field(g, 10.0 * np.exp(-g.xs**2))
+    with np.errstate(all="ignore"):
+        ok = evolve(big, EvolveConfig(alpha=0.5, dt=0.05, t_final=0.4, blowup_factor=1e308))
+        assert np.all(np.isfinite(ok.states))
+        for stride in (1, 7, 50):
+            cfg = EvolveConfig(
+                alpha=0.5, dt=0.05, t_final=5.0, snapshot_stride=stride, blowup_factor=1e308
+            )
+            with pytest.raises(BlowUpError, match=r"at t = 0\.45( |$)"):
+                evolve(big, cfg)
 
 
 def test_nonfinite_initial_rejected():
@@ -222,6 +239,48 @@ def test_nonfinite_initial_rejected():
     vals[3] = np.nan
     with pytest.raises(ValueError):
         evolve(Field(g, vals), EvolveConfig(alpha=0.5, dt=0.01, t_final=1.0))
+
+
+# ------------------------------------------------ full-spectrum reference
+
+
+def _full_spectrum_rk4(u0: Field, cfg: EvolveConfig) -> np.ndarray:
+    """The integrating-factor RK4 on full complex spectra through the public
+    transforms; every step is recorded."""
+    g = u0.grid
+    a = np.real(1j * a_symbol_grid(g, cfg.alpha))
+    E = np.exp(-1j * a * cfg.dt / 2.0)
+    E2 = E * E
+    k = np.fft.fftfreq(g.n, d=1.0 / g.n)
+    mask = np.abs(k) <= cfg.kept_fraction * (g.n // 2)
+    mask[g.n // 2] = False
+
+    def nonlin(h):
+        u = inverse(Spectrum(g, h)).values
+        return -1j * a * np.where(mask, forward(Field(g, u**cfg.power)).coeffs, 0.0)
+
+    h = np.where(mask, forward(u0).coeffs, 0.0)
+    dt = cfg.dt
+    states = [inverse(Spectrum(g, h)).values]
+    for _ in range(cfg.steps):
+        n1 = nonlin(h)
+        n2 = nonlin(E * (h + (dt / 2.0) * n1))
+        n3 = nonlin(E * h + (dt / 2.0) * n2)
+        n4 = nonlin(E2 * h + dt * E * n3)
+        h = E2 * h + (dt / 6.0) * (E2 * n1 + 2.0 * E * (n2 + n3) + n4)
+        states.append(inverse(Spectrum(g, h)).values)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("power", [2, 3])
+def test_half_spectrum_rk4_matches_full_spectrum(power):
+    g = make_grid(256, 15.0)
+    u0 = Field(g, 2.0 * np.exp(-g.xs**2) + 0.5 * np.exp(-((g.xs - 3.0) ** 2)))
+    cfg = EvolveConfig(alpha=0.5, dt=0.02, t_final=0.1, power=power, snapshot_stride=1)
+    traj = evolve(u0, cfg)
+    ref = _full_spectrum_rk4(u0, cfg)
+    assert traj.states.shape == ref.shape == (6, g.n)
+    assert np.max(np.abs(traj.states - ref)) < 1e-12
 
 
 # -------------------------------------------------------------- trajectory

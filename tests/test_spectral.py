@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from fbbmlab.spectral import (
     Field,
+    _irfft,
+    _rfft,
+    _sign,
     a_symbol,
     a_symbol_grid,
     apply_multiplier,
@@ -111,6 +114,27 @@ def test_round_trip_random(seed, log2n):
     u = np.random.default_rng(seed).standard_normal(g.n)
     back = inverse(forward(Field(g, u)))
     np.testing.assert_allclose(back.values, u, atol=1e-12 * max(1, np.max(np.abs(u))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    log2n=st.integers(4, 12),
+    L=st.floats(min_value=0.5, max_value=1e4),
+)
+def test_half_spectrum_layer(seed, log2n, L):
+    g = make_grid(2**log2n, L)
+    u = np.random.default_rng(seed).standard_normal(g.n)
+    half = _rfft(u, g)
+    full = forward(Field(g, u)).coeffs
+    assert half.shape == (g.n // 2 + 1,)
+    np.testing.assert_allclose(half, full[: g.n // 2 + 1], rtol=0, atol=1e-13 * np.max(np.abs(full)))
+    np.testing.assert_allclose(_irfft(half, g), u, rtol=0, atol=1e-13 * np.max(np.abs(u)))
+    # the rounded phase exp(i xi L) is off by a few ulps of |xi L| <= pi n/2
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(
+        _sign(g.n), np.exp(1j * g.xis * g.L), rtol=0, atol=4 * eps * np.pi * g.n / 2
+    )
 
 
 def test_apply_multiplier_rejects_nan():
