@@ -18,6 +18,7 @@ import time
 from importlib import resources
 
 import jsonschema
+import numpy as np
 
 from . import __version__
 from .config import SCENARIOS, ConfigError, ScenarioConfig, load_config
@@ -47,21 +48,35 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_csv(path: str, table: Table, config_hash: str) -> None:
+CHUNK_ROWS = 1 << 16  # table rows formatted and written per write call
+
+
+def _cells(col):
+    # tolist gives Python floats; mapping repr over them is _fmt, run in C
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return map(repr, col.tolist())
+    return map(_fmt, col)
+
+
+def _write_table(path: str, config_hash: str, header: str, cols, sep: str) -> None:
+    """Write the comment and header lines, then the rows of equal-length
+    columns, formatting CHUNK_ROWS rows of one column at a time so memory
+    stays bounded."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config-hash: {config_hash}\n")
-        fh.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(f"# config-hash: {config_hash}\n{header}\n")
+        for start in range(0, len(cols[0]), CHUNK_ROWS):
+            cells = [_cells(c[start : start + CHUNK_ROWS]) for c in cols]
+            fh.write("\n".join(map(sep.join, zip(*cells))) + "\n")
+
+
+def write_csv(path: str, table: Table, config_hash: str) -> None:
+    _write_table(path, config_hash, ",".join(table.columns), table.data, ",")
 
 
 def write_plotdata(path: str, table: Table, config_hash: str) -> None:
     xi, yi = table.plot
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config-hash: {config_hash}\n")
-        fh.write(f"# {table.columns[xi]} vs {table.columns[yi]}\n")
-        for row in table.rows:
-            fh.write(f"{_fmt(row[xi])} {_fmt(row[yi])}\n")
+    header = f"# {table.columns[xi]} vs {table.columns[yi]}"
+    _write_table(path, config_hash, header, (table.data[xi], table.data[yi]), " ")
 
 
 def write_summary(path: str, summary: dict, scenario: str) -> None:

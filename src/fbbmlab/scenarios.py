@@ -52,12 +52,17 @@ class Check:
 
 @dataclass(frozen=True)
 class Table:
-    """A CSV-ready table; plot picks the two columns for plot data."""
+    """A CSV-ready table by column: data holds one equal-length sequence
+    per header in columns; plot picks the two columns for plot data."""
 
     name: str
     columns: tuple
-    rows: list
+    data: tuple
     plot: tuple | None = None
+
+    def __post_init__(self):
+        if len(self.data) != len(self.columns) or len({len(c) for c in self.data}) > 1:
+            raise ValueError(f"table {self.name}: need one equal-length column per header")
 
 
 @dataclass
@@ -125,12 +130,7 @@ def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
                 "l2_norm [model units]",
                 "sup_norm [model units]",
             ),
-            rows=[
-                (t, m, e, h, l2, sup)
-                for t, m, e, h, l2, sup in zip(
-                    diag.times, diag.mass, diag.energy, diag.hamiltonian, diag.l2, diag.sup
-                )
-            ],
+            data=(diag.times, diag.mass, diag.energy, diag.hamiltonian, diag.l2, diag.sup),
             plot=(0, 4),
         )
     )
@@ -180,7 +180,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
         Table(
             name="profile",
             columns=("x [model units]", "psi [model units]"),
-            rows=list(zip(grid.xs, np.asarray(sol.wave.values))),
+            data=(grid.xs, np.asarray(sol.wave.values)),
             plot=(0, 1),
         )
     )
@@ -207,7 +207,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
             Table(
                 name="wave",
                 columns=("x [model units]", "q [model units]"),
-                rows=list(zip(q.grid.xs, np.asarray(q.values))),
+                data=(q.grid.xs, np.asarray(q.values)),
                 plot=(0, 1),
             )
         )
@@ -259,7 +259,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
 
 def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult(grid=None)
-    rows = []
+    alphas, thetas, branches, etas, values = [], [], [], [], []
     pairs_out = []
     for alpha, theta in cfg.params["pairs"]:
         fit = stein_asymptotics(alpha, theta)
@@ -281,10 +281,12 @@ def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
                 "target_large": target_large,
             }
         )
-        for eta, val in zip(fit.etas_small, fit.values_small):
-            rows.append((alpha, theta, "small", eta, val))
-        for eta, val in zip(fit.etas_large, fit.values_large):
-            rows.append((alpha, theta, "large", eta, val))
+        small, large = len(fit.etas_small), len(fit.etas_large)
+        alphas += [alpha] * (small + large)
+        thetas += [theta] * (small + large)
+        branches += ["small"] * small + ["large"] * large
+        etas += [*fit.etas_small, *fit.etas_large]
+        values += [*fit.values_small, *fit.values_large]
         tag = f"({alpha:g},{theta:g})"
         if not fit.subtracted:
             res.checks.append(
@@ -313,7 +315,7 @@ def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
                 "eta [model units]",
                 "stein_derivative [model units]",
             ),
-            rows=rows,
+            data=(alphas, thetas, branches, etas, values),
         )
     )
     res.summary = {**_envelope(cfg), "pairs": pairs_out}
@@ -331,7 +333,7 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
     const = Field(grid, np.full(grid.n, 1.5))
 
     res = ScenarioResult(grid=_grid_dict(grid))
-    rows = []
+    families, tags, instances, ratios = [], [], [], []
     fams_out = []
     for entry in p["families"]:
         family = entry["family"]
@@ -339,8 +341,10 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
         rep = ratio_report(family, p["n"], p["L"], p["size"], seed=cfg.seed, **fparams)
         const_ratio = RATIO_FAMILIES[family][0](const, probe_field, **fparams)
         tag = ";".join(f"{k}={v:g}" for k, v in sorted(fparams.items()))
-        for i, r in enumerate(rep.ratios):
-            rows.append((family, tag, i, r))
+        families += [family] * len(rep.ratios)
+        tags += [tag] * len(rep.ratios)
+        instances += range(len(rep.ratios))
+        ratios += rep.ratios
         fams_out.append(
             {
                 "family": family,
@@ -376,7 +380,7 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
                 "instance [index]",
                 "ratio [dimensionless]",
             ),
-            rows=rows,
+            data=(families, tags, instances, ratios),
         )
     )
     res.summary = {
@@ -398,12 +402,14 @@ def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
     times = np.linspace(1.0, p["t_max"], p["t_count"])
 
     res = ScenarioResult(grid=_grid_dict(grid))
-    rows = []
+    alphas, rs, ts, norms = [], [], [], []
     pairs_out = []
     for alpha, r in p["pairs"]:
         rep = group_weighted_growth(phi, alpha, r, times)
-        for t, nrm in zip(rep.times, rep.norms):
-            rows.append((alpha, r, t, nrm))
+        alphas += [alpha] * len(rep.times)
+        rs += [r] * len(rep.times)
+        ts += rep.times
+        norms += rep.norms
         pairs_out.append(
             {
                 "alpha": alpha,
@@ -431,7 +437,7 @@ def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
                 "time [model units]",
                 "weighted_norm [model units]",
             ),
-            rows=rows,
+            data=(alphas, rs, ts, norms),
         )
     )
     res.summary = {**_envelope(cfg), "grid": res.grid, "pairs": pairs_out}
@@ -475,7 +481,7 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
                 "mass [model units]",
                 "nonlinearity_integral [model units]",
             ),
-            rows=list(zip(traj.times, masses, integrand)),
+            data=(traj.times, masses, integrand),
             plot=(0, 2),
         )
     )

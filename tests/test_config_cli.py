@@ -6,13 +6,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import fbbmlab.cli as cli_mod
 
 from fbbmlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_ERROR, EXIT_OK, load_schema, main
 from fbbmlab.config import ConfigError, load_config, parse_config, validate_config
-from fbbmlab.scenarios import Check, ScenarioResult
+from fbbmlab.scenarios import Check, ScenarioResult, Table
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -256,7 +263,7 @@ def test_linear_evolve_run(tmp_path):
 
 
 def test_rerun_bit_identical(tmp_path):
-    obj = {
+    ucp = {
         "scenario": "ucp",
         "alpha": 0.5,
         "n": 256,
@@ -265,16 +272,34 @@ def test_rerun_bit_identical(tmp_path):
         "T": 1.0,
         "seed": 5,
     }
-    _, out_a = run_cli(tmp_path, obj, "a")
-    _, out_b = run_cli(tmp_path, obj, "b")
-    for name in ("series.csv", "summary.json"):
-        a = open(os.path.join(out_a, name), "rb").read()
-        b = open(os.path.join(out_b, name), "rb").read()
-        assert a == b
-    ma = json.load(open(os.path.join(out_a, "manifest.json")))
-    mb = json.load(open(os.path.join(out_b, "manifest.json")))
-    ma.pop("wall_clock_s"), mb.pop("wall_clock_s")
-    assert ma == mb
+    # two wide tables (profile and scaled wave), each also as plot data
+    wave = {
+        "scenario": "groundstate",
+        "alpha": 0.75,
+        "n": 2048,
+        "L": 200.0,
+        "tol": 1e-10,
+        "c": 2.0,
+        "emit": {"plotdata": True},
+        "seed": 5,
+    }
+    files = {
+        "ucp": ("series.csv", "summary.json"),
+        "groundstate": ("profile.csv", "wave.csv", "profile.dat", "wave.dat", "summary.json"),
+    }
+    for obj in (ucp, wave):
+        _, out_a = run_cli(tmp_path, obj, f"{obj['scenario']}-a")
+        _, out_b = run_cli(tmp_path, obj, f"{obj['scenario']}-b")
+        ma = json.load(open(os.path.join(out_a, "manifest.json")))
+        mb = json.load(open(os.path.join(out_b, "manifest.json")))
+        assert ma["error"] is None
+        assert sorted(ma["outputs"]) == sorted(files[obj["scenario"]])
+        for name in files[obj["scenario"]]:
+            a = open(os.path.join(out_a, name), "rb").read()
+            b = open(os.path.join(out_b, name), "rb").read()
+            assert a == b
+        ma.pop("wall_clock_s"), mb.pop("wall_clock_s")
+        assert ma == mb
 
 
 def test_stein_manifest_records_fit(tmp_path):
@@ -488,3 +513,84 @@ def test_out_dir_from_env(tmp_path, monkeypatch):
     assert main(["run", cfg]) == EXIT_OK
     runs = os.listdir(tmp_path / "envout")
     assert len(runs) == 1 and runs[0].startswith("stein-")
+
+
+# ----------------------------------------------------------------- writers
+
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return repr(float(value))
+
+
+def _reference_write(path, table, config_hash, plot):
+    """The row-wise writers the columnar ones replaced: one format call
+    per cell, one write per row."""
+    rows = list(zip(*table.data))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# config-hash: {config_hash}\n")
+        if plot:
+            xi, yi = table.plot
+            fh.write(f"# {table.columns[xi]} vs {table.columns[yi]}\n")
+            for row in rows:
+                fh.write(f"{_reference_fmt(row[xi])} {_reference_fmt(row[yi])}\n")
+        else:
+            fh.write(",".join(table.columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_reference_fmt(v) for v in row) + "\n")
+
+
+# signed zeros, subnormals, the repr switch to exponent form at 1e16 and
+# below 1e-4, the largest double under 1e16, infinities and nan
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 1e16, -1e16,
+               9999999999999998.0, 1e-4, 1e-5, 0.1, float("inf"), float("-inf"),
+               float("nan")]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+KINDS = {
+    "float64": lambda n: st.lists(FLOATS, min_size=n, max_size=n).map(np.array),
+    "float": lambda n: st.lists(FLOATS, min_size=n, max_size=n),
+    "int": lambda n: st.lists(st.integers(-(10**20), 10**20), min_size=n, max_size=n),
+    "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n),
+    "label": lambda n: st.lists(st.text("ab=;.-_ 0", max_size=6), min_size=n, max_size=n),
+    "int64": lambda n: st.lists(
+        st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n
+    ).map(lambda v: np.array(v, dtype=np.int64)),
+}
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 9))
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=5))
+    data = tuple(draw(KINDS[k](n)) for k in kinds)
+    plot = (draw(st.integers(0, len(kinds) - 1)), draw(st.integers(0, len(kinds) - 1)))
+    return Table("t", tuple(f"{k} [label]" for k in kinds), data, plot)
+
+
+_LONG = np.random.default_rng(0).standard_normal(2 * cli_mod.CHUNK_ROWS + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=tables(), chunk=st.sampled_from([1, 2, 3, cli_mod.CHUNK_ROWS]))
+@example(
+    table=Table("long", ("x [model units]", "i [index]"), (_LONG, range(_LONG.size)), (0, 1)),
+    chunk=cli_mod.CHUNK_ROWS,
+)
+@example(table=Table("empty", ("x [model units]",), (np.array([]),), (0, 0)), chunk=2)
+def test_writers_match_row_reference(table, chunk):
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(cli_mod, "CHUNK_ROWS", chunk):
+        for plot, writer in ((False, cli_mod.write_csv), (True, cli_mod.write_plotdata)):
+            got, want = os.path.join(d, "got"), os.path.join(d, "want")
+            writer(got, table, "f00d")
+            _reference_write(want, table, "f00d", plot)
+            assert open(got, "rb").read() == open(want, "rb").read()
+
+
+def test_table_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="one equal-length column per header"):
+        Table("t", ("a [label]", "b [label]"), ([1.0, 2.0], [1.0]))
+    with pytest.raises(ValueError, match="one equal-length column per header"):
+        Table("t", ("a [label]", "b [label]"), ([1.0],))

@@ -8,6 +8,8 @@ about 32x per dt halving (fifth order: the per-step invariant increments
 telescope); tests assert the at-least-fourth-order property.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,18 @@ def test_blowup_abort_triggers():
             )
             with pytest.raises(BlowUpError, match=r"at t = 0\.45( |$)"):
                 evolve(big, cfg)
+
+
+def test_blowup_raises_without_numpy_warnings():
+    # the overflow is reported once, by BlowUpError; numpy's
+    # RuntimeWarnings on the way there would be noise beside it
+    g = make_grid(256, 10.0)
+    big = Field(g, 10.0 * np.exp(-g.xs**2))
+    cfg = EvolveConfig(alpha=0.5, dt=0.05, t_final=5.0, blowup_factor=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match=r"at t = 0\.45( |$)"):
+            evolve(big, cfg)
 
 
 def test_nonfinite_initial_rejected():
