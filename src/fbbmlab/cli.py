@@ -21,7 +21,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .config import SCENARIOS, ConfigError, ScenarioConfig, load_config
+from .config import SCENARIOS, ConfigError, ScenarioConfig, load_config, with_seed
 from .scenarios import Check, ScenarioResult, Table, run_scenario
 
 SCHEMA_NAMES = SCENARIOS + ("manifest",)
@@ -156,28 +156,35 @@ def _write_outputs(
             write_plotdata(os.path.join(out_dir, name), table, config_hash)
 
 
-def _run(args) -> int:
+def _load(args) -> ScenarioConfig | None:
+    """The config named on the command line, with any --seed override; on
+    a missing file or an invalid config, say why on stderr and return None."""
     try:
         cfg = load_config(args.config)
+        if getattr(args, "seed", None) is not None:
+            cfg = with_seed(cfg, args.seed)
     except FileNotFoundError:
         print(f"no such config file: {args.config}", file=sys.stderr)
-        return EXIT_CONFIG
+        return None
     except ConfigError as e:
         print("config invalid:", file=sys.stderr)
         for v in e.violations:
             print(f"  - {v}", file=sys.stderr)
+        return None
+    return cfg
+
+
+def _run(args) -> int:
+    cfg = _load(args)
+    if cfg is None:
         return EXIT_CONFIG
-    if args.seed is not None:
-        cfg = ScenarioConfig(
-            scenario=cfg.scenario,
-            params=cfg.params,
-            seed=args.seed,
-            out=cfg.out,
-            emit=cfg.emit,
-        )
 
     out_dir = _out_dir(cfg, args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        print(f"cannot create output directory {out_dir}: {e.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     config_hash = cfg.config_hash()
 
     t0 = time.perf_counter()
@@ -236,15 +243,8 @@ def _run(args) -> int:
 
 
 def _validate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except FileNotFoundError:
-        print(f"no such config file: {args.config}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as e:
-        print("config invalid:", file=sys.stderr)
-        for v in e.violations:
-            print(f"  - {v}", file=sys.stderr)
+    cfg = _load(args)
+    if cfg is None:
         return EXIT_CONFIG
     print(f"config valid: scenario {cfg.scenario!r}, hash {cfg.config_hash()[:12]}")
     return EXIT_OK

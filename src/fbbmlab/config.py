@@ -10,6 +10,7 @@ hashes to a stable id that tags every file the run writes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -231,10 +232,6 @@ _TABLES = {
 }
 
 # scenario-wide rules that look at more than one field
-def _cross_evolve(p, bad):
-    _check_step_count(p, bad)
-
-
 def _check_step_count(p, bad):
     if p.get("dt", 0) > 0 and p.get("T", 0) > 0:
         steps = p["T"] / p["dt"]
@@ -262,7 +259,7 @@ def _cross_groundstate(p, bad):
 
 
 _CROSS = {
-    "evolve": _cross_evolve,
+    "evolve": _check_step_count,
     "ucp": _cross_ucp,
     "groundstate": _cross_groundstate,
 }
@@ -270,43 +267,43 @@ _CROSS = {
 _DEFAULT_SEED = 20260819
 
 
+# value kind -> (accepted types, noun for the violation); "?" allows null
+_KINDS = {
+    "bool": ((bool,), "a boolean"),
+    "int": ((int,), "an integer"),
+    "number": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "list": ((list,), "a list"),
+}
+
+
 def _check_kind(key, kind, value, bad):
-    optional = kind.endswith("?")
-    base = kind.rstrip("?")
     if value is None:
-        if optional:
-            return None
-        bad.append(f"{key} must not be null")
+        if not kind.endswith("?"):
+            bad.append(f"{key} must not be null")
         return None
-    if base == "bool":
-        if not isinstance(value, bool):
-            bad.append(f"{key} must be a boolean")
-            return None
-        return value
-    if isinstance(value, bool):
-        bad.append(f"{key} must be a number, got a boolean")
+    base = kind.rstrip("?")
+    types, noun = _KINDS[base]
+    # bool is an int subtype, so a boolean only passes as a "bool"
+    if isinstance(value, bool) != (base == "bool") or not isinstance(value, types):
+        got = ", got a boolean" if isinstance(value, bool) else ""
+        bad.append(f"{key} must be {noun}{got}")
         return None
-    if base == "int":
-        if not isinstance(value, int):
-            bad.append(f"{key} must be an integer")
-            return None
-        return value
-    if base == "number":
-        if not isinstance(value, (int, float)):
-            bad.append(f"{key} must be a number")
-            return None
-        return float(value)
-    if base == "str":
-        if not isinstance(value, str):
-            bad.append(f"{key} must be a string")
-            return None
-        return value
-    if base == "list":
-        if not isinstance(value, list):
-            bad.append(f"{key} must be a list")
-            return None
-        return value
-    raise AssertionError(f"unhandled kind {kind}")
+    return float(value) if base == "number" else value
+
+
+def _seed_error(seed) -> str | None:
+    # numpy's generators take any non-negative integer and nothing else
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        return "seed must be an integer >= 0"
+    return None
+
+
+def with_seed(cfg: ScenarioConfig, seed) -> ScenarioConfig:
+    """cfg with its seed replaced, under the same rule as a config's seed."""
+    if msg := _seed_error(seed):
+        raise ConfigError([msg])
+    return dataclasses.replace(cfg, seed=seed)
 
 
 def validate_config(obj) -> ScenarioConfig:
@@ -343,8 +340,8 @@ def validate_config(obj) -> ScenarioConfig:
         params[key] = val
 
     seed = obj.get("seed", _DEFAULT_SEED)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        bad.append("seed must be an integer")
+    if msg := _seed_error(seed):
+        bad.append(msg)
         seed = _DEFAULT_SEED
 
     out = obj.get("out")

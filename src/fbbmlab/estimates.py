@@ -36,7 +36,7 @@ from .spectral import (
     make_grid,
     op_a,
 )
-from .weighted import weighted_norm
+from .weighted import _loglog_fit, weighted_norm
 
 __all__ = [
     "TestCorpus",
@@ -421,10 +421,7 @@ def group_weighted_growth(
             )
         norms[j] = weighted_norm(u, r)
     pos = ts > 0
-    if np.count_nonzero(pos) >= 2:
-        slope = float(np.polyfit(np.log(ts[pos]), np.log(norms[pos]), 1)[0])
-    else:
-        slope = 0.0
+    slope = _loglog_fit(ts[pos], norms[pos])[0] if np.count_nonzero(pos) >= 2 else 0.0
     bound = ceil(r) + 0.2
     return GrowthReport(
         alpha=alpha,

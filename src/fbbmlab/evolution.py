@@ -22,11 +22,11 @@ import numpy as np
 from .spectral import (
     Field,
     SpectralGrid,
+    _half_l2,
     _irfft,
     _rfft,
     a_symbol_grid,
     field_l2,
-    forward,
     frac_deriv_symbol,
 )
 
@@ -196,9 +196,10 @@ def mass(f: Field) -> float:
 
 def energy(f: Field, alpha: float) -> float:
     """Quadratic invariant: int (D^(alpha/2) u)^2 + u^2 dx."""
-    s = forward(f)
-    w = 1.0 + frac_deriv_symbol(s.grid, alpha)
-    return float(np.sum(w * np.abs(s.coeffs) ** 2) / (2.0 * s.grid.L))
+    g = f.grid
+    half = _rfft(f.values, g)
+    d = frac_deriv_symbol(g, alpha / 2.0)[: g.n // 2 + 1] * half
+    return _half_l2(half, g) ** 2 + _half_l2(d, g) ** 2
 
 
 def hamiltonian(f: Field, power: int = 2) -> float:

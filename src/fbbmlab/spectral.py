@@ -15,8 +15,13 @@ Odd (imaginary) symbols zero the unpaired Nyquist mode -n/2 so that real
 fields stay real and skew symmetry is exact on the grid.
 
 Since x_0 = -L and xi_k L = pi k, this transform is the plain DFT times
-exp(i xi_k L) = (-1)^k, a cached exact sign.  The hot loops work on half
-spectra k = 0..n/2 of real fields in the same normalization (_rfft/_irfft).
+exp(i xi_k L) = (-1)^k, a cached exact sign.
+
+Every field is real and every symbol here is Hermitian, so the library
+computes only on half spectra k = 0..n/2 in the same normalization
+(_rfft/_irfft), and _half_l2 is its one Parseval sum.  The full complex
+spectrum (forward, inverse, apply_multiplier, Spectrum, spectrum_l2) is the
+public reference format; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -78,9 +83,6 @@ class Field:
     grid: SpectralGrid
     values: np.ndarray
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
 
 @dataclass
 class Spectrum:
@@ -88,9 +90,6 @@ class Spectrum:
 
     grid: SpectralGrid
     coeffs: np.ndarray
-
-    def copy(self) -> "Spectrum":
-        return Spectrum(self.grid, self.coeffs.copy())
 
 
 def make_grid(n: int, L: float) -> SpectralGrid:
@@ -122,12 +121,22 @@ def _sign(n: int) -> np.ndarray:
 
 def _rfft(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Half spectrum hat(u)(xi_k), k = 0..n/2, of real samples."""
+    values = np.asarray(values)
+    if values.shape != (grid.n,):  # an odd length would give n/2+1 modes too
+        raise ValueError(f"field has shape {values.shape}, expected ({grid.n},)")
     return grid.dx * _sign(grid.n)[: grid.n // 2 + 1] * np.fft.rfft(values)
 
 
 def _irfft(half: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Real samples from a half spectrum; inverse of _rfft."""
     return np.fft.irfft(_sign(grid.n)[: grid.n // 2 + 1] * half, grid.n) / grid.dx
+
+
+def _half_l2(half: np.ndarray, grid: SpectralGrid) -> float:
+    """L2 norm of a real field from its half spectrum, by Parseval: each
+    mode k = 1..n/2-1 also stands for its mirror -k."""
+    sq = np.abs(half) ** 2
+    return float(np.sqrt((2.0 * np.sum(sq) - sq[0] - sq[-1]) / (2.0 * grid.L)))
 
 
 def forward(f: Field) -> Spectrum:
@@ -176,7 +185,12 @@ def spectrum_l2(s: Spectrum) -> float:
 
 
 def _apply_symbol_to_field(f: Field, symbol: np.ndarray) -> Field:
-    return inverse(apply_multiplier(forward(f), symbol))
+    """Apply a Hermitian symbol sampled on grid.xis through the half spectrum."""
+    g = f.grid
+    sym = np.asarray(symbol)[: g.n // 2 + 1]
+    if not np.all(np.isfinite(sym)):
+        raise ValueError("symbol contains non-finite entries")
+    return Field(g, _irfft(sym * _rfft(f.values, g), g))
 
 
 def _nyquist_mask(grid: SpectralGrid) -> np.ndarray:
@@ -214,9 +228,7 @@ def a_symbol(xi, alpha: float):
 
 
 def a_symbol_grid(grid: SpectralGrid, alpha: float) -> np.ndarray:
-    sym = a_symbol(grid.xis, alpha)
-    sym = sym * _nyquist_mask(grid)
-    return sym
+    return a_symbol(grid.xis, alpha) * _nyquist_mask(grid)
 
 
 def frac_deriv(f: Field, alpha: float) -> Field:

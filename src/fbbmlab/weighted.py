@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, apply_multiplier, bessel_symbol, deriv, forward, inverse
+from .spectral import Field, _half_l2, _rfft, bessel_symbol, deriv
 
 __all__ = [
     "WeightSpec",
@@ -464,15 +464,9 @@ def interpolation_ratio(f: Field, s: float, b: float, theta: float) -> float:
     vals = np.asarray(f.values)
     if not np.any(vals):
         raise ValueError("interpolation ratio undefined for the zero field")
+    half = g.n // 2 + 1
     w = weight_values(g.xs, WeightSpec(theta=(1.0 - theta) * b))
-    weighted = Field(g, w * vals)
-    num_spec = apply_multiplier(forward(weighted), bessel_symbol(g, theta * s))
-    num = float(np.sqrt(np.sum(np.abs(num_spec.coeffs) ** 2) / (2.0 * g.L)))
+    num = _half_l2(bessel_symbol(g, theta * s)[:half] * _rfft(w * vals, g), g)
     den_w = weighted_norm(f, b)
-    den_s = float(
-        np.sqrt(
-            np.sum(np.abs(apply_multiplier(forward(f), bessel_symbol(g, s)).coeffs) ** 2)
-            / (2.0 * g.L)
-        )
-    )
+    den_s = _half_l2(bessel_symbol(g, s)[:half] * _rfft(vals, g), g)
     return num / (den_w ** (1.0 - theta) * den_s**theta)

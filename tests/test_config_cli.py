@@ -491,6 +491,38 @@ def test_seed_override_changes_hash(tmp_path):
     jsonschema.validate(summary, load_schema("commutators"))
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_is_config_error(tmp_path, capsys, where):
+    # numpy's generators reject negative seeds, so the config must as well
+    obj = {
+        "scenario": "commutators",
+        "n": 512,
+        "L": 50.0,
+        "size": 3,
+        "families": [{"family": "generator", "alpha": 0.5}],
+    }
+    extra = ("--seed", "-1") if where == "flag" else ()
+    if where == "config":
+        obj["seed"] = -1
+    cfg = write_cfg(tmp_path, obj)
+    if where == "config":
+        assert main(["validate", cfg]) == EXIT_CONFIG
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unusable_out_dir_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"scenario": "stein", "pairs": [[0.25, 0.75]]})
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    for out in (taken, taken / "sub"):
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"cannot create output directory {out}" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_threads_do_not_change_outputs(tmp_path):
     obj = {
         "scenario": "commutators",

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbbmlab.evolution import energy
+from fbbmlab.ground_state import normalized_residual, traveling_wave_residual
 from fbbmlab.spectral import (
     Field,
+    Spectrum,
     _irfft,
     _rfft,
     _sign,
@@ -223,11 +226,89 @@ def test_real_output_for_real_input():
     g = make_grid(128, 4.0)
     u = Field(g, np.random.default_rng(11).standard_normal(g.n))
     for out in (op_a(u, 0.3), hilbert(u), group_propagate(u, 2.5, 0.7)):
-        # outputs are produced via inverse(), whose construction takes real
-        # parts; re-derive the imaginary part to confirm it is roundoff
+        # outputs come from _irfft, real by construction; the full-spectrum
+        # round trip must give them back unchanged
         spec = forward(out)
         sym_back = inverse(spec)
         np.testing.assert_allclose(out.values, sym_back.values, atol=1e-12)
+
+
+def _odd(sym, g):
+    """An odd symbol on the grid: the unpaired Nyquist mode is zeroed."""
+    sym = np.asarray(sym, dtype=complex).copy()
+    sym[g.n // 2] = 0.0
+    return sym
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    log2n=st.integers(4, 12),
+    L=st.floats(min_value=0.5, max_value=1e4),
+    alpha=st.floats(min_value=0.05, max_value=2.0),
+    s=st.floats(min_value=-3.0, max_value=3.0),
+    t=st.floats(min_value=-50.0, max_value=50.0),
+    shift=st.floats(min_value=-20.0, max_value=20.0),
+    c=st.floats(min_value=1.1, max_value=5.0),
+)
+def test_half_spectrum_operators_match_full_reference(seed, log2n, L, alpha, s, t, shift, c):
+    g = make_grid(2**log2n, L)
+    f = Field(g, np.random.default_rng(seed).standard_normal(g.n))
+    xi, nyq = g.xis, g.n // 2
+    # phases rounded as the library rounds them: t a(xi) reaches ~1e5 here
+    group = np.exp(-1j * t * (xi / (1.0 + np.abs(xi) ** alpha)))
+    group[nyq] = 1.0
+    shifted = np.exp(-1j * xi * shift)
+    shifted[nyq] = np.cos(xi[nyq] * shift)
+    cases = {
+        "frac_deriv": (frac_deriv(f, alpha), np.abs(xi) ** alpha),
+        "bessel": (bessel(f, s), (1.0 + xi**2) ** (s / 2.0)),
+        "hilbert": (hilbert(f), _odd(-1j * np.sign(xi), g)),
+        "op_a": (op_a(f, alpha), _odd(-1j * xi / (1.0 + np.abs(xi) ** alpha), g)),
+        "deriv1": (deriv(f, 1), _odd(1j * xi, g)),
+        "deriv2": (deriv(f, 2), -(xi**2)),
+        "deriv3": (deriv(f, 3), _odd(-1j * xi**3, g)),
+        "group_propagate": (group_propagate(f, t, alpha), group),
+        "translate": (translate(f, shift), shifted),
+    }
+    for name, (out, symbol) in cases.items():
+        ref = inverse(apply_multiplier(forward(f), symbol)).values
+        np.testing.assert_allclose(
+            out.values, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)), err_msg=name
+        )
+
+    # the norms, against their full-spectrum Parseval sums
+    full = forward(f).coeffs
+    quad = forward(Field(g, 0.5 * f.values**2)).coeffs
+    sq = forward(Field(g, f.values + f.values**2)).coeffs
+    lin = 1.0 + np.abs(xi) ** alpha
+    ref_energy = np.sum(lin * np.abs(full) ** 2) / (2.0 * L)
+    ref_resid = spectrum_l2(Spectrum(g, lin * full - quad)) / field_l2(f)
+    ref_tw = spectrum_l2(Spectrum(g, c * lin * full - sq)) / field_l2(f)
+    assert energy(f, alpha) == pytest.approx(ref_energy, rel=1e-13, abs=0)
+    assert normalized_residual(f, alpha) == pytest.approx(ref_resid, rel=1e-13, abs=0)
+    assert traveling_wave_residual(f, alpha, c) == pytest.approx(ref_tw, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("shape", [(17,), (2, 16)])
+def test_operators_and_norms_reject_wrong_length_field(shape):
+    # an odd length would slip through rfft with the right half length
+    g = make_grid(16, 1.0)
+    f = Field(g, np.ones(shape))
+    for op in (
+        lambda u: frac_deriv(u, 0.5),
+        lambda u: bessel(u, 1.0),
+        hilbert,
+        lambda u: op_a(u, 0.5),
+        deriv,
+        lambda u: group_propagate(u, 1.0, 0.5),
+        lambda u: translate(u, 0.3),
+        lambda u: energy(u, 0.5),
+        lambda u: normalized_residual(u, 0.5),
+        lambda u: traveling_wave_residual(u, 0.5, 2.0),
+    ):
+        with pytest.raises(ValueError, match=r"expected \(16,\)"):
+            op(f)
 
 
 # ---------------------------------------------------------------- free group
