@@ -9,6 +9,7 @@ and the exit status is nonzero exactly when an asserted check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -37,6 +38,16 @@ def load_schema(name: str) -> dict:
         raise ValueError(f"no schema named {name!r}; know {', '.join(SCHEMA_NAMES)}")
     path = resources.files("fbbmlab").joinpath(f"schemas/{name}.schema.json")
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+@functools.lru_cache(maxsize=None)
+def _validator(name: str):
+    """Validator of one shipped schema, checked against its metaschema once
+    per process instead of on every write."""
+    schema = load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _fmt(value) -> str:
@@ -80,14 +91,14 @@ def write_plotdata(path: str, table: Table, config_hash: str) -> None:
 
 
 def write_summary(path: str, summary: dict, scenario: str) -> None:
-    jsonschema.validate(summary, load_schema(scenario))
+    _validator(scenario).validate(summary)
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 
 
 def write_manifest(path: str, manifest: dict) -> None:
-    jsonschema.validate(manifest, load_schema("manifest"))
+    _validator("manifest").validate(manifest)
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".manifest-", suffix=".json")

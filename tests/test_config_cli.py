@@ -398,6 +398,27 @@ def test_exit_code_tracks_checks_exactly(tmp_path, monkeypatch):
     assert code == EXIT_CHECK_FAILED
 
 
+def test_shipped_schemas_pass_metaschema():
+    for name in cli_mod.SCHEMA_NAMES:
+        schema = load_schema(name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_schema_violating_summary_lands_in_manifest(tmp_path, monkeypatch):
+    # the cached validator still rejects a summary its schema forbids
+    bad = ScenarioResult(checks=[Check("x", True, 1.0, "<= 2")])
+    bad.summary = {"scenario": "stein", "config_hash": "0" * 64, "seed": 1,
+                   "params": {}, "pairs": "not a list"}
+    monkeypatch.setattr(cli_mod, "run_scenario", lambda cfg: bad)
+    for name in ("bad1", "bad2"):  # the second run reuses the validator
+        code, out = run_cli(tmp_path, {"scenario": "stein", "pairs": [[0.25, 0.75]]}, name)
+        assert code == EXIT_ERROR
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["error"].startswith("ValidationError: 'not a list' is not of type")
+        assert manifest["outputs"] == []
+        assert os.listdir(out) == ["manifest.json"]
+
+
 def test_writer_error_lands_in_manifest(tmp_path, monkeypatch):
     import fbbmlab.cli as cli_mod
 

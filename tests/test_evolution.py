@@ -308,6 +308,42 @@ def test_snapshot_stride_and_endpoints():
     assert len(traj) == len(traj.states)
 
 
+@pytest.mark.parametrize(
+    "steps, stride, recorded",
+    [(7, 3, [0, 3, 6, 7]), (5, 50, [0, 5])],  # stride not dividing, beyond the steps
+)
+def test_snapshot_stride_uneven(steps, stride, recorded):
+    g = make_grid(64, 10.0)
+    u0 = Field(g, 0.5 * np.exp(-g.xs**2))
+    cfg = EvolveConfig(alpha=0.5, dt=0.01, t_final=steps * 0.01, snapshot_stride=stride)
+    traj = evolve(u0, cfg)
+    np.testing.assert_allclose(traj.times, 0.01 * np.array(recorded), rtol=0, atol=1e-15)
+    assert traj.times[-1] == pytest.approx(cfg.t_final, abs=1e-15)
+    assert traj.states.shape == (len(recorded), g.n)
+    assert np.max(np.abs(traj.states - _full_spectrum_rk4(u0, cfg)[recorded])) < 1e-12
+
+
+def test_undealiased_rk4_matches_full_spectrum():
+    # dealias_fraction = 1 keeps every mode but the Nyquist one; the noise
+    # puts content in all of them
+    g = make_grid(128, 15.0)
+    noise = 0.01 * np.random.default_rng(3).standard_normal(g.n)
+    u0 = Field(g, 1.5 * np.exp(-g.xs**2) - 0.5 * np.exp(-((g.xs - 3.0) ** 2)) + noise)
+    cfg = EvolveConfig(alpha=0.5, dt=0.02, t_final=0.1, dealias_fraction=1.0, snapshot_stride=1)
+    traj = evolve(u0, cfg)
+    ref = _full_spectrum_rk4(u0, cfg)
+    assert traj.states.shape == ref.shape == (6, g.n)
+    assert np.max(np.abs(traj.states - ref)) < 1e-12
+
+
+def test_wrong_length_initial_rejected():
+    g = make_grid(64, 10.0)
+    cfg = EvolveConfig(alpha=0.5, dt=0.01, t_final=0.1)
+    for vals in (np.zeros(g.n + 1), np.zeros(g.n - 1), np.zeros((2, g.n // 2))):
+        with pytest.raises(ValueError, match=r"expected \(64,\)"):
+            evolve(Field(g, vals), cfg)
+
+
 def test_diagnostics_weighted_branch():
     g = make_grid(512, 25.0)
     u0 = Field(g, np.exp(-g.xs**2))
@@ -332,6 +368,14 @@ def test_mass_energy_closed_forms():
     # hamiltonian of a Gaussian: int u^2/2 + u^3/3
     exact = 0.5 * np.sqrt(np.pi) + (1.0 / 3.0) * np.sqrt(2 * np.pi / 3)
     assert hamiltonian(f, 2) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("power", [2, 3, 4])
+def test_hamiltonian_matches_power_formula(power):
+    g = make_grid(4096, 100.0)
+    v = 1.5 * np.exp(-g.xs**2 / 25.0) - 0.4 * np.exp(-((g.xs - 8.0) ** 2)) * np.cos(3 * g.xs)
+    old = g.dx * np.sum(v**2 / 2.0 + v ** (power + 1) / (power + 1))
+    assert abs(hamiltonian(Field(g, v), power) - old) <= 1e-14 * abs(old)
 
 
 @settings(max_examples=10, deadline=None)
