@@ -16,7 +16,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .estimates import RATIO_FAMILIES
+from .estimates import RATIO_FAMILIES, _check_orders
+from .weighted import _stein_range
 
 SCENARIOS = ("evolve", "groundstate", "stein", "commutators", "weighted-growth", "ucp")
 
@@ -118,28 +119,20 @@ def _pairs_checker(second_name, second_check):
             a, s = float(entry[0]), float(entry[1])
             if not 0.0 < a <= 2.0:
                 return f"pairs[{i}]: alpha must lie in (0, 2]"
-            bad = second_check(a, s)
-            if bad:
-                return f"pairs[{i}]: {bad}"
+            try:
+                second_check(a, s)
+            except ValueError as e:
+                return f"pairs[{i}]: {e}"
         return None
 
     return check
 
 
-def _stein_second(alpha, theta):
-    if theta <= 0:
-        return "theta must be positive"
-    if theta == alpha:
-        return "theta must differ from alpha (equal orders have no power law)"
-    return None
-
-
 def _growth_second(alpha, r):
     if r < 0:
-        return "decay order r must be >= 0"
+        raise ValueError("decay order r must be >= 0")
     if r >= 1.5 + alpha:
-        return "decay order r must stay below 3/2 + alpha"
-    return None
+        raise ValueError("decay order r must stay below 3/2 + alpha")
 
 
 def _families(v):
@@ -149,12 +142,18 @@ def _families(v):
         if not isinstance(entry, dict) or "family" not in entry:
             return f"families[{i}] must be an object with a 'family' key"
         fam = entry["family"]
-        if fam not in RATIO_FAMILIES:
+        if not isinstance(fam, str) or fam not in RATIO_FAMILIES:
             return f"families[{i}]: unknown family {fam!r}"
-        want = set(RATIO_FAMILIES[fam][1])
-        got = set(entry) - {"family"}
-        if got != want:
+        want = RATIO_FAMILIES[fam][1]
+        params = {k: w for k, w in entry.items() if k != "family"}
+        if set(params) != set(want):
             return f"families[{i}]: family {fam!r} takes parameters {sorted(want)}"
+        if any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in params.values()):
+            return f"families[{i}]: parameters of {fam!r} must be numbers"
+        try:
+            _check_orders(fam, **params)
+        except ValueError as e:
+            return f"families[{i}]: {e}"
     return None
 
 
@@ -188,7 +187,7 @@ _TABLES = {
         "pairs": (
             "list",
             [[0.25, 0.5], [0.5, 0.75], [0.25, 0.75]],
-            _pairs_checker("theta", _stein_second),
+            _pairs_checker("theta", _stein_range),
         ),
     },
     "commutators": {

@@ -213,6 +213,7 @@ def commutator_a_ratio(weight: Field, f: Field, alpha: float) -> float:
     constant independent of f and g; the ratio is that constant's
     per-instance lower estimate.
     """
+    _check_orders("generator", alpha=alpha)
     if weight.grid != f.grid:
         raise ValueError("weight and field live on different grids")
     fnorm = _nonzero_l2(f)
@@ -229,8 +230,7 @@ def hilbert_commutator_ratio(psi: Field, f: Field, l: int, m: int) -> float:
     Calderon-type smoothing: the commutator with the Hilbert transform
     absorbs l+m derivatives into the weight, one order per slot.
     """
-    if l < 0 or m < 0 or l + m > 2:
-        raise ValueError(f"orders must satisfy l, m >= 0 and l + m <= 2, got {(l, m)}")
+    _check_orders("hilbert", l=l, m=m)
     if psi.grid != f.grid:
         raise ValueError("weight and field live on different grids")
     fnorm = _nonzero_l2(f)
@@ -240,9 +240,7 @@ def hilbert_commutator_ratio(psi: Field, f: Field, l: int, m: int) -> float:
         f.grid, hilbert(pv).values - np.asarray(psi.values) * hilbert(v).values
     )
     lhs = deriv(inner, l) if l else inner
-    dsup = (
-        field_linf(deriv(psi, l + m)) if l + m else field_linf(psi)
-    )
+    dsup = field_linf(deriv(psi, l + m)) if l + m else field_linf(psi)
     return _ratio(field_l2(lhs), dsup, field_linf(psi), fnorm)
 
 
@@ -251,18 +249,13 @@ def frac_commutator_ratio(psi: Field, f: Field, alpha: float, beta: float) -> fl
 
     The three fractional orders sum to one, matching the single
     derivative the weight gives up.  Requires a in [0,1), b in (0,1),
-    a + b <= 1.
+    a + b <= 1 + 1e-12; the third order 1 - a - b, which may round below 0, clamps at 0.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if alpha + beta > 1.0 + 1e-12:
-        raise ValueError(f"alpha + beta must be <= 1, got {alpha + beta}")
+    _check_orders("fractional", alpha=alpha, beta=beta)
     if psi.grid != f.grid:
         raise ValueError("weight and field live on different grids")
     fnorm = _nonzero_l2(f)
-    v = frac_deriv(f, 1.0 - alpha - beta)
+    v = frac_deriv(f, max(0.0, 1.0 - alpha - beta))
     pv = Field(f.grid, np.asarray(psi.values) * np.asarray(v.values))
     inner = Field(
         f.grid,
@@ -277,21 +270,34 @@ def frac_commutator_ratio(psi: Field, f: Field, alpha: float, beta: float) -> fl
 # ------------------------------------------------------------- corpus sweep
 
 
-# family -> (ratio function, its parameter names): the one table of
-# commutator families.  Entries call the kernels through their module
-# names, so a wrapper swapped onto this module sees every instance.
+# family -> (ratio function, its parameter names, the orders it accepts and
+# their statement): the one table of commutator families.  Entries call the
+# kernels through their module names, so a wrapper sees every instance.
 RATIO_FAMILIES = {
-    "generator": (lambda g, f, **p: commutator_a_ratio(g, f, **p), ("alpha",)),
-    "hilbert": (lambda g, f, **p: hilbert_commutator_ratio(g, f, **p), ("l", "m")),
-    "fractional": (lambda g, f, **p: frac_commutator_ratio(g, f, **p), ("alpha", "beta")),
+    "generator": (lambda g, f, **p: commutator_a_ratio(g, f, **p), ("alpha",),
+                  lambda alpha: 0.0 < alpha <= 2.0, "alpha in (0, 2]"),
+    "hilbert": (lambda g, f, **p: hilbert_commutator_ratio(g, f, **p), ("l", "m"),
+                lambda l, m: l >= 0 and m >= 0 and l + m <= 2 and l % 1 == m % 1 == 0,
+                "whole numbers l, m >= 0 with l + m <= 2"),
+    "fractional": (
+        lambda g, f, **p: frac_commutator_ratio(g, f, **p), ("alpha", "beta"),
+        lambda alpha, beta: 0 <= alpha < 1 and 0 < beta < 1 and alpha + beta <= 1 + 1e-12,
+        "alpha in [0, 1), beta in (0, 1) and alpha + beta <= 1"),
 }
+
+
+def _check_orders(family: str, **params) -> None:
+    """Raise ValueError unless the family accepts these orders; config checks with it too."""
+    _, _, accepts, statement = RATIO_FAMILIES[family]
+    if not accepts(**params):
+        raise ValueError(f"{family} orders must satisfy {statement}, got {params}")
 
 
 def corpus_ratios(corpus: TestCorpus, family: str, **params) -> np.ndarray:
     """Per-instance ratios over the corpus, in corpus order."""
     if family not in RATIO_FAMILIES:
         raise ValueError(f"unknown ratio family {family!r}; know {tuple(RATIO_FAMILIES)}")
-    ratio, want = RATIO_FAMILIES[family]
+    ratio, want, *_ = RATIO_FAMILIES[family]
     if set(params) != set(want):
         raise ValueError(f"family {family!r} takes parameters {want}, got {tuple(params)}")
     grid = corpus.grid
@@ -343,17 +349,21 @@ def ratio_report(
 ) -> RatioReport:
     """Evaluate one family over a fresh corpus at n and at 2n."""
     corpus = make_corpus(n, L, size, seed)
+    return _report(family, corpus, resample_corpus(corpus, 2 * n), **params)
+
+
+def _report(family: str, corpus: TestCorpus, fine: TestCorpus, **params) -> RatioReport:
+    """ratio_report on a given corpus and its resampling on the doubled grid."""
     ratios = corpus_ratios(corpus, family, **params)
-    fine = corpus_ratios(resample_corpus(corpus, 2 * n), family, **params)
+    fine_max = float(np.max(corpus_ratios(fine, family, **params)))
     base_max = float(np.max(ratios))
-    fine_max = float(np.max(fine))
     factor = fine_max / base_max if base_max > 0 else 1.0
     return RatioReport(
         family=family,
-        seed=seed,
-        size=size,
-        n=n,
-        L=L,
+        seed=corpus.seed,
+        size=corpus.size,
+        n=corpus.grid.n,
+        L=corpus.grid.L,
         params=dict(params),
         ratios=tuple(float(r) for r in ratios),
         corpus_max=base_max,

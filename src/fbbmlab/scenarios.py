@@ -16,9 +16,10 @@ import numpy as np
 from .config import ScenarioConfig
 from .estimates import (
     RATIO_FAMILIES,
+    _report,
     group_weighted_growth,
     make_corpus,
-    ratio_report,
+    resample_corpus,
     ucp_residual,
 )
 from .evolution import EvolveConfig, diagnostics_series, evolve
@@ -328,9 +329,10 @@ def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
 def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
-    probe = make_corpus(p["n"], p["L"], 1, seed=cfg.seed)
-    probe_field = Field(grid, probe.fields[0])
+    probe_field = Field(grid, make_corpus(p["n"], p["L"], 1, seed=cfg.seed).fields[0])
     const = Field(grid, np.full(grid.n, 1.5))
+    corpus = make_corpus(p["n"], p["L"], p["size"], seed=cfg.seed)
+    fine = resample_corpus(corpus, 2 * p["n"])
 
     res = ScenarioResult(grid=_grid_dict(grid))
     families, tags, instances, ratios = [], [], [], []
@@ -338,7 +340,7 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
     for entry in p["families"]:
         family = entry["family"]
         fparams = {k: v for k, v in entry.items() if k != "family"}
-        rep = ratio_report(family, p["n"], p["L"], p["size"], seed=cfg.seed, **fparams)
+        rep = _report(family, corpus, fine, **fparams)
         const_ratio = RATIO_FAMILIES[family][0](const, probe_field, **fparams)
         tag = ";".join(f"{k}={v:g}" for k, v in sorted(fparams.items()))
         families += [family] * len(rep.ratios)

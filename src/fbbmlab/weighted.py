@@ -283,6 +283,14 @@ class SteinAsymptotics:
     values_large: np.ndarray = field(repr=False, default=None)
 
 
+def _stein_range(alpha, theta):
+    """Raise ValueError unless stein_asymptotics accepts (alpha, theta); config uses it too."""
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    if alpha == theta:
+        raise ValueError("theta must differ from alpha (equal orders have no power law)")
+
+
 def stein_asymptotics(
     alpha: float,
     theta: float,
@@ -297,10 +305,7 @@ def stein_asymptotics(
     (one decade below the fit window) and subtracted; for alpha < theta
     the power part diverges and the raw values are fitted.
     """
-    if alpha == theta:
-        raise ValueError("small-probe fit requires alpha != theta")
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    _stein_range(alpha, theta)
 
     def g(x):
         return np.abs(x) ** alpha * cutoff_bump(x, cutoff)

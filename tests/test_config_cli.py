@@ -4,6 +4,7 @@ that are nonzero exactly when an asserted check fails."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -145,6 +146,40 @@ def test_families_validation():
         validate_config(
             {"scenario": "commutators", "families": [{"family": "generator", "l": 1}]}
         )
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"scenario": "stein", "pairs": [[0.25, 1.5]]}, "theta must lie in"),
+        (
+            {"scenario": "commutators", "families": [{"family": "fractional", "alpha": 0.9, "beta": 0.9}]},
+            "alpha \\+ beta <= 1, got",
+        ),
+        ({"scenario": "commutators", "families": [{"family": "hilbert", "l": 2, "m": 1}]}, "orders"),
+        ({"scenario": "commutators", "families": [{"family": "hilbert", "l": 0.5, "m": 1}]}, "orders"),
+        ({"scenario": "commutators", "families": [{"family": "generator", "alpha": 3.0}]}, "alpha in \\(0, 2\\]"),
+        ({"scenario": "commutators", "families": [{"family": "generator", "alpha": "x"}]}, "numbers"),
+        ({"scenario": "commutators", "families": [{"family": ["generator"]}]}, "unknown family"),
+    ],
+    ids=["stein-theta", "fractional-sum", "hilbert-orders", "hilbert-half-order",
+         "generator-alpha", "non-number", "unhashable-family"],
+)
+def test_kernel_ranges_are_config_errors(tmp_path, capsys, obj, message):
+    # the ranges the kernels enforce, caught before anything runs
+    cfg = write_cfg(tmp_path, obj)
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_fractional_orders_summing_to_one_run(tmp_path):
+    # 1 - 0.33 - 0.67 rounds to -1.1e-16; the kernel clamps it at 0
+    family = {"family": "fractional", "alpha": 0.33, "beta": 0.67}
+    obj = {"scenario": "commutators", "n": 256, "size": 4, "families": [family]}
+    code, _ = run_cli(tmp_path, obj, "frac")
+    assert code == EXIT_OK
 
 
 def test_groundstate_window_rule():

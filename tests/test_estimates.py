@@ -9,7 +9,9 @@ the same continuum functions on the finer grid.
 import numpy as np
 import pytest
 
+import fbbmlab.estimates as estimates_mod
 from fbbmlab.cli import load_schema
+from fbbmlab.config import validate_config
 from fbbmlab.estimates import (
     BoundaryContaminationError,
     QuadratureInconsistencyError,
@@ -26,6 +28,7 @@ from fbbmlab.estimates import (
     ucp_residual,
 )
 from fbbmlab.evolution import EvolveConfig, evolve, mass
+from fbbmlab.scenarios import run_commutators
 from fbbmlab.spectral import Field, deriv, field_l2, field_linf, make_grid
 
 SEED = 7001
@@ -132,6 +135,15 @@ def test_order_validation(corpus):
         frac_commutator_ratio(psi, f, 0.7, 0.7)
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.33, 0.67), (0.07, 0.93), (0.5, 0.5 + 5e-13)])
+def test_frac_orders_summing_to_one_within_slack(corpus, alpha, beta):
+    # 1 - alpha - beta rounds below 0 here; the third order clamps at 0
+    assert 1.0 - alpha - beta < 0.0
+    g = corpus.grid
+    r = frac_commutator_ratio(Field(g, corpus.weights[0]), Field(g, corpus.fields[0]), alpha, beta)
+    assert np.isfinite(r) and r > 0.0
+
+
 def test_grid_mismatch_and_zero_field(corpus):
     g = corpus.grid
     psi = Field(g, corpus.weights[0])
@@ -193,6 +205,30 @@ def test_ratio_report_pinned(family, params, pinned_max):
     assert rep.seed == SEED and len(rep.ratios) == 50
     d = rep.to_dict()
     assert d["family"] == family and d["params"] == params
+
+
+def test_commutators_share_one_corpus_pair(monkeypatch):
+    builds = []
+    real_build = estimates_mod._build
+
+    def counting(seed, size, grid, *coeffs):
+        builds.append((size, grid.n))
+        return real_build(seed, size, grid, *coeffs)
+
+    monkeypatch.setattr(estimates_mod, "_build", counting)
+    cfg = validate_config({"scenario": "commutators", "n": 256, "size": 6, "seed": SEED})
+    res = run_commutators(cfg)
+    # the size-1 probe, the base corpus and its resampling on 2n
+    assert sorted(builds) == [(1, 256), (6, 256), (6, 512)]
+    families, _, _, ratios = res.tables[0].data
+    monkeypatch.setattr(estimates_mod, "_build", real_build)
+    for k, entry in enumerate(cfg.params["families"]):
+        params = {key: v for key, v in entry.items() if key != "family"}
+        rep = ratio_report(entry["family"], 256, 50.0, 6, seed=SEED, **params)
+        assert list(ratios[6 * k : 6 * (k + 1)]) == list(rep.ratios)  # bit for bit
+        assert set(families[6 * k : 6 * (k + 1)]) == {entry["family"]}
+        out = res.summary["families"][k]
+        assert (out["corpus_max"], out["refined_max"]) == (rep.corpus_max, rep.refined_max)
 
 
 def test_corpus_size_doubling_stable():

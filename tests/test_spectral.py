@@ -10,6 +10,7 @@ from fbbmlab.ground_state import normalized_residual, traveling_wave_residual
 from fbbmlab.spectral import (
     Field,
     Spectrum,
+    _half_symbol,
     _irfft,
     _rfft,
     _sign,
@@ -17,15 +18,18 @@ from fbbmlab.spectral import (
     a_symbol_grid,
     apply_multiplier,
     bessel,
+    bessel_symbol,
     deriv,
     field_l2,
     forward,
     frac_deriv,
+    frac_deriv_symbol,
     group_propagate,
     group_symbol,
     group_symbol_dxi,
     group_symbol_dxi2,
     hilbert,
+    hilbert_symbol,
     inverse,
     make_grid,
     op_a,
@@ -288,6 +292,79 @@ def test_half_spectrum_operators_match_full_reference(seed, log2n, L, alpha, s, 
     assert energy(f, alpha) == pytest.approx(ref_energy, rel=1e-13, abs=0)
     assert normalized_residual(f, alpha) == pytest.approx(ref_resid, rel=1e-13, abs=0)
     assert traveling_wave_residual(f, alpha, c) == pytest.approx(ref_tw, rel=1e-13, abs=0)
+
+
+def _sliced_full_symbol(f, symbol):
+    """An operator the uncached way: full-length symbol, sliced per call."""
+    g = f.grid
+    return _irfft(np.asarray(symbol)[: g.n // 2 + 1] * _rfft(f.values, g), g)
+
+
+def _odd_mask(g):
+    mask = np.ones(g.n)
+    mask[g.n // 2] = 0.0
+    return mask
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    grids=st.lists(
+        st.tuples(st.integers(4, 11), st.sampled_from([0.5, 3.0, 50.0, 1e3])),
+        min_size=2,
+        max_size=4,
+    ),
+    alpha=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    s=st.sampled_from([-1.5, 0.8, 2.0]),
+    ts=st.lists(st.floats(-40.0, 40.0, allow_nan=False), min_size=1, max_size=3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_cached_symbols_match_uncached_bytes(grids, alpha, s, ts, seed):
+    # grids of different n and L interleave, each seen twice, so entries are
+    # both filled and reused between other grids' calls
+    rng = np.random.default_rng(seed)
+    for log2n, L in grids + grids[::-1]:
+        g = make_grid(2**log2n, L)
+        f = Field(g, rng.standard_normal(g.n))
+        mask = _odd_mask(g)
+        phase = g.xis / (1.0 + np.abs(g.xis) ** alpha) * mask
+        cases = [
+            (frac_deriv(f, alpha), frac_deriv_symbol(g, alpha)),
+            (bessel(f, s), bessel_symbol(g, s)),
+            (hilbert(f), hilbert_symbol(g)),
+            (op_a(f, alpha), a_symbol_grid(g, alpha)),
+            (deriv(f, 1), (1j * g.xis) ** 1 * mask),
+            (deriv(f, 2), (1j * g.xis) ** 2),
+            (deriv(f, 3), (1j * g.xis) ** 3 * mask),
+        ] + [(group_propagate(f, t, alpha), np.exp(-1j * t * phase)) for t in ts]
+        for i, (out, symbol) in enumerate(cases):
+            assert out.values.tobytes() == _sliced_full_symbol(f, symbol).tobytes(), i
+
+
+def test_symbol_cache_bounded_and_read_only():
+    size = _half_symbol.cache_info().maxsize
+    assert size is not None and size > 0
+    g = make_grid(64, 2.0)
+    deriv(Field(g, np.sin(g.xs)), 1)
+    entry = _half_symbol(frac_deriv_symbol, g.n, g.L, 0.5)
+    assert entry.shape == (g.n // 2 + 1,)
+    assert entry is _half_symbol(frac_deriv_symbol, g.n, g.L, 0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        entry[0] = 1.0
+    for i in range(size + 5):  # more keys than entries
+        bessel(Field(g, np.sin(g.xs)), 0.1 * i)
+    assert _half_symbol.cache_info().currsize == size
+
+
+def test_non_finite_symbol_rejected_and_not_cached():
+    g = make_grid(32, 2.0)
+    f = Field(g, np.sin(g.xs))
+    before = _half_symbol.cache_info().currsize
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            bessel(f, 2000.0)  # (1 + xi^2)^1000 overflows
+        assert _half_symbol.cache_info().currsize == before
+        with pytest.raises(ValueError, match="non-finite"):
+            group_propagate(f, 1e308, 0.5)  # t a(xi) overflows in the phase
 
 
 @pytest.mark.parametrize("shape", [(17,), (2, 16)])
