@@ -240,15 +240,24 @@ def _check_step_count(p, bad):
 
 def _cross_ucp(p, bad):
     _check_step_count(p, bad)
-    if p.get("t2") is None and p.get("T") is not None:
+    if p["t2"] is None:
         p["t2"] = float(p["T"])
-    t1, t2, T = p.get("t1"), p.get("t2"), p.get("T")
-    if t1 is not None and t1 < 0:
+    t1, t2, T, dt = p["t1"], p["t2"], p["T"], p["dt"]
+    if t1 < 0:
         bad.append("t1 must be >= 0")
-    if t1 is not None and t2 is not None and not t1 < t2:
+    if not t1 < t2:
         bad.append("t1 < t2 required")
-    if t2 is not None and T is not None and t2 > T + 1e-12:
+    if t2 > T + 1e-12:
         bad.append("t2 must not exceed T")
+    if bad:
+        return
+    # evolve records step s when the stride divides s or s is the last step
+    stride = p["snapshot_stride"] or 1
+    for name, t in (("t1", t1), ("t2", t2)):
+        s = round(t / dt)
+        if abs(s * dt - t) > 1e-9 * max(1.0, t) or (s % stride and s != round(T / dt)):
+            bad.append(f"{name} must be a recorded snapshot time: a multiple of "
+                       f"snapshot_stride * dt = {stride * dt:g}, or T")
 
 
 def _cross_groundstate(p, bad):
@@ -257,10 +266,17 @@ def _cross_groundstate(p, bad):
         bad.append("window must stay inside 0.7 L (periodic images beyond)")
 
 
+def _cross_growth(p, bad):
+    # sample times run linspace(1, t_max, t_count) and must increase
+    if p["t_count"] >= 2 and p["t_max"] <= 1.0:
+        bad.append("t_max must exceed 1 when t_count >= 2 (samples run from t = 1)")
+
+
 _CROSS = {
     "evolve": _check_step_count,
     "ucp": _cross_ucp,
     "groundstate": _cross_groundstate,
+    "weighted-growth": _cross_growth,
 }
 
 _DEFAULT_SEED = 20260819

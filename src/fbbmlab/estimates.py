@@ -83,12 +83,9 @@ def _synthesize(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     mean), independently of n, so the same continuum function comes back
     on any grid that resolves the band.
     """
-    half = grid.n // 2 + 1
-    if coeffs.shape[-1] > half:
+    if coeffs.shape[-1] > grid.n // 2 + 1:
         raise ValueError("band exceeds grid resolution")
-    buf = np.zeros(half, dtype=complex)
-    buf[: coeffs.shape[-1]] = coeffs
-    return np.fft.irfft(buf * grid.n, grid.n)
+    return np.fft.irfft(coeffs * grid.n, grid.n)  # zero-pads the missing modes
 
 
 @dataclass(frozen=True)
@@ -217,10 +214,10 @@ def commutator_a_ratio(weight: Field, f: Field, alpha: float) -> float:
     if weight.grid != f.grid:
         raise ValueError("weight and field live on different grids")
     fnorm = _nonzero_l2(f)
-    gf = Field(f.grid, np.asarray(weight.values) * np.asarray(f.values))
-    comm = op_a(gf, alpha).values - np.asarray(weight.values) * op_a(f, alpha).values
+    gf = Field(f.grid, weight.values * f.values)
+    comm = op_a(gf, alpha).values - weight.values * op_a(f, alpha).values
     num = field_l2(Field(f.grid, comm))
-    gsup = _grad_sup(np.asarray(weight.values), f.grid)
+    gsup = _grad_sup(weight.values, f.grid)
     return _ratio(num, gsup, field_linf(weight), fnorm)
 
 
@@ -235,10 +232,8 @@ def hilbert_commutator_ratio(psi: Field, f: Field, l: int, m: int) -> float:
         raise ValueError("weight and field live on different grids")
     fnorm = _nonzero_l2(f)
     v = deriv(f, m) if m else f
-    pv = Field(f.grid, np.asarray(psi.values) * np.asarray(v.values))
-    inner = Field(
-        f.grid, hilbert(pv).values - np.asarray(psi.values) * hilbert(v).values
-    )
+    pv = Field(f.grid, psi.values * v.values)
+    inner = Field(f.grid, hilbert(pv).values - psi.values * hilbert(v).values)
     lhs = deriv(inner, l) if l else inner
     dsup = field_linf(deriv(psi, l + m)) if l + m else field_linf(psi)
     return _ratio(field_l2(lhs), dsup, field_linf(psi), fnorm)
@@ -256,14 +251,10 @@ def frac_commutator_ratio(psi: Field, f: Field, alpha: float, beta: float) -> fl
         raise ValueError("weight and field live on different grids")
     fnorm = _nonzero_l2(f)
     v = frac_deriv(f, max(0.0, 1.0 - alpha - beta))
-    pv = Field(f.grid, np.asarray(psi.values) * np.asarray(v.values))
-    inner = Field(
-        f.grid,
-        frac_deriv(pv, beta).values
-        - np.asarray(psi.values) * frac_deriv(v, beta).values,
-    )
+    pv = Field(f.grid, psi.values * v.values)
+    inner = Field(f.grid, frac_deriv(pv, beta).values - psi.values * frac_deriv(v, beta).values)
     lhs = frac_deriv(inner, alpha) if alpha > 0 else inner
-    psup = _grad_sup(np.asarray(psi.values), f.grid)
+    psup = _grad_sup(psi.values, f.grid)
     return _ratio(field_l2(lhs), psup, field_linf(psi), fnorm)
 
 
@@ -421,7 +412,7 @@ def group_weighted_growth(
     norms = np.empty(ts.size)
     for j, t in enumerate(ts):
         u = group_propagate(phi, float(t), alpha)
-        vals = np.asarray(u.values)
+        vals = u.values
         total = float(np.sum(vals**2))
         leaked = float(np.sum(vals[edge] ** 2))
         if total > 0 and leaked > tail_tol * total:
@@ -473,13 +464,13 @@ def ucp_residual(traj: Trajectory, t1: float, t2: float, k: int | None = None) -
     kk = traj.config.power if k is None else int(k)
     if kk < 2:
         raise ValueError(f"nonlinearity power must be >= 2, got {kk}")
-    times = np.asarray(traj.times)
+    times = traj.times
     i1 = _snap_index(times, t1, "t1")
     i2 = _snap_index(times, t2, "t2")
     if i2 <= i1:
         raise ValueError("t1 and t2 snap to the same snapshot; refine the stride")
     dx = traj.grid.dx
-    block = np.asarray(traj.states[i1 : i2 + 1])
+    block = traj.states[i1 : i2 + 1]
     mass1 = dx * float(np.sum(block[0]))
     inner = dx * np.sum(block**kk, axis=1)
     integral = float(np.trapezoid(inner, times[i1 : i2 + 1]))

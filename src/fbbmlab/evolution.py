@@ -8,10 +8,8 @@ makes the quadratic energy and the Hamiltonian conserved quantities of
 the semidiscrete flow: their measured drift is pure time-stepping error
 and shrinks like dt^4.
 
-The RK4 state is the plain np.fft.rfft of the samples, kept modes only.
-The transform sign (-1)^k and the factor dx of the library's _rfft are
-diagonal, commute with the free group and A, and cancel between rfft and
-irfft, so they never enter the step.
+The RK4 state is the library's half spectrum, the plain np.fft.rfft of
+the samples, kept modes only.
 
 The zero mode is exactly frozen (the symbol vanishes at xi = 0), so the
 mean of the solution is preserved bit-for-bit in the spectral state; the
@@ -27,8 +25,8 @@ import numpy as np
 from .spectral import (
     Field,
     SpectralGrid,
+    _half,
     _half_l2,
-    _rfft,
     a_symbol_grid,
     field_l2,
     field_linf,
@@ -128,12 +126,9 @@ def evolve(initial: Field, config: EvolveConfig) -> Trajectory:
     tested for finiteness after every step and against the sup-norm limit
     at every snapshot.
     """
-    g, n = initial.grid, initial.grid.n
-    values = np.asarray(initial.values)
+    g, n, values = initial.grid, initial.grid.n, initial.values
     if not np.all(np.isfinite(values)):
         raise ValueError("initial data must be finite")
-    if values.shape != (n,):  # an odd length would give n/2+1 modes too
-        raise ValueError(f"field has shape {values.shape}, expected ({n},)")
     # the state is np.fft.rfft of the samples, kept modes k < m only (irfft
     # zero-pads the rest); the dealiased flow never keeps the Nyquist mode
     kept = min(int(config.kept_fraction * (n // 2)), n // 2 - 1)
@@ -197,17 +192,17 @@ def mass(f: Field) -> float:
 
 def energy(f: Field, alpha: float) -> float:
     """Quadratic invariant: int (D^(alpha/2) u)^2 + u^2 dx."""
-    return _energy(f, frac_deriv_symbol(f.grid, alpha / 2.0)[: f.grid.n // 2 + 1])
+    return _energy(f, _half(frac_deriv_symbol(f.grid, alpha / 2.0), f.grid.n))
 
 
 def _energy(f: Field, dsym: np.ndarray) -> float:
-    half = _rfft(f.values, f.grid)
+    half = np.fft.rfft(f.values)
     return _half_l2(half, f.grid) ** 2 + _half_l2(dsym * half, f.grid) ** 2
 
 
 def hamiltonian(f: Field, power: int = 2) -> float:
     """Cubic-type invariant: int u^2/2 + u^(k+1)/(k+1) dx."""
-    v = np.asarray(f.values)
+    v = f.values
     # multiplies, not numpy's generic pow of v ** (power + 1)
     return float(f.grid.dx * np.sum(v * v * (0.5 + v ** (power - 1) / (power + 1))))
 
@@ -232,7 +227,7 @@ def diagnostics_series(
     from .weighted import weighted_norm
 
     k = traj.config.power
-    dsym = frac_deriv_symbol(traj.grid, traj.config.alpha / 2.0)[: traj.grid.n // 2 + 1]
+    dsym = _half(frac_deriv_symbol(traj.grid, traj.config.alpha / 2.0), traj.grid.n)
     fields = [traj.field_at(i) for i in range(len(traj))]
 
     def series(fn) -> np.ndarray:

@@ -22,9 +22,9 @@ import numpy as np
 from .spectral import (
     Field,
     SpectralGrid,
+    _half,
     _half_l2,
-    _irfft,
-    _rfft,
+    _parseval,
     field_l2,
     frac_deriv_symbol,
     make_grid,
@@ -62,9 +62,9 @@ class PetviashviliResult:
 def normalized_residual(psi: Field, alpha: float) -> float:
     """|| psi + D^alpha psi - psi^2/2 ||_2 / || psi ||_2."""
     g = psi.grid
-    symbol = 1.0 + frac_deriv_symbol(g, alpha)[: g.n // 2 + 1]
-    quad = _rfft(0.5 * psi.values**2, g)
-    return _half_l2(symbol * _rfft(psi.values, g) - quad, g) / field_l2(psi)
+    symbol = 1.0 + _half(frac_deriv_symbol(g, alpha), g.n)
+    quad = np.fft.rfft(0.5 * psi.values**2)
+    return _half_l2(symbol * np.fft.rfft(psi.values) - quad, g) / field_l2(psi)
 
 
 def petviashvili(
@@ -79,11 +79,15 @@ def petviashvili(
 
     Each step maps spec -> M^gamma (1 + |xi|^alpha)^{-1} F[psi^2/2] with
     M the Rayleigh-type stabilizer; convergence is declared when the
-    relative equation residual drops below tol.  The roundoff floor does
-    not grow with the grid: tol 1e-15 was reached at n = 2^14 (alpha
-    0.75), 2^16 and 2^18 (alpha 0.5) and 2^20 (alpha 0.25).  A tight tol
-    costs iterations instead: at alpha = 0.5, n = 2^16, L = 800, tol 1e-10
-    takes 246 of them, 1e-13 takes 321 and 1e-15 takes 375.
+    relative equation residual drops below tol.  The stopping residual's
+    roundoff floor does not grow with the grid: tol 1e-15 was reached at
+    n = 2^14 (alpha 0.75), 2^16 and 2^18 (alpha 0.5) and 2^20 (alpha 0.25).
+    The returned residual is normalized_residual of the returned wave,
+    which transforms the samples afresh; its floor is higher, 3.3e-15,
+    3.1e-15, 2.8e-15 and 1.1e-15 on those four solves, so a check of it
+    against tol needs tol >= 5e-15.  A tight tol costs iterations: at
+    alpha = 0.5, n = 2^16, L = 800, tol 1e-10 takes 246 of them, 1e-13
+    takes 321 and 1e-15 takes 370.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
@@ -94,23 +98,19 @@ def petviashvili(
 
     # an even real field has a real half spectrum: the iterate is that real
     # array, and taking real parts projects onto the even sector
-    half = grid.n // 2 + 1
-    symbol = 1.0 + frac_deriv_symbol(grid, alpha)[:half]
-    weights = np.full(half, 2.0)  # Parseval weights of the half spectrum
-    weights[0] = weights[-1] = 1.0
-    coeffs = np.real(_rfft(initial.values, grid))
-    norm0 = np.sqrt(np.sum(weights * coeffs**2))
+    symbol = 1.0 + _half(frac_deriv_symbol(grid, alpha), grid.n)
+    coeffs = np.real(np.fft.rfft(initial.values))
+    norm0 = size = _half_l2(coeffs, grid)
     if norm0 == 0:
         raise ValueError("initial guess must be nonzero")
     stabs = []
     # |M - 1| is quadratically small in the error (Rayleigh stationarity),
     # so the stopping test uses the equation residual itself
     for it in range(1, max_iter + 1):
-        psi = _irfft(coeffs, grid)
-        quad = np.real(_rfft(0.5 * psi**2, grid))
+        psi = np.fft.irfft(coeffs, grid.n)
+        quad = np.real(np.fft.rfft(0.5 * psi**2))
         lin = symbol * coeffs
-        size = np.sqrt(np.sum(weights * coeffs**2))
-        resid = float(np.sqrt(np.sum(weights * (lin - quad) ** 2)) / size)
+        resid = _half_l2(lin - quad, grid) / size
         if resid < tol:
             # roundoff can leave tiny negative values in the far tail
             floor = -1e-12 * float(np.max(psi))
@@ -121,8 +121,8 @@ def petviashvili(
                 residual=normalized_residual(wave, alpha),
                 stabilizers=np.array(stabs),
             )
-        num = float(np.sum(weights * coeffs * lin))
-        den = float(np.sum(weights * coeffs * quad))
+        num = _parseval(coeffs, lin, grid)
+        den = _parseval(coeffs, quad, grid)
         if den <= 0 or not np.isfinite(den):
             raise StabilizerDegenerateError(
                 f"stabilizer denominator {den:.3e} at iteration {it}; "
@@ -133,7 +133,7 @@ def petviashvili(
             raise StabilizerDegenerateError(f"stabilizer {M:.3e} at iteration {it}")
         stabs.append(M)
         coeffs = M**stab_exponent / symbol * quad
-        size = np.sqrt(np.sum(weights * coeffs**2))
+        size = _half_l2(coeffs, grid)
         if size < 1e-14 * norm0 or not np.isfinite(size):
             raise StabilizerDegenerateError(
                 f"iterate collapsed to {size:.3e} of initial size at iteration {it}"
@@ -156,15 +156,20 @@ def scale_to_speed(psi: Field, alpha: float, c: float) -> Field:
     lam = ((c - 1.0) / c) ** (1.0 / alpha)
     g = psi.grid
     stretched = make_grid(g.n, g.L / lam)
-    return Field(stretched, 0.5 * (c - 1.0) * np.asarray(psi.values))
+    return Field(stretched, 0.5 * (c - 1.0) * psi.values)
 
 
 def traveling_wave_residual(q: Field, alpha: float, c: float) -> float:
     """|| c (q + D^alpha q) - q - q^2 ||_2 / || q ||_2 on q's box."""
     g = q.grid
-    symbol = c * (1.0 + frac_deriv_symbol(g, alpha)[: g.n // 2 + 1])
-    rhs = _rfft(q.values + q.values**2, g)
-    return _half_l2(symbol * _rfft(q.values, g) - rhs, g) / field_l2(q)
+    symbol = c * (1.0 + _half(frac_deriv_symbol(g, alpha), g.n))
+    rhs = np.fft.rfft(q.values + q.values**2)
+    return _half_l2(symbol * np.fft.rfft(q.values) - rhs, g) / field_l2(q)
+
+
+def _tail_window(L: float) -> tuple[float, float]:
+    """fit_tail_exponent's default window on a box of half-length L."""
+    return (0.15 * L, 0.6 * L)
 
 
 def fit_tail_exponent(
@@ -178,16 +183,14 @@ def fit_tail_exponent(
     (0, 0.7 L]: beyond that the periodic image dominates the tail.
     """
     g = psi.grid
-    if window is None:
-        window = (0.15 * g.L, 0.6 * g.L)
-    lo, hi = window
+    lo, hi = window = _tail_window(g.L) if window is None else window
     if not 0.0 < lo < hi <= 0.7 * g.L:
         raise ValueError(
             f"window must satisfy 0 < lo < hi <= 0.7 L = {0.7 * g.L:.6g}, got {window}"
         )
     mask = (g.xs >= lo) & (g.xs <= hi)
     xs = g.xs[mask]
-    vals = np.asarray(psi.values)[mask]
+    vals = psi.values[mask]
     if xs.size < 8:
         raise ValueError(f"only {xs.size} samples in window {window}; need at least 8")
     if np.any(vals <= 0):

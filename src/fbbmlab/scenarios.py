@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .estimates import (
+    CONSTANT_COMMUTATOR_TOL,
     RATIO_FAMILIES,
     _report,
     group_weighted_growth,
@@ -24,6 +25,7 @@ from .estimates import (
 )
 from .evolution import EvolveConfig, diagnostics_series, evolve
 from .ground_state import (
+    _tail_window,
     fit_tail_exponent,
     petviashvili,
     scale_to_speed,
@@ -159,8 +161,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
     sol = petviashvili(grid, p["alpha"], tol=p["tol"])
-    window = tuple(p["window"]) if p["window"] is not None else None
-    used_window = window if window is not None else (0.15 * grid.L, 0.6 * grid.L)
+    window = tuple(p["window"]) if p["window"] is not None else _tail_window(grid.L)
     target = 1.0 + p["alpha"]
     # the algebraic x^-(1+alpha) tail exists only for fractional dispersion;
     # at alpha = 2 the profile is exponentially localized and the window
@@ -172,7 +173,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
             "exponent": float(exponent),
             "r_squared": float(r2),
             "samples": int(samples),
-            "window": [float(used_window[0]), float(used_window[1])],
+            "window": [float(window[0]), float(window[1])],
             "target": target,
         }
 
@@ -181,7 +182,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
         Table(
             name="profile",
             columns=("x [model units]", "psi [model units]"),
-            data=(grid.xs, np.asarray(sol.wave.values)),
+            data=(grid.xs, sol.wave.values),
             plot=(0, 1),
         )
     )
@@ -190,7 +191,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
     oracle_sup_error = None
     if p["alpha"] == 2.0:
         exact = 3.0 / np.cosh(grid.xs / 2.0) ** 2
-        oracle_sup_error = float(np.max(np.abs(np.asarray(sol.wave.values) - exact)))
+        oracle_sup_error = float(np.max(np.abs(sol.wave.values - exact)))
         res.checks.append(
             _at_most("closed_form_profile_error", oracle_sup_error, ORACLE_SUP_TOL)
         )
@@ -208,7 +209,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
             Table(
                 name="wave",
                 columns=("x [model units]", "q [model units]"),
-                data=(q.grid.xs, np.asarray(q.values)),
+                data=(q.grid.xs, q.values),
                 plot=(0, 1),
             )
         )
@@ -368,9 +369,9 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
         res.checks.append(
             Check(
                 f"constant_zero({family} {tag})",
-                const_ratio <= 1e-11,
+                const_ratio <= CONSTANT_COMMUTATOR_TOL,
                 float(const_ratio),
-                "<= 1e-11",
+                f"<= {CONSTANT_COMMUTATOR_TOL:.0e}",
             )
         )
     res.tables.append(
@@ -469,8 +470,8 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
     traj = evolve(phi, econf)
     R = ucp_residual(traj, p["t1"], p["t2"], k=p["k"])
 
-    masses = traj.grid.dx * np.sum(np.asarray(traj.states), axis=1)
-    integrand = traj.grid.dx * np.sum(np.asarray(traj.states) ** p["k"], axis=1)
+    masses = traj.grid.dx * np.sum(traj.states, axis=1)
+    integrand = traj.grid.dx * np.sum(traj.states ** p["k"], axis=1)
     mass0 = float(masses[0])
     mass_drift = float(np.max(np.abs(masses - mass0)))
 

@@ -5,23 +5,24 @@ Conventions used throughout the package:
 * the box is [-L, L) sampled at n equispaced points, dx = 2L/n;
 * wavenumbers are xi_k = pi*k/L for k in {-n/2, ..., n/2 - 1}, stored in
   FFT order;
-* the forward transform matches the continuum one, hat(u)(xi_k) is the
-  trapezoid approximation of integral(u(x) exp(-i xi_k x) dx), so a unit
-  constant on a box of half-length pi has hat(u)(0) = 2*pi;
-* with that normalization Parseval reads
-  ||u||_2^2 = (1/2pi) * sum_k |hat(u)(xi_k)|^2 * (pi/L).
+* a Field holds exactly n samples; its constructor checks that once.
+
+Every field is real and every symbol here is Hermitian, so the library
+computes on half spectra, the plain np.fft.rfft coefficients k = 0..n/2:
+_half cuts a symbol to them and checks it, _apply applies it to a field,
+and _parseval is the one Parseval sum.
 
 Odd (imaginary) symbols zero the unpaired Nyquist mode -n/2 so that real
 fields stay real and skew symmetry is exact on the grid.
 
-Since x_0 = -L and xi_k L = pi k, this transform is the plain DFT times
-exp(i xi_k L) = (-1)^k, a cached exact sign.
-
-Every field is real and every symbol here is Hermitian, so the library
-computes only on half spectra k = 0..n/2 in the same normalization
-(_rfft/_irfft), and _half_l2 is its one Parseval sum.  The full complex
-spectrum (forward, inverse, apply_multiplier, Spectrum, spectrum_l2) is the
-public reference format; nothing in the package calls it.
+The full complex spectrum (forward, inverse, apply_multiplier, Spectrum,
+spectrum_l2) is the public reference format; nothing in the package calls
+it.  It matches the continuum transform: hat(u)(xi_k) is the trapezoid
+approximation of integral(u(x) exp(-i xi_k x) dx), so a unit constant on a
+box of half-length pi has hat(u)(0) = 2*pi, and Parseval reads
+||u||_2^2 = (1/2pi) * sum_k |hat(u)(xi_k)|^2 * (pi/L).  Since x_0 = -L and
+xi_k L = pi k, it is the plain DFT times dx and exp(i xi_k L) = (-1)^k, a
+cached exact sign.
 
 frac_deriv, bessel, hilbert, op_a, deriv and group_propagate (its phase
 a(xi)) take their half symbol from one LRU cache of 32 read-only entries
@@ -83,10 +84,16 @@ class SpectralGrid:
 
 @dataclass
 class Field:
-    """Real samples of a function on a SpectralGrid."""
+    """Real samples of a function on a SpectralGrid, one per grid point."""
 
     grid: SpectralGrid
     values: np.ndarray
+
+    def __post_init__(self):
+        values, n = self.values, self.grid.n
+        self.values = np.asarray(values)
+        if self.values.shape != (n,):
+            raise ValueError(f"field has shape {self.values.shape}, expected ({n},)")
 
 
 @dataclass
@@ -124,33 +131,22 @@ def _sign(n: int) -> np.ndarray:
     return sign
 
 
-def _rfft(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Half spectrum hat(u)(xi_k), k = 0..n/2, of real samples."""
-    values = np.asarray(values)
-    if values.shape != (grid.n,):  # an odd length would give n/2+1 modes too
-        raise ValueError(f"field has shape {values.shape}, expected ({grid.n},)")
-    return grid.dx * _sign(grid.n)[: grid.n // 2 + 1] * np.fft.rfft(values)
-
-
-def _irfft(half: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Real samples from a half spectrum; inverse of _rfft."""
-    return np.fft.irfft(_sign(grid.n)[: grid.n // 2 + 1] * half, grid.n) / grid.dx
+def _parseval(a: np.ndarray, b: np.ndarray, grid: SpectralGrid) -> float:
+    """int u v dx = (dx/n) sum_k U_k conj(V_k) of two real fields from their
+    half spectra: each mode k = 1..n/2-1 also stands for its mirror -k."""
+    p = np.real(a * b.conj())
+    return float((2.0 * np.sum(p) - p[0] - p[-1]) * (grid.dx / grid.n))
 
 
 def _half_l2(half: np.ndarray, grid: SpectralGrid) -> float:
-    """L2 norm of a real field from its half spectrum, by Parseval: each
-    mode k = 1..n/2-1 also stands for its mirror -k."""
-    sq = np.abs(half) ** 2
-    return float(np.sqrt((2.0 * np.sum(sq) - sq[0] - sq[-1]) / (2.0 * grid.L)))
+    """L2 norm of a real field from its np.fft.rfft half spectrum."""
+    return float(np.sqrt(_parseval(half, half, grid)))
 
 
 def forward(f: Field) -> Spectrum:
     """hat(u)(xi_k) = dx * sum_j u_j exp(-i xi_k x_j)."""
     g = f.grid
-    vals = np.asarray(f.values)
-    if vals.shape != (g.n,):
-        raise ValueError(f"field has shape {vals.shape}, expected ({g.n},)")
-    return Spectrum(g, g.dx * _sign(g.n) * np.fft.fft(vals))
+    return Spectrum(g, g.dx * _sign(g.n) * np.fft.fft(f.values))
 
 
 def inverse(s: Spectrum) -> Field:
@@ -176,7 +172,7 @@ def apply_multiplier(s: Spectrum, symbol: np.ndarray) -> Spectrum:
 
 
 def field_l2(f: Field) -> float:
-    return float(np.sqrt(f.grid.dx * np.sum(np.asarray(f.values) ** 2)))
+    return float(np.sqrt(f.grid.dx * np.sum(f.values**2)))
 
 
 def field_linf(f: Field) -> float:
@@ -189,28 +185,25 @@ def spectrum_l2(s: Spectrum) -> float:
     return float(np.sqrt(np.sum(np.abs(s.coeffs) ** 2) / (2.0 * g.L)))
 
 
-def _apply_symbol_to_field(f: Field, symbol: np.ndarray) -> Field:
-    """Apply a Hermitian symbol sampled on grid.xis through the half spectrum."""
-    g = f.grid
-    sym = np.asarray(symbol)[: g.n // 2 + 1]
-    if not np.all(np.isfinite(sym)):
+def _half(symbol: np.ndarray, n: int) -> np.ndarray:
+    """Modes k = 0..n/2 of a Hermitian symbol on grid.xis, checked finite."""
+    half = symbol[: n // 2 + 1]
+    if not np.all(np.isfinite(half)):
         raise ValueError("symbol contains non-finite entries")
-    return Field(g, _irfft(sym * _rfft(f.values, g), g))
+    return half
 
 
 @functools.lru_cache(maxsize=32)
 def _half_symbol(builder, n: int, L: float, *params) -> np.ndarray:
-    """Read-only copy of builder(make_grid(n, L), *params)[:n//2+1], checked once."""
-    half = np.array(builder(make_grid(n, L), *params)[: n // 2 + 1])
-    if not np.all(np.isfinite(half)):
-        raise ValueError("symbol contains non-finite entries")
+    """Read-only copy of _half(builder(make_grid(n, L), *params), n)."""
+    half = _half(builder(make_grid(n, L), *params), n).copy()
     half.setflags(write=False)
     return half
 
 
-def _cached_op(f: Field, builder, *params) -> Field:
-    g = f.grid
-    return Field(g, _irfft(_half_symbol(builder, g.n, g.L, *params) * _rfft(f.values, g), g))
+def _apply(f: Field, half: np.ndarray) -> Field:
+    """f under the symbol whose modes k = 0..n/2 are half."""
+    return Field(f.grid, np.fft.irfft(half * np.fft.rfft(f.values), f.grid.n))
 
 
 def _nyquist_mask(grid: SpectralGrid) -> np.ndarray:
@@ -257,26 +250,26 @@ def _deriv_symbol(grid: SpectralGrid, order: int) -> np.ndarray:
 
 
 def frac_deriv(f: Field, alpha: float) -> Field:
-    return _cached_op(f, frac_deriv_symbol, alpha)
+    return _apply(f, _half_symbol(frac_deriv_symbol, f.grid.n, f.grid.L, alpha))
 
 
 def bessel(f: Field, s: float) -> Field:
-    return _cached_op(f, bessel_symbol, s)
+    return _apply(f, _half_symbol(bessel_symbol, f.grid.n, f.grid.L, s))
 
 
 def hilbert(f: Field) -> Field:
-    return _cached_op(f, hilbert_symbol)
+    return _apply(f, _half_symbol(hilbert_symbol, f.grid.n, f.grid.L))
 
 
 def op_a(f: Field, alpha: float) -> Field:
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    return _cached_op(f, a_symbol_grid, alpha)
+    return _apply(f, _half_symbol(a_symbol_grid, f.grid.n, f.grid.L, alpha))
 
 
 def deriv(f: Field, order: int = 1) -> Field:
     """d^order/dx^order; odd orders zero the Nyquist mode."""
-    return _cached_op(f, _deriv_symbol, order)
+    return _apply(f, _half_symbol(_deriv_symbol, f.grid.n, f.grid.L, order))
 
 
 def _dispersion(xi, alpha: float):
@@ -346,12 +339,13 @@ def group_propagate(f: Field, t: float, alpha: float) -> Field:
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     a = _half_symbol(_group_phase, f.grid.n, f.grid.L, alpha)
-    return _apply_symbol_to_field(f, np.exp(-1j * t * a))
+    return _apply(f, _half(np.exp(-1j * t * a), f.grid.n))
 
 
 def translate(f: Field, shift: float) -> Field:
     """Periodic translation u(x) -> u(x - shift) via the spectral phase."""
-    g = f.grid
-    sym = np.exp(-1j * g.xis * shift) * _nyquist_mask(g) + np.zeros(g.n)
-    sym[g.n // 2] += np.cos(g.xis[g.n // 2] * shift)  # keep Nyquist real
-    return _apply_symbol_to_field(f, sym)
+    n = f.grid.n
+    xis = f.grid.xis[: n // 2 + 1]
+    sym = np.exp(-1j * xis * shift)
+    sym[-1] = np.cos(xis[-1] * shift)  # keep Nyquist real
+    return _apply(f, _half(sym, n))

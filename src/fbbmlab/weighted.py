@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, _half_l2, _rfft, bessel_symbol, deriv
+from .spectral import Field, _half, _half_l2, bessel_symbol, deriv
 
 __all__ = [
     "WeightSpec",
@@ -118,7 +118,7 @@ def weighted_norm(f: Field, r: float, N: float | None = None) -> float:
     if r < 0:
         raise ValueError(f"decay order r must be >= 0, got {r}")
     w = weight_values(f.grid.xs, WeightSpec(theta=r, N=N))
-    return float(np.sqrt(f.grid.dx * np.sum((w * np.asarray(f.values)) ** 2)))
+    return float(np.sqrt(f.grid.dx * np.sum((w * f.values) ** 2)))
 
 
 # ----------------------------------------------- field-level Stein derivative
@@ -133,7 +133,7 @@ def stein_derivative(f: Field, b: float, block: int = 256) -> Field:
     if not 0.0 < b < 1.0:
         raise ValueError(f"b must lie in (0, 1), got {b}")
     g = f.grid
-    vals = np.asarray(f.values, dtype=float)
+    vals = f.values
     xs = g.xs
     dfdx = deriv(f, 1).values
     half = 0.5 * g.dx
@@ -465,13 +465,11 @@ def interpolation_ratio(f: Field, s: float, b: float, theta: float) -> float:
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    g = f.grid
-    vals = np.asarray(f.values)
+    g, vals = f.grid, f.values
     if not np.any(vals):
         raise ValueError("interpolation ratio undefined for the zero field")
-    half = g.n // 2 + 1
     w = weight_values(g.xs, WeightSpec(theta=(1.0 - theta) * b))
-    num = _half_l2(bessel_symbol(g, theta * s)[:half] * _rfft(w * vals, g), g)
+    num = _half_l2(_half(bessel_symbol(g, theta * s), g.n) * np.fft.rfft(w * vals), g)
     den_w = weighted_norm(f, b)
-    den_s = _half_l2(bessel_symbol(g, s)[:half] * _rfft(vals, g), g)
+    den_s = _half_l2(_half(bessel_symbol(g, s), g.n) * np.fft.rfft(vals), g)
     return num / (den_w ** (1.0 - theta) * den_s**theta)

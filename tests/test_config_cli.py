@@ -174,6 +174,37 @@ def test_kernel_ranges_are_config_errors(tmp_path, capsys, obj, message):
     assert not (tmp_path / "o").exists()
 
 
+UCP_OK = {"scenario": "ucp", "alpha": 0.5, "n": 256, "L": 50.0, "dt": 0.01, "T": 0.5}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({**UCP_OK, "t1": 0.013}, "t1 must be a recorded snapshot time"),
+        ({**UCP_OK, "snapshot_stride": 7, "t2": 0.3}, "t2 must be a recorded snapshot time"),
+        ({"scenario": "weighted-growth", "t_max": 0.5, "t_count": 3}, "t_max must exceed 1"),
+        ({"scenario": "weighted-growth", "t_max": 1.0, "t_count": 3}, "t_max must exceed 1"),
+    ],
+    ids=["ucp-t1-between-steps", "ucp-t2-between-strides", "growth-t_max-below-1",
+         "growth-t_max-equal-1"],
+)
+def test_unsampled_times_are_config_errors(tmp_path, capsys, obj, message):
+    # times the run would never sample, caught before anything runs
+    cfg = write_cfg(tmp_path, obj)
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_recorded_times_run(tmp_path):
+    # a stride multiple and T itself (50 steps, not a multiple of 7) are
+    # both recorded; one sample time is no fit but no error either
+    code, _ = run_cli(tmp_path, {**UCP_OK, "snapshot_stride": 7, "t1": 0.07}, "ucp")
+    assert code == EXIT_OK
+    validate_config({"scenario": "weighted-growth", "t_max": 0.5, "t_count": 1})
+
+
 def test_fractional_orders_summing_to_one_run(tmp_path):
     # 1 - 0.33 - 0.67 rounds to -1.1e-16; the kernel clamps it at 0
     family = {"family": "fractional", "alpha": 0.33, "beta": 0.67}

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbbmlab.evolution import energy
-from fbbmlab.ground_state import normalized_residual, traveling_wave_residual
+from fbbmlab.evolution import energy, hamiltonian, mass
+from fbbmlab.ground_state import normalized_residual, petviashvili, traveling_wave_residual
 from fbbmlab.spectral import (
     Field,
     Spectrum,
+    _half_l2,
     _half_symbol,
-    _irfft,
-    _rfft,
+    _parseval,
     _sign,
     a_symbol,
     a_symbol_grid,
@@ -21,6 +21,7 @@ from fbbmlab.spectral import (
     bessel_symbol,
     deriv,
     field_l2,
+    field_linf,
     forward,
     frac_deriv,
     frac_deriv_symbol,
@@ -36,6 +37,7 @@ from fbbmlab.spectral import (
     spectrum_l2,
     translate,
 )
+from fbbmlab.weighted import interpolation_ratio, weighted_norm
 
 
 # ---------------------------------------------------------------- grid
@@ -130,13 +132,18 @@ def test_round_trip_random(seed, log2n):
     L=st.floats(min_value=0.5, max_value=1e4),
 )
 def test_half_spectrum_layer(seed, log2n, L):
+    # the library's half spectrum is the plain rfft; its one Parseval sum
+    # must agree with the continuum reference and with the sample sum
     g = make_grid(2**log2n, L)
-    u = np.random.default_rng(seed).standard_normal(g.n)
-    half = _rfft(u, g)
-    full = forward(Field(g, u)).coeffs
-    assert half.shape == (g.n // 2 + 1,)
-    np.testing.assert_allclose(half, full[: g.n // 2 + 1], rtol=0, atol=1e-13 * np.max(np.abs(full)))
-    np.testing.assert_allclose(_irfft(half, g), u, rtol=0, atol=1e-13 * np.max(np.abs(u)))
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal(g.n), rng.standard_normal(g.n)
+    U, V = np.fft.rfft(u), np.fft.rfft(v)
+    assert U.shape == (g.n // 2 + 1,)
+    ref = spectrum_l2(forward(Field(g, u)))
+    assert _half_l2(U, g) == pytest.approx(ref, rel=1e-13, abs=0)
+    assert _half_l2(U, g) == pytest.approx(field_l2(Field(g, u)), rel=1e-13, abs=0)
+    scale = field_l2(Field(g, u)) * field_l2(Field(g, v))
+    assert abs(_parseval(U, V, g) - g.dx * np.dot(u, v)) <= 1e-13 * scale
     # the rounded phase exp(i xi L) is off by a few ulps of |xi L| <= pi n/2
     eps = np.finfo(float).eps
     np.testing.assert_allclose(
@@ -230,7 +237,7 @@ def test_real_output_for_real_input():
     g = make_grid(128, 4.0)
     u = Field(g, np.random.default_rng(11).standard_normal(g.n))
     for out in (op_a(u, 0.3), hilbert(u), group_propagate(u, 2.5, 0.7)):
-        # outputs come from _irfft, real by construction; the full-spectrum
+        # outputs come from irfft, real by construction; the full-spectrum
         # round trip must give them back unchanged
         spec = forward(out)
         sym_back = inverse(spec)
@@ -296,8 +303,8 @@ def test_half_spectrum_operators_match_full_reference(seed, log2n, L, alpha, s, 
 
 def _sliced_full_symbol(f, symbol):
     """An operator the uncached way: full-length symbol, sliced per call."""
-    g = f.grid
-    return _irfft(np.asarray(symbol)[: g.n // 2 + 1] * _rfft(f.values, g), g)
+    n = f.grid.n
+    return np.fft.irfft(symbol[: n // 2 + 1] * np.fft.rfft(f.values), n)
 
 
 def _odd_mask(g):
@@ -367,11 +374,13 @@ def test_non_finite_symbol_rejected_and_not_cached():
             group_propagate(f, 1e308, 0.5)  # t a(xi) overflows in the phase
 
 
-@pytest.mark.parametrize("shape", [(17,), (2, 16)])
+@pytest.mark.parametrize("shape", [(17,), (15,), (2, 16)])
 def test_operators_and_norms_reject_wrong_length_field(shape):
-    # an odd length would slip through rfft with the right half length
+    # an odd length would slip through rfft with the right half length; a
+    # Field is checked when built, so no operator or norm ever sees one
     g = make_grid(16, 1.0)
-    f = Field(g, np.ones(shape))
+    with pytest.raises(ValueError, match=r"expected \(16,\)"):
+        Field(g, np.ones(shape))
     for op in (
         lambda u: frac_deriv(u, 0.5),
         lambda u: bessel(u, 1.0),
@@ -383,9 +392,18 @@ def test_operators_and_norms_reject_wrong_length_field(shape):
         lambda u: energy(u, 0.5),
         lambda u: normalized_residual(u, 0.5),
         lambda u: traveling_wave_residual(u, 0.5, 2.0),
+        mass,
+        hamiltonian,
+        lambda u: weighted_norm(u, 1.0),
+        field_l2,
+        field_linf,
+        lambda u: interpolation_ratio(u, 1.0, 1.0, 0.5),
+        lambda u: petviashvili(g, 0.5, initial=u),
     ):
         with pytest.raises(ValueError, match=r"expected \(16,\)"):
-            op(f)
+            op(Field(g, np.ones(shape)))
+    with pytest.raises(ValueError, match=r"expected \(16,\)"):
+        inverse(Spectrum(g, np.ones(shape, dtype=complex)))
 
 
 # ---------------------------------------------------------------- free group
