@@ -16,8 +16,11 @@ import json
 import math
 from dataclasses import dataclass
 
-from .estimates import RATIO_FAMILIES, _check_orders
-from .weighted import _stein_range
+from .estimates import RATIO_FAMILIES, _check_orders, _check_size, _check_times
+from .evolution import EvolveConfig, _check_power, _check_stride
+from .ground_state import _check_speed, _check_tol, _tail_samples
+from .spectral import _check_alpha, _check_n
+from .weighted import _check_r, _stein_range
 
 SCENARIOS = ("evolve", "groundstate", "stein", "commutators", "weighted-growth", "ucp")
 
@@ -63,37 +66,22 @@ def _positive(name):
     return lambda v: None if v > 0 else f"{name} must be positive"
 
 
-def _alpha_range(v):
-    return None if 0.0 < v <= 2.0 else "alpha must lie in (0, 2]"
+def _violation(key, check, *args, **kwargs):
+    """check(*args, **kwargs): a config check returns a violation or None;
+    the owning module's check raises ValueError, recorded here under key."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as e:
+        return f"{key}: {e}"
 
 
-def _pow2(v):
-    return None if v >= 16 and (v & (v - 1)) == 0 else "n must be a power of two with n >= 16"
-
-
-def _speed(v):
-    return None if v is None or v > 1.0 else "wave speed c must exceed 1"
-
-
-def _power(v):
-    return None if v >= 2 else "nonlinearity power k must be >= 2"
+def _two_numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(
+        isinstance(w, (int, float)) and not isinstance(w, bool) for w in v)
 
 
 def _window(v):
-    if v is None:
-        return None
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in v)
-    ):
-        return "window must be a pair of numbers [lo, hi]"
-    lo, hi = float(v[0]), float(v[1])
-    return None if 0 < lo < hi else "window must satisfy 0 < lo < hi"
-
-
-def _stride(v):
-    return None if v is None or v >= 1 else "snapshot_stride must be >= 1"
+    return None if _two_numbers(v) else "window must be a pair of numbers [lo, hi]"
 
 
 def _profile(v):
@@ -102,35 +90,23 @@ def _profile(v):
     )
 
 
-def _pairs_checker(second_name, second_check):
+def _pairs_checker(second_name, pair_check):
     def check(v):
         if not isinstance(v, list) or not v:
             return f"pairs must be a nonempty list of [alpha, {second_name}] pairs"
         for i, entry in enumerate(v):
-            if (
-                not isinstance(entry, (list, tuple))
-                or len(entry) != 2
-                or not all(
-                    isinstance(w, (int, float)) and not isinstance(w, bool)
-                    for w in entry
-                )
-            ):
+            if not _two_numbers(entry):
                 return f"pairs[{i}] must be a two-number pair [alpha, {second_name}]"
-            a, s = float(entry[0]), float(entry[1])
-            if not 0.0 < a <= 2.0:
-                return f"pairs[{i}]: alpha must lie in (0, 2]"
-            try:
-                second_check(a, s)
-            except ValueError as e:
-                return f"pairs[{i}]: {e}"
+            if msg := _violation(f"pairs[{i}]", pair_check, float(entry[0]), float(entry[1])):
+                return msg
         return None
 
     return check
 
 
-def _growth_second(alpha, r):
-    if r < 0:
-        raise ValueError("decay order r must be >= 0")
+def _growth_pair(alpha, r):
+    _check_alpha(alpha)
+    _check_r(r)
     if r >= 1.5 + alpha:
         raise ValueError("decay order r must stay below 3/2 + alpha")
 
@@ -144,24 +120,20 @@ def _families(v):
         fam = entry["family"]
         if not isinstance(fam, str) or fam not in RATIO_FAMILIES:
             return f"families[{i}]: unknown family {fam!r}"
-        want = RATIO_FAMILIES[fam][1]
         params = {k: w for k, w in entry.items() if k != "family"}
-        if set(params) != set(want):
-            return f"families[{i}]: family {fam!r} takes parameters {sorted(want)}"
         if any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in params.values()):
             return f"families[{i}]: parameters of {fam!r} must be numbers"
-        try:
-            _check_orders(fam, **params)
-        except ValueError as e:
-            return f"families[{i}]: {e}"
+        if msg := _violation(f"families[{i}]", _check_orders, fam, **params):
+            return msg
     return None
 
 
-# (kind, default, checker). kind "number" accepts ints, "int" only ints.
+# (kind, default, check), check as in _violation. kind "number" accepts
+# ints, "int" only ints.
 _COMMON = {
-    "n": ("int", _REQUIRED, _pow2),
+    "n": ("int", _REQUIRED, _check_n),
     "L": ("number", _REQUIRED, _positive("L")),
-    "alpha": ("number", _REQUIRED, _alpha_range),
+    "alpha": ("number", _REQUIRED, _check_alpha),
 }
 
 _TABLES = {
@@ -169,17 +141,17 @@ _TABLES = {
         **_COMMON,
         "dt": ("number", _REQUIRED, _positive("dt")),
         "T": ("number", _REQUIRED, _positive("T")),
-        "k": ("int", 2, _power),
+        "k": ("int", 2, _check_power),
         "amplitude": ("number", 1.0, None),
         "width": ("number", 5.0, _positive("width")),
         "center": ("number", 0.0, None),
         "linear_only": ("bool", False, None),
-        "snapshot_stride": ("int?", None, _stride),
+        "snapshot_stride": ("int?", None, _check_stride),
     },
     "groundstate": {
         **_COMMON,
-        "tol": ("number", 1e-10, _positive("tol")),
-        "c": ("number?", None, _speed),
+        "tol": ("number", 1e-10, _check_tol),
+        "c": ("number?", None, _check_speed),
         "window": ("list?", None, _window),
         "assert_tail": ("bool", False, None),
     },
@@ -191,9 +163,9 @@ _TABLES = {
         ),
     },
     "commutators": {
-        "n": ("int", 2048, _pow2),
+        "n": ("int", 2048, _check_n),
         "L": ("number", 50.0, _positive("L")),
-        "size": ("int", 50, _positive("size")),
+        "size": ("int", 50, _check_size),
         "families": (
             "list",
             [
@@ -206,64 +178,75 @@ _TABLES = {
         ),
     },
     "weighted-growth": {
-        "n": ("int", 16384, _pow2),
+        "n": ("int", 16384, _check_n),
         "L": ("number", 1500.0, _positive("L")),
         "t_max": ("number", 40.0, _positive("t_max")),
         "t_count": ("int", 40, _positive("t_count")),
         "pairs": (
             "list",
             [[0.5, 0.7], [0.5, 1.2], [0.75, 1.8]],
-            _pairs_checker("r", _growth_second),
+            _pairs_checker("r", _growth_pair),
         ),
     },
     "ucp": {
         **_COMMON,
         "dt": ("number", _REQUIRED, _positive("dt")),
         "T": ("number", _REQUIRED, _positive("T")),
-        "k": ("int", 2, _power),
+        "k": ("int", 2, _check_power),
         "t1": ("number", 0.0, None),
         "t2": ("number?", None, None),
         "profile": ("str", "gaussian", _profile),
         "mean": ("number", 0.5, None),
         "width": ("number", 1.0, _positive("width")),
-        "snapshot_stride": ("int?", None, _stride),
+        "snapshot_stride": ("int?", None, _check_stride),
     },
 }
 
-# scenario-wide rules that look at more than one field
-def _check_step_count(p, bad):
-    if p.get("dt", 0) > 0 and p.get("T", 0) > 0:
-        steps = p["T"] / p["dt"]
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            bad.append("T must be an integer multiple of dt")
+
+def _evolve_config(scenario: str, p: dict) -> EvolveConfig:
+    """The EvolveConfig an evolve or ucp run steps with; a ucp run records
+    every step unless the config sets snapshot_stride."""
+    stride = p["snapshot_stride"]
+    if stride is None and scenario == "ucp":
+        stride = 1
+    return EvolveConfig(p["alpha"], p["dt"], p["T"], p["k"],
+                        linear_only=p.get("linear_only", False), snapshot_stride=stride)
+
+
+# scenario-wide rules that look at more than one field; they run once every
+# field has passed, so an EvolveConfig built here can fail only on T / dt
+def _cross_evolve(p, bad, scenario="evolve"):
+    try:
+        return _evolve_config(scenario, p)
+    except ValueError as e:
+        bad.append(f"T: {e}")
+        return None
 
 
 def _cross_ucp(p, bad):
-    _check_step_count(p, bad)
+    econf = _cross_evolve(p, bad, "ucp")
     if p["t2"] is None:
         p["t2"] = float(p["T"])
-    t1, t2, T, dt = p["t1"], p["t2"], p["T"], p["dt"]
-    if t1 < 0:
-        bad.append("t1 must be >= 0")
-    if not t1 < t2:
-        bad.append("t1 < t2 required")
-    if t2 > T + 1e-12:
+    t1, t2 = p["t1"], p["t2"]
+    if msg := _violation("t1", _check_times, t1, t2):
+        bad.append(msg)
+    if t2 > p["T"] + 1e-12:
         bad.append("t2 must not exceed T")
     if bad:
         return
-    # evolve records step s when the stride divides s or s is the last step
-    stride = p["snapshot_stride"] or 1
     for name, t in (("t1", t1), ("t2", t2)):
-        s = round(t / dt)
-        if abs(s * dt - t) > 1e-9 * max(1.0, t) or (s % stride and s != round(T / dt)):
+        if not econf.records(t):
             bad.append(f"{name} must be a recorded snapshot time: a multiple of "
-                       f"snapshot_stride * dt = {stride * dt:g}, or T")
+                       f"snapshot_stride * dt = {econf.snapshot_stride * econf.dt:g}, or T")
 
 
 def _cross_groundstate(p, bad):
-    w, L = p.get("window"), p.get("L")
-    if w is not None and L and _window(w) is None and w[1] > 0.7 * L:
-        bad.append("window must stay inside 0.7 L (periodic images beyond)")
+    # the runner fits the tail, the one reader of the window, below alpha = 2
+    if p["window"] is not None and p["alpha"] < 2.0:
+        try:
+            _tail_samples(p["window"], p["n"], p["L"])
+        except ValueError as e:
+            bad.append(f"window: {e}")
 
 
 def _cross_growth(p, bad):
@@ -273,7 +256,7 @@ def _cross_growth(p, bad):
 
 
 _CROSS = {
-    "evolve": _check_step_count,
+    "evolve": _cross_evolve,
     "ucp": _cross_ucp,
     "groundstate": _cross_groundstate,
     "weighted-growth": _cross_growth,
@@ -348,7 +331,7 @@ def validate_config(obj) -> ScenarioConfig:
         else:
             val = default
         if val is not None and check is not None:
-            msg = check(val)
+            msg = _violation(key, check, val)
             if msg:
                 bad.append(msg)
                 continue

@@ -23,10 +23,11 @@ from math import ceil
 
 import numpy as np
 
-from .evolution import Trajectory
+from .evolution import Trajectory, _check_power
 from .spectral import (
     Field,
     SpectralGrid,
+    _alpha_admitted,
     deriv,
     field_l2,
     field_linf,
@@ -63,6 +64,10 @@ CONSTANT_COMMUTATOR_TOL = 1e-11
 # Weights use a fixed low band so the same smooth function is
 # reproduced exactly on every resolution of interest.
 WEIGHT_BAND = 6
+
+# group_weighted_growth's wrap-around guard: L2 mass beyond this part of L
+EDGE_FRACTION = 0.8
+TAIL_TOL = 1e-8
 
 
 class QuadratureInconsistencyError(RuntimeError):
@@ -131,6 +136,11 @@ def _build(seed, size, grid, field_coeffs, weight_coeffs) -> TestCorpus:
     )
 
 
+def _check_size(size: int) -> None:
+    if size < 1:
+        raise ValueError(f"corpus size must be >= 1, got {size}")
+
+
 def make_corpus(
     n: int, L: float, size: int, seed: int, field_band: int | None = None
 ) -> TestCorpus:
@@ -145,8 +155,7 @@ def make_corpus(
     band = n // 6 if field_band is None else int(field_band)
     if not 1 <= band <= n // 6:
         raise ValueError(f"field band must lie in [1, n//6], got {band}")
-    if size < 1:
-        raise ValueError(f"corpus size must be >= 1, got {size}")
+    _check_size(size)
     rng = np.random.default_rng(seed)
     fc = rng.standard_normal((size, band + 1)) + 1j * rng.standard_normal(
         (size, band + 1)
@@ -266,7 +275,7 @@ def frac_commutator_ratio(psi: Field, f: Field, alpha: float, beta: float) -> fl
 # kernels through their module names, so a wrapper sees every instance.
 RATIO_FAMILIES = {
     "generator": (lambda g, f, **p: commutator_a_ratio(g, f, **p), ("alpha",),
-                  lambda alpha: 0.0 < alpha <= 2.0, "alpha in (0, 2]"),
+                  _alpha_admitted, "alpha in (0, 2]"),
     "hilbert": (lambda g, f, **p: hilbert_commutator_ratio(g, f, **p), ("l", "m"),
                 lambda l, m: l >= 0 and m >= 0 and l + m <= 2 and l % 1 == m % 1 == 0,
                 "whole numbers l, m >= 0 with l + m <= 2"),
@@ -278,8 +287,10 @@ RATIO_FAMILIES = {
 
 
 def _check_orders(family: str, **params) -> None:
-    """Raise ValueError unless the family accepts these orders; config checks with it too."""
-    _, _, accepts, statement = RATIO_FAMILIES[family]
+    """Raise ValueError unless the family takes these orders; config checks with it too."""
+    _, want, accepts, statement = RATIO_FAMILIES[family]
+    if set(params) != set(want):
+        raise ValueError(f"family {family!r} takes parameters {want}, got {tuple(params)}")
     if not accepts(**params):
         raise ValueError(f"{family} orders must satisfy {statement}, got {params}")
 
@@ -288,9 +299,8 @@ def corpus_ratios(corpus: TestCorpus, family: str, **params) -> np.ndarray:
     """Per-instance ratios over the corpus, in corpus order."""
     if family not in RATIO_FAMILIES:
         raise ValueError(f"unknown ratio family {family!r}; know {tuple(RATIO_FAMILIES)}")
-    ratio, want, *_ = RATIO_FAMILIES[family]
-    if set(params) != set(want):
-        raise ValueError(f"family {family!r} takes parameters {want}, got {tuple(params)}")
+    _check_orders(family, **params)
+    ratio = RATIO_FAMILIES[family][0]
     grid = corpus.grid
     pairs = zip(corpus.weights, corpus.fields)
     return np.array([ratio(Field(grid, w), Field(grid, f), **params) for w, f in pairs])
@@ -390,8 +400,6 @@ def group_weighted_growth(
     alpha: float,
     r: float,
     times,
-    edge_fraction: float = 0.8,
-    tail_tol: float = 1e-8,
 ) -> GrowthReport:
     """Propagate phi with the free group and fit the weighted-norm growth.
 
@@ -399,15 +407,14 @@ def group_weighted_growth(
     and the r-weighted norm grows polynomially.  On a periodic box the
     outward flux eventually wraps around, which would masquerade as
     extra growth, so any sample time whose L2 mass fraction beyond
-    edge_fraction * L exceeds tail_tol aborts the fit.
+    EDGE_FRACTION * L exceeds TAIL_TOL aborts the fit.  weighted_norm
+    checks r.
     """
-    if r < 0:
-        raise ValueError(f"decay order r must be >= 0, got {r}")
     ts = np.asarray(times, dtype=float)
     if ts.size == 0 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("times must be nonempty, nonnegative, strictly increasing")
     grid = phi.grid
-    edge = np.abs(grid.xs) > edge_fraction * grid.L
+    edge = np.abs(grid.xs) > EDGE_FRACTION * grid.L
     base = weighted_norm(phi, r)
     norms = np.empty(ts.size)
     for j, t in enumerate(ts):
@@ -415,10 +422,10 @@ def group_weighted_growth(
         vals = u.values
         total = float(np.sum(vals**2))
         leaked = float(np.sum(vals[edge] ** 2))
-        if total > 0 and leaked > tail_tol * total:
+        if total > 0 and leaked > TAIL_TOL * total:
             raise BoundaryContaminationError(
                 f"t={t:g}: mass fraction {leaked / total:.2e} beyond "
-                f"{edge_fraction:g} L exceeds {tail_tol:.0e}"
+                f"{EDGE_FRACTION:g} L exceeds {TAIL_TOL:.0e}"
             )
         norms[j] = weighted_norm(u, r)
     pos = ts > 0
@@ -449,6 +456,11 @@ def _snap_index(times: np.ndarray, t: float, name: str) -> int:
     return idx
 
 
+def _check_times(t1: float, t2: float) -> None:
+    if not 0 <= t1 < t2:
+        raise ValueError(f"0 <= t1 < t2 required, got t1={t1}, t2={t2}")
+
+
 def ucp_residual(traj: Trajectory, t1: float, t2: float, k: int | None = None) -> float:
     """Two-time mass identity residual over a recorded trajectory.
 
@@ -459,11 +471,9 @@ def ucp_residual(traj: Trajectory, t1: float, t2: float, k: int | None = None) -
     nonnegative, so R = 0 pins the zero solution.  For odd k the sign
     carries no such obstruction and R is reported as-is.
     """
-    if t1 < 0 or t2 <= t1:
-        raise ValueError(f"need 0 <= t1 < t2, got t1={t1}, t2={t2}")
+    _check_times(t1, t2)
     kk = traj.config.power if k is None else int(k)
-    if kk < 2:
-        raise ValueError(f"nonlinearity power must be >= 2, got {kk}")
+    _check_power(kk)
     times = traj.times
     i1 = _snap_index(times, t1, "t1")
     i2 = _snap_index(times, t2, "t2")

@@ -25,6 +25,7 @@ import numpy as np
 from .spectral import (
     Field,
     SpectralGrid,
+    _check_alpha,
     _half,
     _half_l2,
     a_symbol_grid,
@@ -50,6 +51,16 @@ class BlowUpError(RuntimeError):
     """Sup norm exceeded the abort threshold or became non-finite."""
 
 
+def _check_power(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"nonlinearity power k must be >= 2, got {k}")
+
+
+def _check_stride(stride: int | None) -> None:
+    if stride is not None and stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
+
+
 @dataclass(frozen=True)
 class EvolveConfig:
     """Time-stepping parameters.
@@ -71,31 +82,35 @@ class EvolveConfig:
     blowup_factor: float = 1e6
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final <= 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
-        if self.power < 2:
-            raise ValueError(f"nonlinearity power must be >= 2, got {self.power}")
+        _check_power(self.power)
         if self.dealias_fraction is not None and not 0.0 < self.dealias_fraction <= 1.0:
             raise ValueError(
                 f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"
             )
-        if self.snapshot_stride is not None and self.snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+        _check_stride(self.snapshot_stride)
         if self.blowup_factor <= 1.0:
             raise ValueError(f"blowup_factor must exceed 1, got {self.blowup_factor}")
-        steps = round(self.t_final / self.dt)
-        if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
+        # evolve records its last step, so t_final must be that step's time
+        if self.steps < 1 or not self.records(self.t_final):
             raise ValueError(
-                f"t_final = {self.t_final} is not an integer multiple of dt = {self.dt}"
+                f"final time {self.t_final} is not a positive integer multiple of dt = {self.dt}"
             )
 
     @property
     def steps(self) -> int:
         return round(self.t_final / self.dt)
+
+    def records(self, t):
+        """Whether evolve records the state at time t (a number or an array): a
+        whole step (to 1e-9 relative) that is a multiple of snapshot_stride (by
+        default about 400 snapshots in all) or the last."""
+        step = np.round(t / self.dt)
+        stride = self.snapshot_stride or max(1, self.steps // 400)
+        whole = np.abs(step * self.dt - t) <= 1e-9 * np.maximum(1.0, t)
+        return whole & ((step % stride == 0) | (step == self.steps))
 
     @property
     def kept_fraction(self) -> float:
@@ -121,10 +136,9 @@ class Trajectory:
 def evolve(initial: Field, config: EvolveConfig) -> Trajectory:
     """March the equation forward, recording snapshots along the way.
 
-    Snapshots are taken every snapshot_stride steps (default keeps about
-    400 of them) plus always the initial and final states.  The state is
-    tested for finiteness after every step and against the sup-norm limit
-    at every snapshot.
+    Snapshots are the states at the steps config.records, step 0 (the
+    initial state) among them.  The state is tested for finiteness after
+    every step and against the sup-norm limit at every snapshot.
     """
     g, n, values = initial.grid, initial.grid.n, initial.values
     if not np.all(np.isfinite(values)):
@@ -142,10 +156,10 @@ def evolve(initial: Field, config: EvolveConfig) -> Trajectory:
             return np.zeros_like(h)
         return minus_ia * np.fft.rfft(np.fft.irfft(h, n) ** config.power)[:m]
 
-    stride = config.snapshot_stride or max(1, config.steps // 400)
-    count = 1 + config.steps // stride + (config.steps % stride != 0)
-    states = np.empty((count, n))
-    times = np.zeros(count)
+    dt = config.dt
+    recorded = config.records(dt * np.arange(config.steps + 1))
+    times = dt * np.flatnonzero(recorded)
+    states = np.empty((times.size, n))
     v = np.fft.rfft(values)[:m]
     # the zero mode is frozen, so every state has the input's mass; one
     # constant shift, fixed at t = 0, takes the transform roundoff out of
@@ -156,7 +170,6 @@ def evolve(initial: Field, config: EvolveConfig) -> Trajectory:
     sup0 = float(np.max(np.abs(states[0])))
     limit = config.blowup_factor * max(sup0, 1e-300)
 
-    dt = config.dt
     half_dt, dt6, dt_E, two_E = dt / 2.0, dt / 6.0, dt * E, 2.0 * E
     i = 0
     with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowUpError
@@ -169,7 +182,7 @@ def evolve(initial: Field, config: EvolveConfig) -> Trajectory:
             v = E2v + dt6 * (E2 * n1 + two_E * (n2 + n3) + n4)
             if not np.isfinite(np.sum(v)):
                 raise BlowUpError(f"state not finite at t = {step * dt:.6g}")
-            if step % stride == 0 or step == config.steps:
+            if recorded[step]:
                 i += 1
                 vals = np.add(np.fft.irfft(v, n), shift, out=states[i])
                 sup = float(np.max(np.abs(vals)))
@@ -178,7 +191,6 @@ def evolve(initial: Field, config: EvolveConfig) -> Trajectory:
                         f"sup norm {sup:.3e} at t = {step * dt:.6g} exceeded "
                         f"{config.blowup_factor:.1e} x initial ({sup0:.3e})"
                     )
-                times[i] = step * dt
     return Trajectory(grid=g, times=times, states=states, config=config)
 
 
@@ -218,11 +230,7 @@ class DiagnosticsSeries:
     weighted: np.ndarray | None = None
 
 
-def diagnostics_series(
-    traj: Trajectory,
-    weight_r: float | None = None,
-    weight_level: float | None = None,
-) -> DiagnosticsSeries:
+def diagnostics_series(traj: Trajectory, weight_r: float | None = None) -> DiagnosticsSeries:
     """Conserved quantities and norms along a trajectory."""
     from .weighted import weighted_norm
 
@@ -240,6 +248,5 @@ def diagnostics_series(
         hamiltonian=series(lambda f: hamiltonian(f, k)),
         l2=series(field_l2),
         sup=series(field_linf),
-        weighted=None if weight_r is None else series(
-            lambda f: weighted_norm(f, weight_r, N=weight_level)),
+        weighted=None if weight_r is None else series(lambda f: weighted_norm(f, weight_r)),
     )

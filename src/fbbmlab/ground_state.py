@@ -15,6 +15,8 @@ periodic problem, not merely an approximation of the line wave.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ import numpy as np
 from .spectral import (
     Field,
     SpectralGrid,
+    _check_alpha,
     _half,
     _half_l2,
     _parseval,
@@ -73,11 +76,10 @@ def petviashvili(
     initial: Field | None = None,
     tol: float = 1e-10,
     max_iter: int = 400,
-    stab_exponent: float = 2.0,
 ) -> PetviashviliResult:
     """Fixed-point iteration for the normalized even solitary profile.
 
-    Each step maps spec -> M^gamma (1 + |xi|^alpha)^{-1} F[psi^2/2] with
+    Each step maps spec -> M^2 (1 + |xi|^alpha)^{-1} F[psi^2/2] with
     M the Rayleigh-type stabilizer; convergence is declared when the
     relative equation residual drops below tol.  The stopping residual's
     roundoff floor does not grow with the grid: tol 1e-15 was reached at
@@ -85,12 +87,11 @@ def petviashvili(
     The returned residual is normalized_residual of the returned wave,
     which transforms the samples afresh; its floor is higher, 3.3e-15,
     3.1e-15, 2.8e-15 and 1.1e-15 on those four solves, so a check of it
-    against tol needs tol >= 5e-15.  A tight tol costs iterations: at
-    alpha = 0.5, n = 2^16, L = 800, tol 1e-10 takes 246 of them, 1e-13
-    takes 321 and 1e-15 takes 370.
+    against tol needs tol >= 5e-15, which _check_tol states for the config.
+    A tight tol costs iterations: at alpha = 0.5, n = 2^16, L = 800, tol
+    1e-10 takes 246 of them, 1e-13 takes 321 and 1e-15 takes 370.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    _check_alpha(alpha)
     if initial is None:
         initial = Field(grid, 3.0 * np.exp(-(grid.xs**2)))
     elif initial.grid != grid:
@@ -132,7 +133,7 @@ def petviashvili(
         if M <= 0 or not np.isfinite(M):
             raise StabilizerDegenerateError(f"stabilizer {M:.3e} at iteration {it}")
         stabs.append(M)
-        coeffs = M**stab_exponent / symbol * quad
+        coeffs = M**2 / symbol * quad
         size = _half_l2(coeffs, grid)
         if size < 1e-14 * norm0 or not np.isfinite(size):
             raise StabilizerDegenerateError(
@@ -144,6 +145,17 @@ def petviashvili(
     )
 
 
+def _check_tol(tol: float) -> None:
+    # the residual petviashvili returns floors at up to 3.3e-15 (its docstring)
+    if not tol >= 5e-15:
+        raise ValueError(f"tol must be >= 5e-15, the floor of a solve's residual, got {tol}")
+
+
+def _check_speed(c: float) -> None:
+    if not c > 1.0:
+        raise ValueError(f"wave speed c must exceed 1, got {c}")
+
+
 def scale_to_speed(psi: Field, alpha: float, c: float) -> Field:
     """Exact speed-c wave from the normalized profile, on its own box.
 
@@ -151,8 +163,7 @@ def scale_to_speed(psi: Field, alpha: float, c: float) -> Field:
     samples are the profile's samples rescaled and the box shrinks by
     lambda, so no interpolation error is introduced.
     """
-    if c <= 1.0:
-        raise ValueError(f"wave speed must exceed 1, got {c}")
+    _check_speed(c)
     lam = ((c - 1.0) / c) ** (1.0 / alpha)
     g = psi.grid
     stretched = make_grid(g.n, g.L / lam)
@@ -172,6 +183,24 @@ def _tail_window(L: float) -> tuple[float, float]:
     return (0.15 * L, 0.6 * L)
 
 
+def _tail_samples(window: tuple[float, float], n: int, L: float) -> slice:
+    """The grid points x_j = -L + j dx in [lo, hi] that fit_tail_exponent
+    fits on, found without building the grid.  Raises ValueError unless
+    0 < lo < hi <= 0.7 L (beyond, the periodic image dominates the tail)
+    and the window holds at least 8 of them."""
+    lo, hi = window
+    if not 0.0 < lo < hi <= 0.7 * L:
+        raise ValueError(
+            f"window must satisfy 0 < lo < hi <= 0.7 L = {0.7 * L:.6g}, got {window}"
+        )
+    dx = 2.0 * L / n  # step in from a step or two beyond each rounded bound
+    first = next(j for j in itertools.count(math.ceil((lo + L) / dx) - 2) if -L + dx * j >= lo)
+    last = next(j for j in itertools.count(math.floor((hi + L) / dx) + 2, -1) if -L + dx * j <= hi)
+    if last - first + 1 < 8:
+        raise ValueError(f"only {last - first + 1} samples in window {window}; need at least 8")
+    return slice(first, last + 1)
+
+
 def fit_tail_exponent(
     psi: Field,
     window: tuple[float, float] | None = None,
@@ -179,20 +208,12 @@ def fit_tail_exponent(
     """Log-log fit of the decay exponent on the right tail.
 
     Fits |psi(x)| ~ x^(-p) for x in the window (default [0.15 L, 0.6 L])
-    and returns (p, r_squared, n_samples).  The window must sit inside
-    (0, 0.7 L]: beyond that the periodic image dominates the tail.
+    and returns (p, r_squared, n_samples); _tail_samples states which
+    windows it takes.
     """
     g = psi.grid
-    lo, hi = window = _tail_window(g.L) if window is None else window
-    if not 0.0 < lo < hi <= 0.7 * g.L:
-        raise ValueError(
-            f"window must satisfy 0 < lo < hi <= 0.7 L = {0.7 * g.L:.6g}, got {window}"
-        )
-    mask = (g.xs >= lo) & (g.xs <= hi)
-    xs = g.xs[mask]
-    vals = psi.values[mask]
-    if xs.size < 8:
-        raise ValueError(f"only {xs.size} samples in window {window}; need at least 8")
+    samples = _tail_samples(_tail_window(g.L) if window is None else window, g.n, g.L)
+    xs, vals = g.xs[samples], psi.values[samples]
     if np.any(vals <= 0):
         raise ValueError(
             "tail samples must be positive for a log-log fit; "

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, _evolve_config
 from .estimates import (
     CONSTANT_COMMUTATOR_TOL,
     RATIO_FAMILIES,
@@ -23,7 +23,7 @@ from .estimates import (
     resample_corpus,
     ucp_residual,
 )
-from .evolution import EvolveConfig, diagnostics_series, evolve
+from .evolution import diagnostics_series, evolve
 from .ground_state import (
     _tail_window,
     fit_tail_exponent,
@@ -104,14 +104,7 @@ def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
     phi = _gaussian(grid, p["amplitude"], p["width"], p["center"])
-    econf = EvolveConfig(
-        alpha=p["alpha"],
-        dt=p["dt"],
-        t_final=p["T"],
-        power=p["k"],
-        linear_only=p["linear_only"],
-        snapshot_stride=p["snapshot_stride"],
-    )
+    econf = _evolve_config(cfg.scenario, p)
     traj = evolve(phi, econf)
     diag = diagnostics_series(traj)
 
@@ -459,15 +452,7 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
     else:
         # odd data: integral is exactly zero; 'mean' is ignored
         phi = Field(grid, grid.xs * np.exp(-((grid.xs / p["width"]) ** 2)))
-    stride = p["snapshot_stride"] if p["snapshot_stride"] is not None else 1
-    econf = EvolveConfig(
-        alpha=p["alpha"],
-        dt=p["dt"],
-        t_final=p["T"],
-        power=p["k"],
-        snapshot_stride=stride,
-    )
-    traj = evolve(phi, econf)
+    traj = evolve(phi, _evolve_config(cfg.scenario, p))
     R = ucp_residual(traj, p["t1"], p["t2"], k=p["k"])
 
     masses = traj.grid.dx * np.sum(traj.states, axis=1)

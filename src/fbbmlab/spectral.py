@@ -109,8 +109,7 @@ def make_grid(n: int, L: float) -> SpectralGrid:
     if not isinstance(n, (int, np.integer)):
         raise ValueError(f"n must be an integer, got {n!r}")
     n = int(n)
-    if n < 16 or (n & (n - 1)) != 0:
-        raise ValueError(f"n must be a power of two with n >= 16, got {n}")
+    _check_n(n)
     L = float(L)
     if not np.isfinite(L) or L <= 0:
         raise ValueError(f"L must be a positive finite number, got {L}")
@@ -120,6 +119,21 @@ def make_grid(n: int, L: float) -> SpectralGrid:
     xs.setflags(write=False)
     xis.setflags(write=False)
     return SpectralGrid(n=n, L=L, xs=xs, xis=xis, dx=dx)
+
+
+def _check_n(n: int) -> None:
+    if n < 16 or (n & (n - 1)) != 0:
+        raise ValueError(f"n must be a power of two with n >= 16, got {n}")
+
+
+def _alpha_admitted(alpha: float) -> bool:
+    """Whether alpha is a dispersion order; entry points check with _check_alpha."""
+    return 0.0 < alpha <= 2.0
+
+
+def _check_alpha(alpha: float) -> None:
+    if not _alpha_admitted(alpha):
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -262,8 +276,7 @@ def hilbert(f: Field) -> Field:
 
 
 def op_a(f: Field, alpha: float) -> Field:
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    _check_alpha(alpha)
     return _apply(f, _half_symbol(a_symbol_grid, f.grid.n, f.grid.L, alpha))
 
 
@@ -336,8 +349,7 @@ def group_symbol_dxi2(xi, t: float, alpha: float):
 
 def group_propagate(f: Field, t: float, alpha: float) -> Field:
     """Apply the free group exp(tA); exactly unitary on the grid."""
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    _check_alpha(alpha)
     a = _half_symbol(_group_phase, f.grid.n, f.grid.L, alpha)
     return _apply(f, _half(np.exp(-1j * t * a), f.grid.n))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, _half, _half_l2, bessel_symbol, deriv
+from .spectral import Field, _check_alpha, _half, _half_l2, bessel_symbol, deriv
 
 __all__ = [
     "WeightSpec",
@@ -47,6 +47,11 @@ __all__ = [
 # ------------------------------------------------------------------ weights
 
 
+def _check_r(r: float) -> None:
+    if r < 0:
+        raise ValueError(f"decay order r must be >= 0, got {r}")
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Polynomial weight <x>^theta, optionally truncated at level N.
@@ -62,8 +67,7 @@ class WeightSpec:
     N: float | None = None
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        _check_r(self.theta)
         if self.N is not None and self.N < 2:
             raise ValueError(f"truncation level N must be >= 2, got {self.N}")
 
@@ -115,8 +119,6 @@ def weight_values(xs, spec: WeightSpec) -> np.ndarray:
 
 def weighted_norm(f: Field, r: float, N: float | None = None) -> float:
     """||w f||_2 with w = <x>^r (or its N-truncation)."""
-    if r < 0:
-        raise ValueError(f"decay order r must be >= 0, got {r}")
     w = weight_values(f.grid.xs, WeightSpec(theta=r, N=N))
     return float(np.sqrt(f.grid.dx * np.sum((w * f.values) ** 2)))
 
@@ -124,7 +126,7 @@ def weighted_norm(f: Field, r: float, N: float | None = None) -> float:
 # ----------------------------------------------- field-level Stein derivative
 
 
-def stein_derivative(f: Field, b: float, block: int = 256) -> Field:
+def stein_derivative(f: Field, b: float) -> Field:
     """Squared-difference fractional derivative on the grid, order b in (0,1).
 
     Composite quadrature over the box; the diagonal cell uses a local
@@ -139,6 +141,7 @@ def stein_derivative(f: Field, b: float, block: int = 256) -> Field:
     half = 0.5 * g.dx
     diag = dfdx**2 * 2.0 * half ** (2.0 - 2.0 * b) / (2.0 - 2.0 * b)
     out = np.empty(g.n)
+    block = 256  # rows of the pairwise-difference matrix formed at once
     for start in range(0, g.n, block):
         stop = min(start + block, g.n)
         dx_mat = np.abs(xs[start:stop, None] - xs[None, :])
@@ -200,7 +203,7 @@ def stein_pointwise(
     gfun,
     eta: float,
     theta: float,
-    support: float = 2.0,
+    support: float = CutoffSpec().outer,
     points_per_decade: int = 160,
 ) -> float:
     """Evaluate the squared-difference derivative of a compactly supported
@@ -208,6 +211,8 @@ def stein_pointwise(
 
     gfun must vanish identically outside [-support, support]; the integral
     outside that interval is then |g(eta)|^2 * closed form, added exactly.
+    The default support is that of cutoff_bump's default spec, which every
+    probe below builds on.
     Nodes cluster logarithmically around the singular point eta and around
     the origin (probe functions may have kinks or integrable blowup there).
     """
@@ -285,39 +290,31 @@ class SteinAsymptotics:
 
 def _stein_range(alpha, theta):
     """Raise ValueError unless stein_asymptotics accepts (alpha, theta); config uses it too."""
+    _check_alpha(alpha)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     if alpha == theta:
         raise ValueError("theta must differ from alpha (equal orders have no power law)")
 
 
-def stein_asymptotics(
-    alpha: float,
-    theta: float,
-    cutoff: CutoffSpec = CutoffSpec(),
-    points_per_decade: int = 40,
-    quad_points_per_decade: int = 160,
-) -> SteinAsymptotics:
+def stein_asymptotics(alpha: float, theta: float) -> SteinAsymptotics:
     """Fit the small- and large-probe exponents of the |xi|^alpha symbol.
 
-    Small branch fits on [1e-3, 1e-1], large branch on [10, 100].  For
-    alpha > theta the plateau constant is estimated at the smallest probe
-    (one decade below the fit window) and subtracted; for alpha < theta
-    the power part diverges and the raw values are fitted.
+    Small branch fits on [1e-3, 1e-1], large branch on [10, 100], 40
+    probes per decade.  For alpha > theta the plateau constant is
+    estimated at the smallest probe (one decade below the fit window) and
+    subtracted; for alpha < theta the power part diverges and the raw
+    values are fitted.
     """
     _stein_range(alpha, theta)
 
     def g(x):
-        return np.abs(x) ** alpha * cutoff_bump(x, cutoff)
-
-    sup = cutoff.outer
+        return np.abs(x) ** alpha * cutoff_bump(x)
 
     def value(e):
-        return stein_pointwise(g, e, theta, support=sup,
-                               points_per_decade=quad_points_per_decade)
+        return stein_pointwise(g, e, theta)
 
-    n_small = int(2 * points_per_decade) + 1
-    etas_small = np.logspace(-3, -1, n_small)
+    etas_small = np.logspace(-3, -1, 81)
     vals_small = np.array([value(e) for e in etas_small])
     subtracted = alpha > theta
     plateau = None
@@ -328,7 +325,7 @@ def stein_asymptotics(
         fit_vals = vals_small
     p_small, r2_small = _loglog_fit(etas_small, fit_vals)
 
-    etas_large = np.logspace(1, 2, points_per_decade + 1)
+    etas_large = np.logspace(1, 2, 41)
     vals_large = np.array([value(e) for e in etas_large])
     p_large, r2_large = _loglog_fit(etas_large, vals_large)
 
@@ -350,13 +347,7 @@ def stein_asymptotics(
     )
 
 
-def l2_threshold_probe(
-    alpha: float,
-    theta: float,
-    cutoff: CutoffSpec = CutoffSpec(),
-    decades: int = 4,
-    quad_points_per_decade: int = 120,
-) -> np.ndarray:
+def l2_threshold_probe(alpha: float, theta: float, decades: int = 4) -> np.ndarray:
     """Decade increments of the squared-probe integral approaching eta = 0.
 
     Returns integral(2 V^2 d eta) over (1e-(k+1), 1e-k) for k = 1..decades.
@@ -365,29 +356,17 @@ def l2_threshold_probe(
     """
 
     def g(x):
-        return np.abs(x) ** alpha * cutoff_bump(x, cutoff)
+        return np.abs(x) ** alpha * cutoff_bump(x)
 
-    sup = cutoff.outer
     incs = []
     for k in range(1, decades + 1):
         es = np.logspace(-k - 1, -k, 25)
-        vs = np.array(
-            [
-                stein_pointwise(g, e, theta, support=sup,
-                                points_per_decade=quad_points_per_decade)
-                for e in es
-            ]
-        )
+        vs = np.array([stein_pointwise(g, e, theta, points_per_decade=120) for e in es])
         incs.append(2.0 * float(np.trapezoid(vs**2, es)))
     return np.array(incs)
 
 
-def negative_power_probe(
-    beta: float,
-    theta: float,
-    cutoff: CutoffSpec = CutoffSpec(),
-    quad_points_per_decade: int = 160,
-):
+def negative_power_probe(beta: float, theta: float, quad_points_per_decade: int = 160):
     """Probe the |eta|^(-beta-theta) bound for the |xi|^(-beta) symbol.
 
     Returns (etas, product) with product = value * |eta|^(beta+theta);
@@ -400,27 +379,18 @@ def negative_power_probe(
         # integrable singularity at 0; the exact origin node is measure zero
         x = np.asarray(x, dtype=float)
         ax = np.maximum(np.abs(x), 1e-300)
-        out = ax ** (-beta) * cutoff_bump(x, cutoff)
+        out = ax ** (-beta) * cutoff_bump(x)
         out[np.abs(x) < 1e-250] = 0.0
         return out
 
     etas = np.logspace(-3, 0, 31)
     vals = np.array(
-        [
-            stein_pointwise(g, e, theta, support=cutoff.outer,
-                            points_per_decade=quad_points_per_decade)
-            for e in etas
-        ]
+        [stein_pointwise(g, e, theta, points_per_decade=quad_points_per_decade) for e in etas]
     )
     return etas, vals * etas ** (beta + theta)
 
 
-def bbm_symbol_stein_bound(
-    alpha: float,
-    theta: float,
-    cutoff: CutoffSpec = CutoffSpec(),
-    quad_points_per_decade: int = 160,
-):
+def bbm_symbol_stein_bound(alpha: float, theta: float):
     """Smallest admissible pointwise constant for the resolvent symbol bound.
 
     Checks value((1+|xi|^alpha)^(-1) psi)(eta) <= C * [value(psi)(eta)
@@ -430,25 +400,17 @@ def bbm_symbol_stein_bound(
 
     def g_res(x):
         x = np.asarray(x, dtype=float)
-        return cutoff_bump(x, cutoff) / (1.0 + np.abs(x) ** alpha)
-
-    def g_psi(x):
-        return cutoff_bump(x, cutoff)
+        return cutoff_bump(x) / (1.0 + np.abs(x) ** alpha)
 
     def g_pow(x):
         x = np.asarray(x, dtype=float)
-        return np.abs(x) ** alpha * cutoff_bump(x, cutoff)
+        return np.abs(x) ** alpha * cutoff_bump(x)
 
     etas = np.logspace(-3, 2, 26)
     ratios = []
     for e in etas:
-        lhs = stein_pointwise(g_res, e, theta, support=cutoff.outer,
-                              points_per_decade=quad_points_per_decade)
-        rhs = stein_pointwise(g_psi, e, theta, support=cutoff.outer,
-                              points_per_decade=quad_points_per_decade) + stein_pointwise(
-            g_pow, e, theta, support=cutoff.outer,
-            points_per_decade=quad_points_per_decade
-        )
+        lhs = stein_pointwise(g_res, e, theta)
+        rhs = stein_pointwise(cutoff_bump, e, theta) + stein_pointwise(g_pow, e, theta)
         ratios.append(lhs / rhs)
     ratios = np.array(ratios)
     return etas, ratios, float(ratios.max())

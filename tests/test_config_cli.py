@@ -2,6 +2,7 @@
 keys rejected, deterministic outputs, schema-valid JSON, and exit codes
 that are nonzero exactly when an asserted check fails."""
 
+import functools
 import json
 import os
 import re
@@ -19,8 +20,18 @@ from hypothesis import strategies as st
 import fbbmlab.cli as cli_mod
 
 from fbbmlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_ERROR, EXIT_OK, load_schema, main
-from fbbmlab.config import ConfigError, load_config, parse_config, validate_config
+from fbbmlab.config import ConfigError, _evolve_config, load_config, parse_config, validate_config
+from fbbmlab.estimates import (
+    commutator_a_ratio,
+    group_weighted_growth,
+    make_corpus,
+    ucp_residual,
+)
+from fbbmlab.evolution import EvolveConfig, evolve
+from fbbmlab.ground_state import fit_tail_exponent, petviashvili, scale_to_speed
 from fbbmlab.scenarios import Check, ScenarioResult, Table
+from fbbmlab.spectral import Field, group_propagate, make_grid, op_a
+from fbbmlab.weighted import stein_asymptotics, weighted_norm
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -161,9 +172,16 @@ def test_families_validation():
         ({"scenario": "commutators", "families": [{"family": "generator", "alpha": 3.0}]}, "alpha in \\(0, 2\\]"),
         ({"scenario": "commutators", "families": [{"family": "generator", "alpha": "x"}]}, "numbers"),
         ({"scenario": "commutators", "families": [{"family": ["generator"]}]}, "unknown family"),
+        # the residual a solve returns floors near 3e-15, so this check could never pass
+        ({"scenario": "groundstate", "alpha": 0.75, "n": 16384, "L": 800.0, "tol": 1e-15},
+         "tol must be >= 5e-15"),
+        # the tail fit needs 8 grid points in its window
+        ({"scenario": "groundstate", "alpha": 0.75, "n": 4096, "L": 200.0, "tol": 1e-10,
+          "window": [30.0, 30.5]}, "only 5 samples in window"),
     ],
     ids=["stein-theta", "fractional-sum", "hilbert-orders", "hilbert-half-order",
-         "generator-alpha", "non-number", "unhashable-family"],
+         "generator-alpha", "non-number", "unhashable-family", "groundstate-tol-floor",
+         "groundstate-window-samples"],
 )
 def test_kernel_ranges_are_config_errors(tmp_path, capsys, obj, message):
     # the ranges the kernels enforce, caught before anything runs
@@ -213,6 +231,112 @@ def test_fractional_orders_summing_to_one_run(tmp_path):
     assert code == EXIT_OK
 
 
+# ------------------------------------------------------------ rule parity
+
+GROUNDSTATE = {"scenario": "groundstate", "alpha": 0.75, "n": 4096, "L": 200.0}
+G64 = make_grid(64, 20.0)
+F64 = Field(G64, np.exp(-(G64.xs**2)))
+WIDE_GRID = make_grid(1024, 50.0)
+WIDE = Field(WIDE_GRID, np.exp(-(WIDE_GRID.xs**2)))
+TAIL_GRID = make_grid(4096, 200.0)  # dx = 400/4096 is exact: x_2356 = 30.078125
+TAIL = Field(TAIL_GRID, 1.0 / (1.0 + TAIL_GRID.xs**2))
+ODD_GRID = make_grid(256, 10.1)  # dx is not a binary fraction
+ODD = Field(ODD_GRID, 1.0 / (1.0 + ODD_GRID.xs**2))
+X0, X7 = float(ODD_GRID.xs[140]), float(ODD_GRID.xs[147])
+
+
+@functools.cache
+def ucp_trajectory(stride):
+    # the trajectory run_ucp steps for UCP_OK with this snapshot_stride
+    params = {**validate_config(UCP_OK).params, "snapshot_stride": stride}
+    return evolve(Field(G64, np.exp(-(G64.xs**2))), _evolve_config("ucp", params))
+
+
+# rule -> (config holding the value v, the field its violation names, the
+# library entry point that owns the rule, values on both sides of the boundary)
+PARITY = {
+    "alpha-evolve": (lambda v: {**EVOLVE_OK, "alpha": v}, "alpha",
+                     lambda v: EvolveConfig(alpha=v, dt=0.01, t_final=0.5),
+                     [0.0, 1e-9, 2.0, 2.0 + 1e-12]),
+    "alpha-op_a": (lambda v: {**EVOLVE_OK, "alpha": v}, "alpha", lambda v: op_a(F64, v),
+                   [-0.5, 0.0, 1e-9, 2.0, 2.5]),
+    "alpha-groundstate": (lambda v: {**GROUNDSTATE, "alpha": v}, "alpha",
+                          lambda v: petviashvili(G64, v, tol=1e300), [0.0, 0.5, 2.0, 2.1]),
+    "alpha-growth": (lambda v: {"scenario": "weighted-growth", "pairs": [[v, 0.5]]}, "pairs",
+                     lambda v: group_propagate(F64, 1.0, v), [0.0, 0.5, 2.0, 2.1]),
+    "alpha-generator": (
+        lambda v: {"scenario": "commutators", "families": [{"family": "generator", "alpha": v}]},
+        "families", lambda v: commutator_a_ratio(F64, F64, v), [0.0, 0.5, 2.0, 2.1]),
+    "alpha-stein": (lambda v: {"scenario": "stein", "pairs": [[v, 0.5]]}, "pairs",
+                    lambda v: stein_asymptotics(v, 0.5), [0.0, 2.0, 2.1]),
+    "n": (lambda v: {**EVOLVE_OK, "n": v}, "n", lambda v: make_grid(v, 1.0), [8, 15, 16, 24, 32]),
+    "k": (lambda v: {**EVOLVE_OK, "k": v}, "k",
+          lambda v: EvolveConfig(alpha=0.5, dt=0.01, t_final=0.5, power=v), [1, 2, 3]),
+    "k-ucp": (lambda v: {**UCP_OK, "k": v}, "k",
+              lambda v: ucp_residual(ucp_trajectory(None), 0.0, 0.5, k=v), [1, 2]),
+    "snapshot_stride": (lambda v: {**EVOLVE_OK, "snapshot_stride": v}, "snapshot_stride",
+                        lambda v: EvolveConfig(alpha=0.5, dt=0.01, t_final=0.5, snapshot_stride=v),
+                        [-1, 0, 1]),
+    "T-multiple-of-dt": (lambda v: {**EVOLVE_OK, "T": v}, "T",
+                         lambda v: EvolveConfig(alpha=0.5, dt=0.01, t_final=v),
+                         [0.004, 0.01, 0.5, 0.5 + 5e-10, 0.5 + 2e-9, 0.505]),
+    "t1-recorded": (lambda v: {**UCP_OK, "snapshot_stride": 7, "t1": v}, "t1",
+                    lambda v: ucp_residual(ucp_trajectory(7), v, 0.5),
+                    [0.0, 0.05, 0.07, 0.07 + 5e-10, 0.07 + 2e-9, 0.49]),
+    "t2-recorded": (lambda v: {**UCP_OK, "snapshot_stride": 7, "t2": v}, "t2",
+                    lambda v: ucp_residual(ucp_trajectory(7), 0.0, v), [0.3, 0.35, 0.49, 0.5]),
+    "ucp-default-stride": (lambda v: {**UCP_OK, "t1": v}, "t1",
+                           lambda v: ucp_residual(ucp_trajectory(None), v, 0.5),
+                           [0.01, 0.013, 0.25]),
+    "t1<t2": (lambda v: {**UCP_OK, "t1": v, "t2": 0.3}, "t1",
+              lambda v: ucp_residual(ucp_trajectory(None), v, 0.3), [-0.01, 0.0, 0.29, 0.3, 0.31]),
+    "window": (lambda v: {**GROUNDSTATE, "window": list(v)}, "window",
+               lambda v: fit_tail_exponent(TAIL, v),
+               [(0.0, 10.0), (20.0, 10.0), (30.0, 140.0), (30.0, 140.001), (30.0, 30.5),
+                (30.078125, 30.76171875), (30.078125, 30.7617187)]),
+    "window-odd-dx": (lambda v: {**GROUNDSTATE, "n": 256, "L": 10.1, "window": list(v)},
+                      "window", lambda v: fit_tail_exponent(ODD, v),
+                      [(X0, X7), (np.nextafter(X0, 9.0), X7), (X0, np.nextafter(X7, 0.0)),
+                       (np.nextafter(X0, 0.0), np.nextafter(X7, 9.0))]),
+    "c": (lambda v: {**GROUNDSTATE, "c": v}, "c", lambda v: scale_to_speed(F64, 0.75, v),
+          [0.5, 1.0, 1.0 + 1e-12, 2.0]),
+    "r": (lambda v: {"scenario": "weighted-growth", "pairs": [[0.5, v]]}, "pairs",
+          lambda v: group_weighted_growth(WIDE, 0.5, v, [1.0]), [-1e-9, 0.0, 0.5]),
+    "r-norm": (lambda v: {"scenario": "weighted-growth", "pairs": [[0.5, v]]}, "pairs",
+               lambda v: weighted_norm(F64, v), [-1.0, 0.0]),
+    "size": (lambda v: {"scenario": "commutators", "size": v}, "size",
+             lambda v: make_corpus(16, 1.0, v, seed=1), [-1, 0, 1, 2]),
+}
+
+
+def _library_accepts(entry_point, value) -> bool:
+    try:
+        entry_point(value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("rule", sorted(PARITY))
+def test_config_and_library_apply_one_rule(rule):
+    # each parameter rule has one implementation: the config accepts a value
+    # exactly when the library entry point that owns the rule does
+    config_with, field, entry_point, values = PARITY[rule]
+    decisions = set()
+    for v in values:
+        library_ok = _library_accepts(entry_point, v)
+        try:
+            validate_config(config_with(v))
+            config_ok, violations = True, []
+        except ConfigError as e:
+            config_ok, violations = False, e.violations
+        assert config_ok == library_ok, (rule, v, violations)
+        if not config_ok:
+            assert any(m.startswith(field) for m in violations), (rule, v, violations)
+        decisions.add(config_ok)
+    assert decisions == {True, False}  # the values straddle the boundary
+
+
 def test_groundstate_window_rule():
     with pytest.raises(ConfigError, match="0.7 L"):
         validate_config(
@@ -258,6 +382,7 @@ def test_example_configs_all_valid():
     assert len(names) >= 6
     for name in names:
         load_config(os.path.join(cfg_dir, name))
+        assert main(["validate", os.path.join(cfg_dir, name)]) == EXIT_OK, name
 
 
 # --------------------------------------------------------------------- cli

@@ -7,11 +7,14 @@ equation residual and the dilation identity.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbbmlab.spectral import Field, field_l2, make_grid
 from fbbmlab.ground_state import (
     NonConvergenceError,
     StabilizerDegenerateError,
+    _tail_samples,
     fit_tail_exponent,
     normalized_residual,
     petviashvili,
@@ -177,6 +180,30 @@ def test_tail_fit_rejects_sparse_window():
     f = Field(g, np.exp(-np.abs(g.xs)))
     with pytest.raises(ValueError, match="samples"):
         fit_tail_exponent(f, (50.0, 50.2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([16, 64, 4096]),
+    L=st.floats(0.01, 1e6),
+    start=st.integers(0, 10**6),
+    width=st.integers(0, 12),
+    nudge=st.tuples(*[st.sampled_from([-np.inf, 0.0, np.inf])] * 2),
+)
+def test_tail_samples_are_the_grid_mask(n, L, start, width, nudge):
+    # the window rule counts the fit's samples without the grid; windows
+    # ending on a grid point or one ulp to either side test its rounding
+    g = make_grid(n, L)
+    j = n // 2 + 1 + start % (n // 5)
+    ends = (g.xs[j], g.xs[min(j + width, n - 1)])
+    lo, hi = (x if d == 0 else np.nextafter(x, d) for x, d in zip(ends, nudge))
+    mask = (g.xs >= lo) & (g.xs <= hi)
+    if not 0 < lo < hi <= 0.7 * L or np.count_nonzero(mask) < 8:
+        with pytest.raises(ValueError):
+            _tail_samples((lo, hi), n, L)
+    else:
+        picked = np.arange(n)[_tail_samples((lo, hi), n, L)]
+        np.testing.assert_array_equal(picked, np.flatnonzero(mask))
 
 
 def test_profile_tail_exponent_smoke(wave_half):
