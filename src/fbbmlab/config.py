@@ -16,10 +16,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .estimates import RATIO_FAMILIES, _check_orders, _check_size, _check_times
+from .estimates import _check_family, _check_orders, _check_size, _check_times
 from .evolution import EvolveConfig, _check_power, _check_stride
 from .ground_state import _check_speed, _check_tol, _tail_samples
-from .spectral import _check_alpha, _check_n
+from .spectral import _check_L, _check_alpha, _check_n
 from .weighted import _check_r, _stein_range
 
 SCENARIOS = ("evolve", "groundstate", "stein", "commutators", "weighted-growth", "ucp")
@@ -118,8 +118,8 @@ def _families(v):
         if not isinstance(entry, dict) or "family" not in entry:
             return f"families[{i}] must be an object with a 'family' key"
         fam = entry["family"]
-        if not isinstance(fam, str) or fam not in RATIO_FAMILIES:
-            return f"families[{i}]: unknown family {fam!r}"
+        if msg := _violation(f"families[{i}]", _check_family, fam):
+            return msg
         params = {k: w for k, w in entry.items() if k != "family"}
         if any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in params.values()):
             return f"families[{i}]: parameters of {fam!r} must be numbers"
@@ -132,7 +132,7 @@ def _families(v):
 # ints, "int" only ints.
 _COMMON = {
     "n": ("int", _REQUIRED, _check_n),
-    "L": ("number", _REQUIRED, _positive("L")),
+    "L": ("number", _REQUIRED, _check_L),
     "alpha": ("number", _REQUIRED, _check_alpha),
 }
 
@@ -150,7 +150,7 @@ _TABLES = {
     },
     "groundstate": {
         **_COMMON,
-        "tol": ("number", 1e-10, _check_tol),
+        "tol": ("number", 1e-10, None),
         "c": ("number?", None, _check_speed),
         "window": ("list?", None, _window),
         "assert_tail": ("bool", False, None),
@@ -164,7 +164,7 @@ _TABLES = {
     },
     "commutators": {
         "n": ("int", 2048, _check_n),
-        "L": ("number", 50.0, _positive("L")),
+        "L": ("number", 50.0, _check_L),
         "size": ("int", 50, _check_size),
         "families": (
             "list",
@@ -179,7 +179,7 @@ _TABLES = {
     },
     "weighted-growth": {
         "n": ("int", 16384, _check_n),
-        "L": ("number", 1500.0, _positive("L")),
+        "L": ("number", 1500.0, _check_L),
         "t_max": ("number", 40.0, _positive("t_max")),
         "t_count": ("int", 40, _positive("t_count")),
         "pairs": (
@@ -241,6 +241,8 @@ def _cross_ucp(p, bad):
 
 
 def _cross_groundstate(p, bad):
+    if msg := _violation("tol", _check_tol, p["tol"], p["alpha"], p["n"], p["L"]):
+        bad.append(msg)
     # the runner fits the tail, the one reader of the window, below alpha = 2
     if p["window"] is not None and p["alpha"] < 2.0:
         try:
@@ -331,7 +333,10 @@ def validate_config(obj) -> ScenarioConfig:
         else:
             val = default
         if val is not None and check is not None:
-            msg = _violation(key, check, val)
+            # L's rule is on the grid step 2L/n; n precedes L in every table
+            # and the smallest grid stands in for an n that failed its rule
+            args = (val, params.get("n") or 16) if check is _check_L else (val,)
+            msg = _violation(key, check, *args)
             if msg:
                 bad.append(msg)
                 continue

@@ -220,6 +220,10 @@ def commutator_a_ratio(weight: Field, f: Field, alpha: float) -> float:
     per-instance lower estimate.
     """
     _check_orders("generator", alpha=alpha)
+    return _a_ratio(weight, f, alpha)
+
+
+def _a_ratio(weight: Field, f: Field, alpha: float) -> float:
     if weight.grid != f.grid:
         raise ValueError("weight and field live on different grids")
     fnorm = _nonzero_l2(f)
@@ -237,6 +241,10 @@ def hilbert_commutator_ratio(psi: Field, f: Field, l: int, m: int) -> float:
     absorbs l+m derivatives into the weight, one order per slot.
     """
     _check_orders("hilbert", l=l, m=m)
+    return _hilbert_ratio(psi, f, l, m)
+
+
+def _hilbert_ratio(psi: Field, f: Field, l: int, m: int) -> float:
     if psi.grid != f.grid:
         raise ValueError("weight and field live on different grids")
     fnorm = _nonzero_l2(f)
@@ -256,6 +264,10 @@ def frac_commutator_ratio(psi: Field, f: Field, alpha: float, beta: float) -> fl
     a + b <= 1 + 1e-12; the third order 1 - a - b, which may round below 0, clamps at 0.
     """
     _check_orders("fractional", alpha=alpha, beta=beta)
+    return _frac_ratio(psi, f, alpha, beta)
+
+
+def _frac_ratio(psi: Field, f: Field, alpha: float, beta: float) -> float:
     if psi.grid != f.grid:
         raise ValueError("weight and field live on different grids")
     fnorm = _nonzero_l2(f)
@@ -271,23 +283,30 @@ def frac_commutator_ratio(psi: Field, f: Field, alpha: float, beta: float) -> fl
 
 
 # family -> (ratio function, its parameter names, the orders it accepts and
-# their statement): the one table of commutator families.  Entries call the
-# kernels through their module names, so a wrapper sees every instance.
+# their statement): the one table of commutator families.  The ratio
+# functions are the kernels without their order check, which corpus_ratios
+# makes once per corpus and each public kernel once per call.
 RATIO_FAMILIES = {
-    "generator": (lambda g, f, **p: commutator_a_ratio(g, f, **p), ("alpha",),
-                  _alpha_admitted, "alpha in (0, 2]"),
-    "hilbert": (lambda g, f, **p: hilbert_commutator_ratio(g, f, **p), ("l", "m"),
+    "generator": (_a_ratio, ("alpha",), _alpha_admitted, "alpha in (0, 2]"),
+    "hilbert": (_hilbert_ratio, ("l", "m"),
                 lambda l, m: l >= 0 and m >= 0 and l + m <= 2 and l % 1 == m % 1 == 0,
                 "whole numbers l, m >= 0 with l + m <= 2"),
     "fractional": (
-        lambda g, f, **p: frac_commutator_ratio(g, f, **p), ("alpha", "beta"),
+        _frac_ratio, ("alpha", "beta"),
         lambda alpha, beta: 0 <= alpha < 1 and 0 < beta < 1 and alpha + beta <= 1 + 1e-12,
         "alpha in [0, 1), beta in (0, 1) and alpha + beta <= 1"),
 }
 
 
+def _check_family(family) -> None:
+    if not isinstance(family, str) or family not in RATIO_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; know {tuple(RATIO_FAMILIES)}")
+
+
 def _check_orders(family: str, **params) -> None:
-    """Raise ValueError unless the family takes these orders; config checks with it too."""
+    """Raise ValueError unless the family exists and takes these orders;
+    config checks with it too."""
+    _check_family(family)
     _, want, accepts, statement = RATIO_FAMILIES[family]
     if set(params) != set(want):
         raise ValueError(f"family {family!r} takes parameters {want}, got {tuple(params)}")
@@ -297,8 +316,6 @@ def _check_orders(family: str, **params) -> None:
 
 def corpus_ratios(corpus: TestCorpus, family: str, **params) -> np.ndarray:
     """Per-instance ratios over the corpus, in corpus order."""
-    if family not in RATIO_FAMILIES:
-        raise ValueError(f"unknown ratio family {family!r}; know {tuple(RATIO_FAMILIES)}")
     _check_orders(family, **params)
     ratio = RATIO_FAMILIES[family][0]
     grid = corpus.grid

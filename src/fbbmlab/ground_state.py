@@ -3,9 +3,10 @@
 The normalized profile solves psi + D^alpha psi = psi^2 / 2 on the box;
 speed-c waves are exact dilations of it.  The iteration renormalizes by
 the standard power-method stabilizer with exponent 2 and iterates on the
-real half spectrum of an even field, which keeps it in the even-real
-sector; it diverges or collapses only on bad data, which is reported
-through typed exceptions rather than silently returning junk.
+n/2+1 samples of an even field and their real half spectrum, which keeps
+it in the even-real sector; it diverges or collapses only on bad data,
+which is reported through typed exceptions rather than silently
+returning junk.
 
 Dilation note: scale_to_speed places the speed-c wave on its own
 stretched box, so its Fourier coefficients coincide with the normalized
@@ -25,6 +26,7 @@ from .spectral import (
     Field,
     SpectralGrid,
     _check_alpha,
+    _dct1,
     _half,
     _half_l2,
     _parseval,
@@ -81,26 +83,30 @@ def petviashvili(
 
     Each step maps spec -> M^2 (1 + |xi|^alpha)^{-1} F[psi^2/2] with
     M the Rayleigh-type stabilizer; convergence is declared when the
-    relative equation residual drops below tol.  The stopping residual's
-    roundoff floor does not grow with the grid: tol 1e-15 was reached at
-    n = 2^14 (alpha 0.75), 2^16 and 2^18 (alpha 0.5) and 2^20 (alpha 0.25).
-    The returned residual is normalized_residual of the returned wave,
-    which transforms the samples afresh; its floor is higher, 3.3e-15,
-    3.1e-15, 2.8e-15 and 1.1e-15 on those four solves, so a check of it
-    against tol needs tol >= 5e-15, which _check_tol states for the config.
-    A tight tol costs iterations: at alpha = 0.5, n = 2^16, L = 800, tol
-    1e-10 takes 246 of them, 1e-13 takes 321 and 1e-15 takes 370.
+    relative equation residual drops below tol.  The iterate is the n/2+1
+    samples psi_0..psi_{n/2} of the even profile and their real half
+    spectrum, mapped into each other by spectral._dct1; the full field is
+    mirrored from them on return, so it is exactly even.
+
+    The stopping residual's roundoff floor does not grow with the grid:
+    tol 1e-15 was reached at n = 2^14 (alpha 0.75, L 800), 2^16 and 2^18
+    (alpha 0.5, L 800), 2^20 (alpha 0.25, L 262144) and 2^22 (alpha 0.25,
+    L 524288 and 1048576).  The returned residual is normalized_residual
+    of the returned wave, which transforms the samples afresh, so their
+    rounding enters it multiplied by the symbol 1 + |xi|^alpha: it floors
+    at 3.1e-15, 2.9e-15, 6.6e-15, 1.3e-15, 1.0e-15 and 1.2e-15 on those
+    solves, at most 2.3 eps (1 + (pi n / 2L)^alpha) on every grid
+    measured (_check_tol).  A tight tol costs iterations: at alpha = 0.5,
+    n = 2^16, L = 800, tol 1e-10 takes 246 of them, 1e-13 takes 321 and
+    1e-15 takes 379.
     """
     _check_alpha(alpha)
-    if initial is None:
-        initial = Field(grid, 3.0 * np.exp(-(grid.xs**2)))
-    elif initial.grid != grid:
+    if initial is not None and initial.grid != grid:
         raise ValueError("initial guess lives on a different grid")
 
-    # an even real field has a real half spectrum: the iterate is that real
-    # array, and taking real parts projects onto the even sector
-    symbol = 1.0 + _half(frac_deriv_symbol(grid, alpha), grid.n)
-    coeffs = np.real(np.fft.rfft(initial.values))
+    n = grid.n
+    symbol = 1.0 + _half(frac_deriv_symbol(grid, alpha), n)
+    coeffs = _dct1(_even_samples(grid, initial))
     norm0 = size = _half_l2(coeffs, grid)
     if norm0 == 0:
         raise ValueError("initial guess must be nonzero")
@@ -108,14 +114,15 @@ def petviashvili(
     # |M - 1| is quadratically small in the error (Rayleigh stationarity),
     # so the stopping test uses the equation residual itself
     for it in range(1, max_iter + 1):
-        psi = np.fft.irfft(coeffs, grid.n)
-        quad = np.real(np.fft.rfft(0.5 * psi**2))
+        psi = _dct1(coeffs) / n
+        quad = _dct1(0.5 * psi**2)
         lin = symbol * coeffs
         resid = _half_l2(lin - quad, grid) / size
         if resid < tol:
             # roundoff can leave tiny negative values in the far tail
             floor = -1e-12 * float(np.max(psi))
-            wave = Field(grid, np.where(psi > floor, np.maximum(psi, 0.0), psi))
+            psi = np.where(psi > floor, np.maximum(psi, 0.0), psi)
+            wave = Field(grid, np.concatenate((psi, psi[-2:0:-1])))  # mirrored
             return PetviashviliResult(
                 wave=wave,
                 iterations=it,
@@ -145,10 +152,29 @@ def petviashvili(
     )
 
 
-def _check_tol(tol: float) -> None:
-    # the residual petviashvili returns floors at up to 3.3e-15 (its docstring)
-    if not tol >= 5e-15:
-        raise ValueError(f"tol must be >= 5e-15, the floor of a solve's residual, got {tol}")
+def _even_samples(grid: SpectralGrid, initial: Field | None) -> np.ndarray:
+    """Samples j = 0..n/2 of the guess's even part (default 3 exp(-x^2)).
+
+    x_{n-j} = -x_j, so an even field is fixed by these n/2+1 samples and its
+    half spectrum is their real DCT-I; v[-j] = v[n-j] is the sample at the
+    mirror point, and averaging the pairs projects onto the even sector.
+    """
+    v = 3.0 * np.exp(-(grid.xs**2)) if initial is None else initial.values
+    j = np.arange(grid.n // 2 + 1)
+    return 0.5 * (v[j] + v[-j])
+
+
+def _check_tol(tol: float, alpha: float, n: int, L: float) -> None:
+    """Raise ValueError unless a solve's returned residual can be held to
+    tol: tol >= 10 eps s, s = 1 + (pi n / 2L)^alpha the largest symbol
+    value on the grid.  The returned residual floors at up to 2.3 eps s
+    (petviashvili), measured at alpha 0.25..2, n 2^10..2^22."""
+    with np.errstate(over="ignore"):
+        floor = 10.0 * np.finfo(float).eps * (1.0 + np.float64(math.pi * n / (2.0 * L)) ** alpha)
+    if not tol >= floor:
+        raise ValueError(
+            f"tol must be >= {floor:.3g} = 10 eps (1 + (pi n / 2L)^alpha), "
+            f"the floor of a solve's residual on this grid, got {tol}")
 
 
 def _check_speed(c: float) -> None:

@@ -10,7 +10,9 @@ Conventions used throughout the package:
 Every field is real and every symbol here is Hermitian, so the library
 computes on half spectra, the plain np.fft.rfft coefficients k = 0..n/2:
 _half cuts a symbol to them and checks it, _apply applies it to a field,
-and _parseval is the one Parseval sum.
+and _parseval is the one Parseval sum.  Since x_{n-j} = -x_j, an even
+field is fixed by its samples j = 0..n/2, and _dct1 maps them to its
+(real) half spectrum and back, at half the length of an rfft.
 
 Odd (imaginary) symbols zero the unpaired Nyquist mode -n/2 so that real
 fields stay real and skew symmetry is exact on the grid.
@@ -111,8 +113,7 @@ def make_grid(n: int, L: float) -> SpectralGrid:
     n = int(n)
     _check_n(n)
     L = float(L)
-    if not np.isfinite(L) or L <= 0:
-        raise ValueError(f"L must be a positive finite number, got {L}")
+    _check_L(L, n)
     dx = 2.0 * L / n
     xs = -L + dx * np.arange(n)
     xis = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)  # equals pi*k/L, FFT order
@@ -124,6 +125,13 @@ def make_grid(n: int, L: float) -> SpectralGrid:
 def _check_n(n: int) -> None:
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two with n >= 16, got {n}")
+
+
+def _check_L(L: float, n: int) -> None:
+    # NaN, infinite, non-positive and overflowing L all leave no usable step
+    dx = 2.0 * L / n
+    if not (np.isfinite(dx) and dx > 0):
+        raise ValueError(f"L must be positive with a finite grid step 2L/n, got L = {L}, n = {n}")
 
 
 def _alpha_admitted(alpha: float) -> bool:
@@ -155,6 +163,53 @@ def _parseval(a: np.ndarray, b: np.ndarray, grid: SpectralGrid) -> float:
 def _half_l2(half: np.ndarray, grid: SpectralGrid) -> float:
     """L2 norm of a real field from its np.fft.rfft half spectrum."""
     return float(np.sqrt(_parseval(half, half, grid)))
+
+
+# at or below this many intervals a split is no faster than the rfft of the
+# even extension (one split against none, measured: 0.059 against 0.048 ms
+# at 2^11, 0.087 against 0.091 ms at 2^12, 0.55 against 0.79 ms at 2^14)
+_DCT1_DIRECT = 2**12
+
+
+@functools.lru_cache(maxsize=32)
+def _dct1_twiddle(m: int) -> np.ndarray:
+    """exp(i pi j / (2m)), j = 0..m/2: Makhoul's twiddle for a size-m DCT-III.
+
+    A transform of N+1 samples uses one per split level, about 8N bytes in
+    all (4.2 MB at N = 2^19, 17 MB at N = 2^21)."""
+    twiddle = np.exp(1j * np.pi / (2 * m) * np.arange(m // 2 + 1))
+    twiddle.setflags(write=False)
+    return twiddle
+
+
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """DCT-I of the N+1 samples x, N a power of two:
+
+        X_k = x_0 + (-1)^k x_N + 2 sum_{j=1}^{N-1} x_j cos(pi j k / N),
+
+    the np.fft.rfft of the even extension x_0..x_N, x_{N-1}..x_1; applied
+    twice it gives 2N x.  The even outputs are the DCT-I of x_j + x_{N-j}
+    (j = 0..N/2); the odd ones are the size-M = N/2 DCT-III of
+    z_j = x_j - x_{N-j}, which Makhoul's reordering gives from one irfft of
+    length M: twiddle z_j - i z_{M-j} by exp(i pi j / (2M)), transform,
+    and read the even outputs forward, the odd ones backward.
+    """
+    N = x.size - 1
+    if N <= _DCT1_DIRECT:
+        return np.fft.rfft(np.concatenate((x, x[-2:0:-1]))).real
+    M = N // 2
+    z = x[:M] - x[N:M:-1]
+    v = np.empty(M // 2 + 1, dtype=complex)
+    v.real = z[: M // 2 + 1]
+    v.imag[0] = 0.0
+    np.negative(z[: M // 2 - 1 : -1], out=v.imag[1:])
+    v *= _dct1_twiddle(M)
+    u = np.fft.irfft(v, M, norm="forward")
+    out = np.empty(N + 1)
+    out[0::2] = _dct1(x[: M + 1] + x[N : M - 1 : -1])
+    out[1::4] = u[: M // 2]
+    out[3::4] = u[: M // 2 - 1 : -1]
+    return out
 
 
 def forward(f: Field) -> Spectrum:

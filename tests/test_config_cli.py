@@ -172,15 +172,22 @@ def test_families_validation():
         ({"scenario": "commutators", "families": [{"family": "generator", "alpha": 3.0}]}, "alpha in \\(0, 2\\]"),
         ({"scenario": "commutators", "families": [{"family": "generator", "alpha": "x"}]}, "numbers"),
         ({"scenario": "commutators", "families": [{"family": ["generator"]}]}, "unknown family"),
-        # the residual a solve returns floors near 3e-15, so this check could never pass
+        # the residual a solve returns floors near 3e-15 here, 6.6e-15 on the
+        # second grid, so residual_within_tol could never pass
         ({"scenario": "groundstate", "alpha": 0.75, "n": 16384, "L": 800.0, "tol": 1e-15},
-         "tol must be >= 5e-15"),
+         "tol must be >= 3.22e-14"),
+        ({"scenario": "groundstate", "alpha": 0.5, "n": 262144, "L": 800.0, "tol": 5e-15},
+         "tol must be >= 5.26e-14"),
+        # dx = 2L/n overflows
+        ({"scenario": "evolve", "alpha": 0.5, "n": 16, "L": 1e308, "dt": 0.01, "T": 0.02},
+         "L must be positive with a finite grid step"),
         # the tail fit needs 8 grid points in its window
         ({"scenario": "groundstate", "alpha": 0.75, "n": 4096, "L": 200.0, "tol": 1e-10,
           "window": [30.0, 30.5]}, "only 5 samples in window"),
     ],
     ids=["stein-theta", "fractional-sum", "hilbert-orders", "hilbert-half-order",
          "generator-alpha", "non-number", "unhashable-family", "groundstate-tol-floor",
+         "groundstate-tol-floor-2^18", "evolve-L-overflow",
          "groundstate-window-samples"],
 )
 def test_kernel_ranges_are_config_errors(tmp_path, capsys, obj, message):
@@ -270,6 +277,8 @@ PARITY = {
     "alpha-stein": (lambda v: {"scenario": "stein", "pairs": [[v, 0.5]]}, "pairs",
                     lambda v: stein_asymptotics(v, 0.5), [0.0, 2.0, 2.1]),
     "n": (lambda v: {**EVOLVE_OK, "n": v}, "n", lambda v: make_grid(v, 1.0), [8, 15, 16, 24, 32]),
+    "L": (lambda v: {**EVOLVE_OK, "L": v}, "L", lambda v: make_grid(EVOLVE_OK["n"], v),
+          [-1.0, 0.0, 1e-3, 8.9e307, 9e307, 1e308]),
     "k": (lambda v: {**EVOLVE_OK, "k": v}, "k",
           lambda v: EvolveConfig(alpha=0.5, dt=0.01, t_final=0.5, power=v), [1, 2, 3]),
     "k-ucp": (lambda v: {**UCP_OK, "k": v}, "k",

@@ -154,7 +154,7 @@ def test_grid_mismatch_and_zero_field(corpus):
 
 
 def test_corpus_ratio_parameter_validation(corpus):
-    with pytest.raises(ValueError, match="unknown ratio family"):
+    with pytest.raises(ValueError, match="unknown family"):
         corpus_ratios(corpus, "laplace", alpha=0.5)
     with pytest.raises(ValueError, match="takes parameters"):
         corpus_ratios(corpus, "generator", beta=0.5)

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbbmlab.spectral import Field, field_l2, make_grid
+from fbbmlab.spectral import Field, _half_l2, _parseval, frac_deriv_symbol, make_grid
 from fbbmlab.ground_state import (
     NonConvergenceError,
     StabilizerDegenerateError,
+    _check_tol,
     _tail_samples,
     fit_tail_exponent,
     normalized_residual,
@@ -47,9 +48,38 @@ def test_fractional_profile_residual(wave_half):
 
 def test_profile_even_and_nonnegative(wave_half):
     v = wave_half.wave.values
-    # grid point x_0 = -L has no mirror; compare v[1:] against its reverse
-    np.testing.assert_allclose(v[1:], v[1:][::-1], atol=1e-10 * v.max())
+    # grid point x_0 = -L has no mirror; the solve mirrors the samples
+    # j = 0..n/2 into the rest, so v[1:] is bitwise its own reverse
+    np.testing.assert_array_equal(v[1:], v[1:][::-1])
     assert v.min() >= 0.0
+
+
+def _full_length_petviashvili(grid, alpha, tol):
+    """Reference: the same iteration on the rfft of all n samples."""
+    symbol = 1.0 + frac_deriv_symbol(grid, alpha)[: grid.n // 2 + 1]
+    coeffs = np.real(np.fft.rfft(3.0 * np.exp(-(grid.xs**2))))
+    size = _half_l2(coeffs, grid)
+    for it in range(1, 401):
+        psi = np.fft.irfft(coeffs, grid.n)
+        quad = np.real(np.fft.rfft(0.5 * psi**2))
+        lin = symbol * coeffs
+        if _half_l2(lin - quad, grid) / size < tol:
+            return psi, it
+        M = _parseval(coeffs, lin, grid) / _parseval(coeffs, quad, grid)
+        coeffs = M**2 / symbol * quad
+        size = _half_l2(coeffs, grid)
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize("n, L, alpha", [(2**14, 800.0, 0.75), (2**16, 6400.0, 0.5)])
+def test_half_length_solve_matches_full_length_reference(n, L, alpha):
+    # the even-sector iteration on n/2+1 samples is the full-length one:
+    # same stopping iteration, same profile up to roundoff
+    g = make_grid(n, L)
+    r = petviashvili(g, alpha, tol=1e-10)
+    ref, iterations = _full_length_petviashvili(g, alpha, 1e-10)
+    assert r.iterations == iterations
+    assert np.max(np.abs(r.wave.values - ref)) <= 1e-13 * np.max(ref)
 
 
 def test_stabilizer_history_ends_near_one(wave_half):
@@ -63,7 +93,7 @@ def test_default_tolerance_converges(grid):
 
 def test_tight_tolerance_reached_on_large_grid():
     # the roundoff floor does not grow with the grid: 1e-13 is reached at
-    # n = 2^16 (321 iterations when measured)
+    # n = 2^16 (321 iterations when measured, returned residual 9.8e-14)
     g = make_grid(2**16, 800.0)
     r = petviashvili(g, 0.5, tol=1e-13)
     assert r.residual < 2e-13
@@ -71,11 +101,14 @@ def test_tight_tolerance_reached_on_large_grid():
 
 def test_returned_residual_floor():
     # the stop test reaches tol 1e-15, but the returned residual recomputes
-    # the equation from the wave's samples and floors higher (3.3e-15 when
-    # measured), so a tol 1e-15 run fails residual_within_tol; the
-    # documented floor is 5e-15
+    # the equation from the wave's samples and floors higher (3.1e-15 when
+    # measured), so a tol 1e-15 run fails residual_within_tol; the rule a
+    # config's tol obeys (3.2e-14 on this grid) sits 4x to 20x above it
     r = petviashvili(make_grid(2**14, 800.0), 0.75, tol=1e-15)
     assert r.residual <= 5e-15
+    with pytest.raises(ValueError, match="tol must be"):
+        _check_tol(4.0 * r.residual, 0.75, 2**14, 800.0)
+    _check_tol(20.0 * r.residual, 0.75, 2**14, 800.0)
 
 
 def test_negative_guess_degenerates(grid):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from fbbmlab.evolution import energy, hamiltonian, mass
 from fbbmlab.ground_state import normalized_residual, petviashvili, traveling_wave_residual
 from fbbmlab.spectral import (
+    _DCT1_DIRECT,
     Field,
     Spectrum,
+    _dct1,
     _half_l2,
     _half_symbol,
     _parseval,
@@ -102,6 +104,26 @@ def test_round_trip_gaussian():
     u = np.exp(-g.xs**2)
     back = inverse(forward(Field(g, u)))
     np.testing.assert_allclose(back.values, u, atol=1e-13)
+
+
+def _even_extension_rfft(x):
+    return np.fft.rfft(np.concatenate((x, x[-2:0:-1]))).real
+
+
+@pytest.mark.parametrize("N", [_DCT1_DIRECT // 2, _DCT1_DIRECT, 2 * _DCT1_DIRECT, 2**16])
+@pytest.mark.parametrize("data", ["random", "smooth"])
+def test_dct1_is_the_rfft_of_the_even_extension(N, data):
+    # below the crossover _dct1 is that rfft; above it, the split transform
+    if data == "random":
+        x = np.random.default_rng(N).standard_normal(N + 1)
+    else:  # the even-sector samples of a solitary-like profile, x_N at the peak
+        x = 3.0 / np.cosh(np.linspace(-40.0, 0.0, N + 1) / 2.0) ** 2
+    ref = _even_extension_rfft(x)
+    got = _dct1(x)
+    assert got.shape == (N + 1,)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    back = _dct1(got) / (2 * N)
+    assert np.max(np.abs(back - x)) <= 1e-15 * np.max(np.abs(x))
 
 
 def test_parseval():
