@@ -4,6 +4,12 @@ Output contract: for a fixed config the CSV, JSON and plot-data files are
 byte-identical across reruns; the manifest is the only file allowed to
 differ (it records wall-clock time).  The manifest is written atomically
 and the exit status is nonzero exactly when an asserted check failed.
+
+Tables are written a column at a time: floats as repr, each distinct
+float64 value of a column formatted once into a fixed-width bytes table,
+and rows assembled and written CHUNK_ROWS at a time, so while rows are
+written the memory held beyond the columns is that table, one index per
+row and one chunk.
 """
 
 from __future__ import annotations
@@ -62,22 +68,45 @@ def _fmt(value) -> str:
 CHUNK_ROWS = 1 << 16  # table rows formatted and written per write call
 
 
-def _cells(col):
-    # tolist gives Python floats; mapping repr over them is _fmt, run in C
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        return map(repr, col.tolist())
-    return map(_fmt, col)
+def _column(col):
+    """cells(a, b): the UTF-8 cells of rows a..b-1 of one column.
+
+    A float64 column's distinct values, told apart by bit pattern so that
+    0.0 and -0.0 and NaN payloads stay apart, are formatted once, CHUNK_ROWS
+    at a time, into a fixed-width bytes table that the rows gather from: a
+    mirrored profile holds most values twice.  A column without repeats
+    maps repr over each chunk instead; tolist gives Python floats, so that
+    is _fmt run in C.
+    """
+    if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
+        return lambda a, b: map(str.encode, map(_fmt, col[a:b]))
+    distinct, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+    if distinct.size == col.size:
+        return lambda a, b: map(str.encode, map(repr, col[a:b].tolist()))
+    values = distinct.view(np.float64)
+    # the longest float64 repr has 24 characters.  Strings and bytes items
+    # are made one at a time, not listed: lists of them raised the solitary
+    # benchmark's peak RSS by about 1 MB, the allocator holding on to memory
+    table = np.empty(values.size, "S24")
+    for a in range(0, values.size, CHUNK_ROWS):
+        chunk = values[a : a + CHUNK_ROWS].tolist()
+        table[a : a + CHUNK_ROWS] = np.fromiter(map(repr, chunk), "S24", len(chunk))
+    # rows iterate the gathered chunk; its items drop the NUL padding, which
+    # no repr contains
+    return lambda a, b: table[inverse[a:b]]
 
 
 def _write_table(path: str, config_hash: str, header: str, cols, sep: str) -> None:
     """Write the comment and header lines, then the rows of equal-length
-    columns, formatting CHUNK_ROWS rows of one column at a time so memory
-    stays bounded."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config-hash: {config_hash}\n{header}\n")
+    columns, CHUNK_ROWS rows at a time so the formatted bytes held at once
+    stay bounded."""
+    columns = [_column(c) for c in cols]
+    sep = sep.encode()
+    with open(path, "wb") as fh:
+        fh.write(f"# config-hash: {config_hash}\n{header}\n".encode())
         for start in range(0, len(cols[0]), CHUNK_ROWS):
-            cells = [_cells(c[start : start + CHUNK_ROWS]) for c in cols]
-            fh.write("\n".join(map(sep.join, zip(*cells))) + "\n")
+            cells = [cells_of(start, start + CHUNK_ROWS) for cells_of in columns]
+            fh.write(b"\n".join(map(sep.join, zip(*cells))) + b"\n")
 
 
 def write_csv(path: str, table: Table, config_hash: str) -> None:

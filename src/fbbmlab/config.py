@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .estimates import _check_family, _check_orders, _check_size, _check_times
-from .evolution import EvolveConfig, _check_power, _check_stride
-from .ground_state import _check_speed, _check_tol, _tail_samples
+from .evolution import EvolveConfig, _check_dt, _check_power, _check_stride, _check_T
+from .ground_state import _check_speed, _check_tol, _speed_box, _tail_samples
 from .spectral import _check_L, _check_alpha, _check_n
 from .weighted import _check_r, _stein_range
 
@@ -139,8 +139,8 @@ _COMMON = {
 _TABLES = {
     "evolve": {
         **_COMMON,
-        "dt": ("number", _REQUIRED, _positive("dt")),
-        "T": ("number", _REQUIRED, _positive("T")),
+        "dt": ("number", _REQUIRED, _check_dt),
+        "T": ("number", _REQUIRED, _check_T),
         "k": ("int", 2, _check_power),
         "amplitude": ("number", 1.0, None),
         "width": ("number", 5.0, _positive("width")),
@@ -190,8 +190,8 @@ _TABLES = {
     },
     "ucp": {
         **_COMMON,
-        "dt": ("number", _REQUIRED, _positive("dt")),
-        "T": ("number", _REQUIRED, _positive("T")),
+        "dt": ("number", _REQUIRED, _check_dt),
+        "T": ("number", _REQUIRED, _check_T),
         "k": ("int", 2, _check_power),
         "t1": ("number", 0.0, None),
         "t2": ("number?", None, None),
@@ -243,6 +243,12 @@ def _cross_ucp(p, bad):
 def _cross_groundstate(p, bad):
     if msg := _violation("tol", _check_tol, p["tol"], p["alpha"], p["n"], p["L"]):
         bad.append(msg)
+    # the speed-c wave's box L / lambda can overflow where L does not
+    if p["c"] is not None:
+        try:
+            _speed_box(p["L"], p["alpha"], p["c"], p["n"])
+        except ValueError as e:
+            bad.append(f"c: {e}")
     # the runner fits the tail, the one reader of the window, below alpha = 2
     if p["window"] is not None and p["alpha"] < 2.0:
         try:

@@ -56,6 +56,16 @@ def _check_power(k: int) -> None:
         raise ValueError(f"nonlinearity power k must be >= 2, got {k}")
 
 
+def _check_dt(dt: float) -> None:
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+
+
+def _check_T(T: float) -> None:
+    if not T > 0:
+        raise ValueError(f"final time T must be positive, got {T}")
+
+
 def _check_stride(stride: int | None) -> None:
     if stride is not None and stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {stride}")
@@ -83,8 +93,8 @@ class EvolveConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        _check_dt(self.dt)
+        _check_T(self.t_final)
         _check_power(self.power)
         if self.dealias_fraction is not None and not 0.0 < self.dealias_fraction <= 1.0:
             raise ValueError(

@@ -26,6 +26,7 @@ from .spectral import (
     Field,
     SpectralGrid,
     _check_alpha,
+    _check_L,
     _dct1,
     _half,
     _half_l2,
@@ -182,6 +183,20 @@ def _check_speed(c: float) -> None:
         raise ValueError(f"wave speed c must exceed 1, got {c}")
 
 
+def _speed_box(L: float, alpha: float, c: float, n: int) -> float:
+    """Half-length L / lambda, lambda = ((c-1)/c)^(1/alpha), of the box
+    that scale_to_speed puts the speed-c wave on; raises ValueError unless
+    c > 1 and that box has a finite grid step."""
+    _check_speed(c)
+    lam = ((c - 1.0) / c) ** (1.0 / alpha)
+    box = L / lam if lam > 0.0 else math.inf
+    try:
+        _check_L(box, n)
+    except ValueError as e:
+        raise ValueError(f"speed-c box L / ((c-1)/c)^(1/alpha): {e}") from None
+    return box
+
+
 def scale_to_speed(psi: Field, alpha: float, c: float) -> Field:
     """Exact speed-c wave from the normalized profile, on its own box.
 
@@ -189,10 +204,8 @@ def scale_to_speed(psi: Field, alpha: float, c: float) -> Field:
     samples are the profile's samples rescaled and the box shrinks by
     lambda, so no interpolation error is introduced.
     """
-    _check_speed(c)
-    lam = ((c - 1.0) / c) ** (1.0 / alpha)
     g = psi.grid
-    stretched = make_grid(g.n, g.L / lam)
+    stretched = make_grid(g.n, _speed_box(g.L, alpha, c, g.n))
     return Field(stretched, 0.5 * (c - 1.0) * psi.values)
 
 

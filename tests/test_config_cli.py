@@ -181,13 +181,16 @@ def test_families_validation():
         # dx = 2L/n overflows
         ({"scenario": "evolve", "alpha": 0.5, "n": 16, "L": 1e308, "dt": 0.01, "T": 0.02},
          "L must be positive with a finite grid step"),
+        # L is fine, but the speed-c wave's box L / lambda overflows
+        ({"scenario": "groundstate", "alpha": 2.0, "n": 4096, "L": 1e307, "c": 1.0001,
+          "tol": 1e-9}, "speed-c box .* got L = inf"),
         # the tail fit needs 8 grid points in its window
         ({"scenario": "groundstate", "alpha": 0.75, "n": 4096, "L": 200.0, "tol": 1e-10,
           "window": [30.0, 30.5]}, "only 5 samples in window"),
     ],
     ids=["stein-theta", "fractional-sum", "hilbert-orders", "hilbert-half-order",
          "generator-alpha", "non-number", "unhashable-family", "groundstate-tol-floor",
-         "groundstate-tol-floor-2^18", "evolve-L-overflow",
+         "groundstate-tol-floor-2^18", "evolve-L-overflow", "groundstate-c-box-overflow",
          "groundstate-window-samples"],
 )
 def test_kernel_ranges_are_config_errors(tmp_path, capsys, obj, message):
@@ -247,6 +250,7 @@ WIDE_GRID = make_grid(1024, 50.0)
 WIDE = Field(WIDE_GRID, np.exp(-(WIDE_GRID.xs**2)))
 TAIL_GRID = make_grid(4096, 200.0)  # dx = 400/4096 is exact: x_2356 = 30.078125
 TAIL = Field(TAIL_GRID, 1.0 / (1.0 + TAIL_GRID.xs**2))
+HUGE = Field(make_grid(4096, 1e300), np.zeros(4096))  # L / lambda overflows for c near 1
 ODD_GRID = make_grid(256, 10.1)  # dx is not a binary fraction
 ODD = Field(ODD_GRID, 1.0 / (1.0 + ODD_GRID.xs**2))
 X0, X7 = float(ODD_GRID.xs[140]), float(ODD_GRID.xs[147])
@@ -279,6 +283,10 @@ PARITY = {
     "n": (lambda v: {**EVOLVE_OK, "n": v}, "n", lambda v: make_grid(v, 1.0), [8, 15, 16, 24, 32]),
     "L": (lambda v: {**EVOLVE_OK, "L": v}, "L", lambda v: make_grid(EVOLVE_OK["n"], v),
           [-1.0, 0.0, 1e-3, 8.9e307, 9e307, 1e308]),
+    "dt": (lambda v: {**EVOLVE_OK, "dt": v}, "dt",
+           lambda v: EvolveConfig(alpha=0.5, dt=v, t_final=0.5), [-0.01, 0.0, 0.01]),
+    "T": (lambda v: {**EVOLVE_OK, "T": v}, "T",
+          lambda v: EvolveConfig(alpha=0.5, dt=0.01, t_final=v), [-0.5, 0.0, 0.5]),
     "k": (lambda v: {**EVOLVE_OK, "k": v}, "k",
           lambda v: EvolveConfig(alpha=0.5, dt=0.01, t_final=0.5, power=v), [1, 2, 3]),
     "k-ucp": (lambda v: {**UCP_OK, "k": v}, "k",
@@ -309,6 +317,8 @@ PARITY = {
                        (np.nextafter(X0, 0.0), np.nextafter(X7, 9.0))]),
     "c": (lambda v: {**GROUNDSTATE, "c": v}, "c", lambda v: scale_to_speed(F64, 0.75, v),
           [0.5, 1.0, 1.0 + 1e-12, 2.0]),
+    "c-box": (lambda v: {**GROUNDSTATE, "L": 1e300, "c": v}, "c",
+              lambda v: scale_to_speed(HUGE, 0.75, v), [1.0 + 1e-12, 1.1, 2.0]),
     "r": (lambda v: {"scenario": "weighted-growth", "pairs": [[0.5, v]]}, "pairs",
           lambda v: group_weighted_growth(WIDE, 0.5, v, [1.0]), [-1e-9, 0.0, 0.5]),
     "r-norm": (lambda v: {"scenario": "weighted-growth", "pairs": [[0.5, v]]}, "pairs",
@@ -802,8 +812,26 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 1e16, -1e16,
                9999999999999998.0, 1e-4, 1e-5, 0.1, float("inf"), float("-inf"),
                float("nan")]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+# quiet and signalling NaNs, each with and without the sign bit; repr
+# writes every one as nan
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+            0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF, 0x7FF8000000000005]
+
+
+def _mirrored(v):
+    # v + v[::-1] holds each value twice, as a mirrored profile does
+    with np.errstate(all="ignore"):
+        return np.array(v) + np.array(v)[::-1]
+
+
 KINDS = {
     "float64": lambda n: st.lists(FLOATS, min_size=n, max_size=n).map(np.array),
+    "mirrored": lambda n: st.lists(FLOATS, min_size=n, max_size=n).map(_mirrored),
+    "zeros": lambda n: st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=n, max_size=n)
+    .map(np.array),
+    "nans": lambda n: st.lists(st.sampled_from(NAN_BITS + [0x3FF0000000000000]),
+                               min_size=n, max_size=n)
+    .map(lambda v: np.array(v, dtype=np.uint64).view(np.float64)),
     "float": lambda n: st.lists(FLOATS, min_size=n, max_size=n),
     "int": lambda n: st.lists(st.integers(-(10**20), 10**20), min_size=n, max_size=n),
     "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n),
@@ -824,6 +852,19 @@ def tables(draw):
 
 
 _LONG = np.random.default_rng(0).standard_normal(2 * cli_mod.CHUNK_ROWS + 1)
+# repeats that straddle chunks of 4 rows: mirror pairs, signed zeros, NaNs
+_REPEATS = Table(
+    "repeats",
+    ("psi [model units]", "z [model units]", "i [index]"),
+    (_mirrored(np.arange(11.0) ** 0.5 - 1.0),
+     np.array([0.0, -0.0, -0.0, 1.0, 0.0, -0.0, 1.0, 0.0, -0.0, 0.0, 0.0]),
+     range(11)),
+    (0, 1),
+)
+_REPEAT_NANS = Table(
+    "nans", ("v [model units]",),
+    (np.array(NAN_BITS * 2, dtype=np.uint64).view(np.float64),), (0, 0),
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -833,6 +874,8 @@ _LONG = np.random.default_rng(0).standard_normal(2 * cli_mod.CHUNK_ROWS + 1)
     chunk=cli_mod.CHUNK_ROWS,
 )
 @example(table=Table("empty", ("x [model units]",), (np.array([]),), (0, 0)), chunk=2)
+@example(table=_REPEATS, chunk=4)
+@example(table=_REPEAT_NANS, chunk=4)
 def test_writers_match_row_reference(table, chunk):
     with tempfile.TemporaryDirectory() as d, mock.patch.object(cli_mod, "CHUNK_ROWS", chunk):
         for plot, writer in ((False, cli_mod.write_csv), (True, cli_mod.write_plotdata)):
@@ -840,6 +883,21 @@ def test_writers_match_row_reference(table, chunk):
             writer(got, table, "f00d")
             _reference_write(want, table, "f00d", plot)
             assert open(got, "rb").read() == open(want, "rb").read()
+
+
+def test_writer_formats_each_distinct_float_once(tmp_path):
+    # a mirrored column of 1001 rows holds 501 distinct values
+    col = _mirrored(np.random.default_rng(1).standard_normal(1001))
+    table = Table("mirror", ("psi [model units]",), (col,), (0, 0))
+    distinct = np.unique(col.view(np.uint64)).size
+    assert distinct == 501
+    got, want = tmp_path / "got", tmp_path / "want"
+    with mock.patch.object(cli_mod, "CHUNK_ROWS", 64), \
+            mock.patch.object(cli_mod, "repr", side_effect=repr, create=True) as counted:
+        cli_mod.write_csv(str(got), table, "f00d")
+    assert 0 < counted.call_count <= distinct
+    _reference_write(str(want), table, "f00d", False)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_table_rejects_ragged_columns():
