@@ -28,7 +28,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .config import SCENARIOS, ConfigError, ScenarioConfig, load_config, with_seed
+from .config import _KINDS, _TABLES, SCENARIOS, ConfigError, ScenarioConfig, load_config, with_seed
 from .scenarios import Check, ScenarioResult, Table, run_scenario
 
 SCHEMA_NAMES = SCENARIOS + ("manifest",)
@@ -39,11 +39,63 @@ EXIT_CONFIG = 2
 EXIT_CHECK_FAILED = 3
 
 
+# The keys every summary opens with are declared here once; each shipped
+# schema file holds only its own keys, and load_schema adds these.
+_HASH = {"type": "string", "pattern": "^[0-9a-f]{64}$"}
+_SEED = {"type": "integer"}
+_GRID = {
+    "type": "object",
+    "required": ["n", "L", "dx"],
+    "additionalProperties": False,
+    "properties": {"n": {"type": "integer"}, "L": {"type": "number"}, "dx": {"type": "number"}},
+}
+
+
+def _envelope(scenario: str) -> dict:
+    """Schemas of the keys a scenario's summary opens with.  params holds
+    every key of the scenario's config table, of its kind (a kind ending in
+    "?" also allows null); a scenario on a grid has an n in its table."""
+    table = _TABLES[scenario]
+    params = {}
+    for key, (kind, _, _) in table.items():
+        t = _KINDS[kind.rstrip("?")][2]
+        params[key] = {"type": [t, "null"] if kind.endswith("?") else t}
+    env = {
+        "scenario": {"const": scenario},
+        "config_hash": _HASH,
+        "seed": _SEED,
+        "params": {"type": "object", "required": list(table),
+                   "additionalProperties": False, "properties": params},
+    }
+    if "n" in table:
+        env["grid"] = _GRID
+    return env
+
+
+def _with(schema: dict, props: dict) -> dict:
+    """schema with props added as required properties."""
+    return {**schema, "required": [*props, *schema["required"]],
+            "properties": {**props, **schema["properties"]}}
+
+
 def load_schema(name: str) -> dict:
+    """The self-contained schema of a scenario's summary or of the manifest:
+    the shipped file's own keys plus the envelope declared above."""
     if name not in SCHEMA_NAMES:
         raise ValueError(f"no schema named {name!r}; know {', '.join(SCHEMA_NAMES)}")
     path = resources.files("fbbmlab").joinpath(f"schemas/{name}.schema.json")
-    return json.loads(path.read_text(encoding="utf-8"))
+    schema = json.loads(path.read_text(encoding="utf-8"))
+    if name != "manifest":
+        return _with(schema, _envelope(name))
+    # the config echo's params are the summary's, typed there: a copy typed
+    # per scenario here made the manifest schema 3.5 times larger and its
+    # metaschema check, made once per process, about 50 ms slower
+    scenario = {"enum": list(SCENARIOS)}
+    config = schema["properties"]["config"]
+    schema["properties"]["config"] = _with(
+        config, {"scenario": scenario, "seed": _SEED, "params": {"type": "object"}})
+    grid = {"oneOf": [{"type": "null"}, _GRID]}
+    return _with(schema, {"scenario": scenario, "config_hash": _HASH, "grid": grid})
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,24 +128,27 @@ def _column(col):
     at a time, into a fixed-width bytes table that the rows gather from: a
     mirrored profile holds most values twice.  A column without repeats
     maps repr over each chunk instead; tolist gives Python floats, so that
-    is _fmt run in C.
+    is _fmt run in C.  A strictly increasing column skips the search for
+    repeats; it cannot hold both 0.0 and -0.0.
     """
     if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
         return lambda a, b: map(str.encode, map(_fmt, col[a:b]))
-    distinct, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-    if distinct.size == col.size:
-        return lambda a, b: map(str.encode, map(repr, col[a:b].tolist()))
-    values = distinct.view(np.float64)
-    # the longest float64 repr has 24 characters.  Strings and bytes items
-    # are made one at a time, not listed: lists of them raised the solitary
-    # benchmark's peak RSS by about 1 MB, the allocator holding on to memory
-    table = np.empty(values.size, "S24")
-    for a in range(0, values.size, CHUNK_ROWS):
-        chunk = values[a : a + CHUNK_ROWS].tolist()
-        table[a : a + CHUNK_ROWS] = np.fromiter(map(repr, chunk), "S24", len(chunk))
-    # rows iterate the gathered chunk; its items drop the NUL padding, which
-    # no repr contains
-    return lambda a, b: table[inverse[a:b]]
+    if not np.all(col[1:] > col[:-1]):
+        distinct, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+        if distinct.size < col.size:
+            values = distinct.view(np.float64)
+            # the longest float64 repr has 24 characters.  Strings and bytes
+            # items are made one at a time, not listed: lists of them raised
+            # the solitary benchmark's peak RSS by about 1 MB, the allocator
+            # holding on to memory
+            table = np.empty(values.size, "S24")
+            for a in range(0, values.size, CHUNK_ROWS):
+                chunk = values[a : a + CHUNK_ROWS].tolist()
+                table[a : a + CHUNK_ROWS] = np.fromiter(map(repr, chunk), "S24", len(chunk))
+            # rows iterate the gathered chunk; its items drop the NUL
+            # padding, which no repr contains
+            return lambda a, b: table[inverse[a:b]]
+    return lambda a, b: map(str.encode, map(repr, col[a:b].tolist()))
 
 
 def _write_table(path: str, config_hash: str, header: str, cols, sep: str) -> None:

@@ -273,13 +273,14 @@ _CROSS = {
 _DEFAULT_SEED = 20260819
 
 
-# value kind -> (accepted types, noun for the violation); "?" allows null
+# value kind -> (accepted types, noun for the violation, JSON type of the
+# summaries' params echo); "?" allows null
 _KINDS = {
-    "bool": ((bool,), "a boolean"),
-    "int": ((int,), "an integer"),
-    "number": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-    "list": ((list,), "a list"),
+    "bool": ((bool,), "a boolean", "boolean"),
+    "int": ((int,), "an integer", "integer"),
+    "number": ((int, float), "a number", "number"),
+    "str": ((str,), "a string", "string"),
+    "list": ((list,), "a list", "array"),
 }
 
 
@@ -289,7 +290,7 @@ def _check_kind(key, kind, value, bad):
             bad.append(f"{key} must not be null")
         return None
     base = kind.rstrip("?")
-    types, noun = _KINDS[base]
+    types, noun, _ = _KINDS[base]
     # bool is an int subtype, so a boolean only passes as a "bool"
     if isinstance(value, bool) != (base == "bool") or not isinstance(value, types):
         got = ", got a boolean" if isinstance(value, bool) else ""

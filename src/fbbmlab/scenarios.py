@@ -9,6 +9,7 @@ CLI writes around these results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,21 +77,21 @@ class ScenarioResult:
     grid: dict | None = None
 
 
+def _between(name: str, value, threshold: str, lo=-math.inf, hi=math.inf) -> Check:
+    """lo <= value <= hi, stated as threshold; a missing value fails."""
+    return Check(name, value is not None and lo <= value <= hi, value, threshold)
+
+
 def _at_most(name: str, value: float, tol: float) -> Check:
-    return Check(name, value <= tol, value, f"<= {tol:.0e}")
+    return _between(name, value, f"<= {tol:.0e}", hi=tol)
+
+
+def _within(name: str, value: float, target: float, tol: float) -> Check:
+    return Check(name, abs(value - target) <= tol, value, f"within {tol} of {target}")
 
 
 def _grid_dict(g: SpectralGrid) -> dict:
     return {"n": g.n, "L": g.L, "dx": g.dx}
-
-
-def _envelope(cfg: ScenarioConfig) -> dict:
-    return {
-        "scenario": cfg.scenario,
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "params": cfg.params,
-    }
 
 
 # ------------------------------------------------------------------ evolve
@@ -134,8 +135,6 @@ def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
     if p["linear_only"]:
         res.checks.append(_at_most("linear_l2_drift", drift["l2"], LINEAR_L2_TOL))
     res.summary = {
-        **_envelope(cfg),
-        "grid": res.grid,
         "steps": econf.steps,
         "linear_only": p["linear_only"],
         "drift": drift,
@@ -208,37 +207,15 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
         )
         res.checks.append(_at_most("tw_residual", float(tw), TW_RESIDUAL_TOL))
 
-    if p["assert_tail"]:
-        if tail is None:
-            res.checks.append(
-                Check(
-                    "tail_exponent",
-                    False,
-                    None,
-                    "no algebraic tail at alpha = 2; drop assert_tail",
-                )
-            )
-        else:
-            res.checks.append(
-                Check(
-                    "tail_exponent",
-                    abs(tail["exponent"] - target) <= TAIL_EXPONENT_TOL,
-                    tail["exponent"],
-                    f"within {TAIL_EXPONENT_TOL} of {target}",
-                )
-            )
-            res.checks.append(
-                Check(
-                    "tail_r_squared",
-                    tail["r_squared"] >= TAIL_R2_MIN,
-                    tail["r_squared"],
-                    f">= {TAIL_R2_MIN}",
-                )
-            )
+    if p["assert_tail"] and tail is None:
+        missing = "no algebraic tail at alpha = 2; drop assert_tail"
+        res.checks.append(_between("tail_exponent", None, missing))
+    elif p["assert_tail"]:
+        res.checks.append(_within("tail_exponent", tail["exponent"], target, TAIL_EXPONENT_TOL))
+        r2 = tail["r_squared"]
+        res.checks.append(_between("tail_r_squared", r2, f">= {TAIL_R2_MIN}", lo=TAIL_R2_MIN))
 
     res.summary = {
-        **_envelope(cfg),
-        "grid": res.grid,
         "alpha": p["alpha"],
         "residual": float(sol.residual),
         "iterations": sol.iterations,
@@ -284,22 +261,9 @@ def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
         values += [*fit.values_small, *fit.values_large]
         tag = f"({alpha:g},{theta:g})"
         if not fit.subtracted:
-            res.checks.append(
-                Check(
-                    f"p_small{tag}",
-                    abs(fit.p_small - target_small) <= STEIN_EXPONENT_TOL,
-                    fit.p_small,
-                    f"within {STEIN_EXPONENT_TOL} of {target_small}",
-                )
-            )
-        res.checks.append(
-            Check(
-                f"p_large{tag}",
-                abs(fit.p_large - target_large) <= STEIN_EXPONENT_TOL,
-                fit.p_large,
-                f"within {STEIN_EXPONENT_TOL} of {target_large}",
-            )
-        )
+            res.checks.append(_within(f"p_small{tag}", fit.p_small, target_small,
+                                      STEIN_EXPONENT_TOL))
+        res.checks.append(_within(f"p_large{tag}", fit.p_large, target_large, STEIN_EXPONENT_TOL))
     res.tables.append(
         Table(
             name="probes",
@@ -313,7 +277,7 @@ def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
             data=(alphas, thetas, branches, etas, values),
         )
     )
-    res.summary = {**_envelope(cfg), "pairs": pairs_out}
+    res.summary = {"pairs": pairs_out}
     return res
 
 
@@ -351,22 +315,10 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
                 "constant_weight_ratio": float(const_ratio),
             }
         )
-        res.checks.append(
-            Check(
-                f"refinement({family} {tag})",
-                0.5 <= rep.refinement_factor <= 2.0,
-                rep.refinement_factor,
-                "in [0.5, 2]",
-            )
-        )
-        res.checks.append(
-            Check(
-                f"constant_zero({family} {tag})",
-                const_ratio <= CONSTANT_COMMUTATOR_TOL,
-                float(const_ratio),
-                f"<= {CONSTANT_COMMUTATOR_TOL:.0e}",
-            )
-        )
+        res.checks.append(_between(f"refinement({family} {tag})", rep.refinement_factor,
+                                   "in [0.5, 2]", lo=0.5, hi=2.0))
+        res.checks.append(_at_most(f"constant_zero({family} {tag})", float(const_ratio),
+                                   CONSTANT_COMMUTATOR_TOL))
     res.tables.append(
         Table(
             name="ratios",
@@ -379,12 +331,7 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
             data=(families, tags, instances, ratios),
         )
     )
-    res.summary = {
-        **_envelope(cfg),
-        "grid": res.grid,
-        "size": p["size"],
-        "families": fams_out,
-    }
+    res.summary = {"size": p["size"], "families": fams_out}
     return res
 
 
@@ -416,14 +363,8 @@ def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
                 "base_norm": rep.base_norm,
             }
         )
-        res.checks.append(
-            Check(
-                f"slope({alpha:g},{r:g})",
-                rep.within_bound,
-                rep.slope,
-                f"<= {rep.bound}",
-            )
-        )
+        res.checks.append(_between(f"slope({alpha:g},{r:g})", rep.slope, f"<= {rep.bound}",
+                                   hi=rep.bound))
     res.tables.append(
         Table(
             name="growth",
@@ -436,7 +377,7 @@ def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
             data=(alphas, rs, ts, norms),
         )
     )
-    res.summary = {**_envelope(cfg), "grid": res.grid, "pairs": pairs_out}
+    res.summary = {"pairs": pairs_out}
     return res
 
 
@@ -476,17 +417,9 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
     res.checks.append(_at_most("mass_drift", mass_drift, MASS_DRIFT_TOL))
     sign_asserted = p["k"] % 2 == 0 and mass0 >= 0.0
     if sign_asserted:
-        res.checks.append(
-            Check(
-                "residual_dominates_mass",
-                R >= mass0 - 1e-9,
-                float(R),
-                f">= initial mass {mass0:.6g}",
-            )
-        )
+        res.checks.append(_between("residual_dominates_mass", float(R),
+                                   f">= initial mass {mass0:.6g}", lo=mass0 - 1e-9))
     res.summary = {
-        **_envelope(cfg),
-        "grid": res.grid,
         "k": p["k"],
         "t1": p["t1"],
         "t2": p["t2"],
@@ -509,5 +442,10 @@ RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    """Dispatch to the scenario's runner."""
-    return RUNNERS[cfg.scenario](cfg)
+    """Dispatch to the scenario's runner, whose summary holds its own keys,
+    and open that summary with the envelope every summary shares."""
+    res = RUNNERS[cfg.scenario](cfg)
+    grid = {} if res.grid is None else {"grid": res.grid}
+    res.summary = {"scenario": cfg.scenario, "config_hash": cfg.config_hash(), "seed": cfg.seed,
+                   "params": cfg.params, **grid, **res.summary}
+    return res

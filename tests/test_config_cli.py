@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 import fbbmlab.cli as cli_mod
 
 from fbbmlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_ERROR, EXIT_OK, load_schema, main
-from fbbmlab.config import ConfigError, _evolve_config, load_config, parse_config, validate_config
+from fbbmlab.config import (
+    _TABLES,
+    SCENARIOS,
+    ConfigError,
+    _evolve_config,
+    load_config,
+    parse_config,
+    validate_config,
+)
 from fbbmlab.estimates import (
     commutator_a_ratio,
     group_weighted_growth,
@@ -29,7 +37,7 @@ from fbbmlab.estimates import (
 )
 from fbbmlab.evolution import EvolveConfig, evolve
 from fbbmlab.ground_state import fit_tail_exponent, petviashvili, scale_to_speed
-from fbbmlab.scenarios import Check, ScenarioResult, Table
+from fbbmlab.scenarios import Check, ScenarioResult, Table, run_scenario
 from fbbmlab.spectral import Field, group_propagate, make_grid, op_a
 from fbbmlab.weighted import stein_asymptotics, weighted_norm
 
@@ -595,7 +603,7 @@ def test_exit_code_tracks_checks_exactly(tmp_path, monkeypatch):
     }
     passing = ScenarioResult(checks=[Check("x", True, 1.0, "<= 2")])
     passing.summary = {"scenario": "stein", "config_hash": "0" * 64, "seed": 1,
-                       "params": {}, "pairs": [pair]}
+                       "params": {"pairs": [[0.25, 0.75]]}, "pairs": [pair]}
     failing = ScenarioResult(checks=[Check("x", False, 3.0, "<= 2")])
     failing.summary = dict(passing.summary)
 
@@ -614,11 +622,68 @@ def test_shipped_schemas_pass_metaschema():
         jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
+# one small run of each scenario, every other key at its default
+SMALL = {
+    "evolve": EVOLVE_OK,
+    "groundstate": {"scenario": "groundstate", "alpha": 2.0, "n": 1024, "L": 50.0, "tol": 1e-9},
+    "stein": {"scenario": "stein", "pairs": [[0.25, 0.75]]},
+    "commutators": {"scenario": "commutators", "n": 256, "size": 3},
+    "weighted-growth": {"scenario": "weighted-growth", "t_count": 4, "pairs": [[0.5, 0.7]]},
+    "ucp": {"scenario": "ucp", "alpha": 0.5, "n": 256, "L": 50.0, "dt": 0.01, "T": 1.0},
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_summary_params_typed_from_config_table(scenario):
+    summary = run_scenario(validate_config(SMALL[scenario])).summary
+    schema = load_schema(scenario)
+    jsonschema.validate(summary, schema)
+    params = summary["params"]
+    wrong = [
+        {**params, "extra": 1},
+        *({k: v for k, v in params.items() if k != key} for key in params),
+        *({**params, key: {}} for key in params),  # an object is no config kind
+    ]
+    if "n" in params:
+        wrong.append({**params, "n": 1.5})
+    for bad in wrong:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**summary, "params": bad}, schema)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_schema_subcommand_prints_resolved_contract(capsys, scenario):
+    assert main(["schema", scenario]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "$ref" not in text  # self-contained
+    schema = json.loads(text)
+    assert schema["properties"]["params"]["required"] == list(_TABLES[scenario])
+    # the grid is part of the envelope exactly for the scenarios on a grid
+    assert ("grid" in schema["required"]) == ("n" in _TABLES[scenario])
+
+
+def test_shipped_config_outputs_match_resolved_schemas(tmp_path):
+    cfg_dir = os.path.join(REPO, "scripts", "configs")
+    manifest_schema = load_schema("manifest")
+    for name in sorted(os.listdir(cfg_dir)):
+        out = str(tmp_path / name)
+        assert main(["run", os.path.join(cfg_dir, name), "--out", out]) == EXIT_OK, name
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        jsonschema.validate(manifest, manifest_schema)
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        jsonschema.validate(summary, load_schema(manifest["scenario"]))
+        # the manifest names one of the scenarios, also in its config echo
+        for bad in ({**manifest, "scenario": "nope"},
+                    {**manifest, "config": {**manifest["config"], "scenario": "nope"}}):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, manifest_schema)
+
+
 def test_schema_violating_summary_lands_in_manifest(tmp_path, monkeypatch):
     # the cached validator still rejects a summary its schema forbids
     bad = ScenarioResult(checks=[Check("x", True, 1.0, "<= 2")])
     bad.summary = {"scenario": "stein", "config_hash": "0" * 64, "seed": 1,
-                   "params": {}, "pairs": "not a list"}
+                   "params": {"pairs": [[0.25, 0.75]]}, "pairs": "not a list"}
     monkeypatch.setattr(cli_mod, "run_scenario", lambda cfg: bad)
     for name in ("bad1", "bad2"):  # the second run reuses the validator
         code, out = run_cli(tmp_path, {"scenario": "stein", "pairs": [[0.25, 0.75]]}, name)
@@ -665,7 +730,7 @@ def test_non_finite_values_keep_json_strict(tmp_path, monkeypatch):
         "target_small": -0.5, "target_large": -1.25,
     }
     summary = {"scenario": "stein", "config_hash": "0" * 64, "seed": 1,
-               "params": {}, "pairs": [pair]}
+               "params": {"pairs": [[0.25, 0.75]]}, "pairs": [pair]}
     nan_check = ScenarioResult(checks=[Check("x", True, float("nan"), "<= 2")],
                                summary=summary)
     stein_cfg = {"scenario": "stein", "pairs": [[0.25, 0.75]]}
@@ -839,6 +904,9 @@ KINDS = {
     "int64": lambda n: st.lists(
         st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n
     ).map(lambda v: np.array(v, dtype=np.int64)),
+    # strictly increasing, as a grid is; unique by value, so one signed zero
+    "increasing": lambda n: st.lists(st.floats(allow_nan=False, width=64), min_size=n,
+                                     max_size=n, unique=True).map(sorted).map(np.array),
 }
 
 
@@ -852,6 +920,7 @@ def tables(draw):
 
 
 _LONG = np.random.default_rng(0).standard_normal(2 * cli_mod.CHUNK_ROWS + 1)
+_GRID = np.linspace(-300.0, 300.0, _LONG.size)  # strictly increasing, through 0.0
 # repeats that straddle chunks of 4 rows: mirror pairs, signed zeros, NaNs
 _REPEATS = Table(
     "repeats",
@@ -870,7 +939,8 @@ _REPEAT_NANS = Table(
 @settings(max_examples=150, deadline=None)
 @given(table=tables(), chunk=st.sampled_from([1, 2, 3, cli_mod.CHUNK_ROWS]))
 @example(
-    table=Table("long", ("x [model units]", "i [index]"), (_LONG, range(_LONG.size)), (0, 1)),
+    table=Table("long", ("x [model units]", "psi [model units]", "i [index]"),
+                (_GRID, _LONG, range(_LONG.size)), (0, 1)),
     chunk=cli_mod.CHUNK_ROWS,
 )
 @example(table=Table("empty", ("x [model units]",), (np.array([]),), (0, 0)), chunk=2)
@@ -898,6 +968,19 @@ def test_writer_formats_each_distinct_float_once(tmp_path):
     assert 0 < counted.call_count <= distinct
     _reference_write(str(want), table, "f00d", False)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_writer_skips_repeat_search_on_increasing_column(tmp_path):
+    # a grid column cannot repeat a value, so no np.unique runs on it
+    xs = make_grid(256, 10.0).xs
+    table = Table("grid", ("x [model units]", "i [index]"), (xs, range(xs.size)), (0, 1))
+    with mock.patch.object(np, "unique", side_effect=np.unique) as unique:
+        cli_mod.write_csv(str(tmp_path / "got"), table, "f00d")
+        assert unique.call_count == 0
+        cli_mod.write_csv(str(tmp_path / "flipped"), Table("flip", ("x",), (xs[::-1],)), "f00d")
+        assert unique.call_count == 1
+    _reference_write(str(tmp_path / "want"), table, "f00d", False)
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
 
 
 def test_table_rejects_ragged_columns():
