@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .config import _KINDS, _TABLES, SCENARIOS, ConfigError, ScenarioConfig, load_config, with_seed
-from .scenarios import Check, ScenarioResult, Table, run_scenario
+from .scenarios import Check, ScenarioResult, Table, envelope, run_scenario
 
 SCHEMA_NAMES = SCENARIOS + ("manifest",)
 
@@ -88,8 +88,7 @@ def load_schema(name: str) -> dict:
     if name != "manifest":
         return _with(schema, _envelope(name))
     # the config echo's params are the summary's, typed there: a copy typed
-    # per scenario here made the manifest schema 3.5 times larger and its
-    # metaschema check, made once per process, about 50 ms slower
+    # per scenario here made the manifest schema 3.5 times larger
     scenario = {"enum": list(SCENARIOS)}
     config = schema["properties"]["config"]
     schema["properties"]["config"] = _with(
@@ -100,12 +99,11 @@ def load_schema(name: str) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _validator(name: str):
-    """Validator of one shipped schema, checked against its metaschema once
-    per process instead of on every write."""
+    """Validator of one shipped schema, built once per process.  The test
+    suite checks the schemas against their metaschema; here that check
+    cost 13-26 ms per schema in every process."""
     schema = load_schema(name)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _fmt(value) -> str:
@@ -280,7 +278,8 @@ def _run(args) -> int:
     except OSError as e:
         print(f"cannot create output directory {out_dir}: {e.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-    config_hash = cfg.config_hash()
+    env = envelope(cfg)
+    config_hash = env["config_hash"]
 
     t0 = time.perf_counter()
     error = None
@@ -316,7 +315,7 @@ def _run(args) -> int:
             "seed": cfg.seed,
             "emit": cfg.emit,
         },
-        "grid": result.grid,
+        "grid": env.get("grid"),
         "checks": checks,
         "outputs": outputs,
         "wall_clock_s": wall,

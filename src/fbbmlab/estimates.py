@@ -97,9 +97,8 @@ def _synthesize(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 class TestCorpus:
     """Reproducible batch of band-limited fields and smooth weights.
 
-    fields are unit L2; weight_grad_sup records ||g'||_inf per weight.
-    The series coefficients are kept so the corpus can be re-sampled on
-    a finer grid as the same continuum functions.
+    fields are unit L2.  The series coefficients are kept so the corpus
+    can be re-sampled on a finer grid as the same continuum functions.
     """
 
     seed: int
@@ -109,7 +108,6 @@ class TestCorpus:
     weight_coeffs: np.ndarray
     fields: np.ndarray
     weights: np.ndarray
-    weight_grad_sup: np.ndarray
 
 
 def _grad_sup(values: np.ndarray, grid: SpectralGrid) -> float:
@@ -119,11 +117,9 @@ def _grad_sup(values: np.ndarray, grid: SpectralGrid) -> float:
 def _build(seed, size, grid, field_coeffs, weight_coeffs) -> TestCorpus:
     fields = np.empty((size, grid.n))
     weights = np.empty((size, grid.n))
-    grad = np.empty(size)
     for i in range(size):
         fields[i] = _synthesize(field_coeffs[i], grid)
         weights[i] = _synthesize(weight_coeffs[i], grid)
-        grad[i] = _grad_sup(weights[i], grid)
     return TestCorpus(
         seed=seed,
         size=size,
@@ -132,7 +128,6 @@ def _build(seed, size, grid, field_coeffs, weight_coeffs) -> TestCorpus:
         weight_coeffs=weight_coeffs,
         fields=fields,
         weights=weights,
-        weight_grad_sup=grad,
     )
 
 
@@ -332,29 +327,11 @@ class RatioReport:
     """
 
     family: str
-    seed: int
-    size: int
-    n: int
-    L: float
     params: dict
     ratios: tuple
     corpus_max: float
     refined_max: float
     refinement_factor: float
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "seed": self.seed,
-            "size": self.size,
-            "n": self.n,
-            "L": self.L,
-            "params": dict(self.params),
-            "ratios": list(self.ratios),
-            "corpus_max": self.corpus_max,
-            "refined_max": self.refined_max,
-            "refinement_factor": self.refinement_factor,
-        }
 
 
 def ratio_report(
@@ -378,10 +355,6 @@ def _report(family: str, corpus: TestCorpus, fine: TestCorpus, **params) -> Rati
     factor = fine_max / base_max if base_max > 0 else 1.0
     return RatioReport(
         family=family,
-        seed=corpus.seed,
-        size=corpus.size,
-        n=corpus.grid.n,
-        L=corpus.grid.L,
         params=dict(params),
         ratios=tuple(float(r) for r in ratios),
         corpus_max=base_max,
@@ -402,8 +375,6 @@ class GrowthReport:
     0.2 to absorb fit noise.
     """
 
-    alpha: float
-    r: float
     times: tuple
     norms: tuple
     base_norm: float
@@ -449,8 +420,6 @@ def group_weighted_growth(
     slope = _loglog_fit(ts[pos], norms[pos])[0] if np.count_nonzero(pos) >= 2 else 0.0
     bound = ceil(r) + 0.2
     return GrowthReport(
-        alpha=alpha,
-        r=r,
         times=tuple(float(t) for t in ts),
         norms=tuple(float(v) for v in norms),
         base_norm=float(base),

@@ -74,7 +74,6 @@ class ScenarioResult:
     tables: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
-    grid: dict | None = None
 
 
 def _between(name: str, value, threshold: str, lo=-math.inf, hi=math.inf) -> Check:
@@ -88,10 +87,6 @@ def _at_most(name: str, value: float, tol: float) -> Check:
 
 def _within(name: str, value: float, target: float, tol: float) -> Check:
     return Check(name, abs(value - target) <= tol, value, f"within {tol} of {target}")
-
-
-def _grid_dict(g: SpectralGrid) -> dict:
-    return {"n": g.n, "L": g.L, "dx": g.dx}
 
 
 # ------------------------------------------------------------------ evolve
@@ -115,7 +110,7 @@ def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
         "hamiltonian": float(np.max(np.abs(diag.hamiltonian - diag.hamiltonian[0]))),
         "l2": float(np.max(np.abs(diag.l2 - diag.l2[0]))),
     }
-    res = ScenarioResult(grid=_grid_dict(grid))
+    res = ScenarioResult()
     res.tables.append(
         Table(
             name="diagnostics",
@@ -136,7 +131,6 @@ def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
         res.checks.append(_at_most("linear_l2_drift", drift["l2"], LINEAR_L2_TOL))
     res.summary = {
         "steps": econf.steps,
-        "linear_only": p["linear_only"],
         "drift": drift,
         "final": {
             "l2": float(diag.l2[-1]),
@@ -169,7 +163,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
             "target": target,
         }
 
-    res = ScenarioResult(grid=_grid_dict(grid))
+    res = ScenarioResult()
     res.tables.append(
         Table(
             name="profile",
@@ -193,7 +187,6 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
         q = scale_to_speed(sol.wave, p["alpha"], p["c"])
         tw = traveling_wave_residual(q, p["alpha"], p["c"])
         scaled = {
-            "c": p["c"],
             "box_halfwidth": q.grid.L,
             "tw_residual": float(tw),
         }
@@ -216,7 +209,6 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
         res.checks.append(_between("tail_r_squared", r2, f">= {TAIL_R2_MIN}", lo=TAIL_R2_MIN))
 
     res.summary = {
-        "alpha": p["alpha"],
         "residual": float(sol.residual),
         "iterations": sol.iterations,
         "tail": tail,
@@ -230,7 +222,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult(grid=None)
+    res = ScenarioResult()
     alphas, thetas, branches, etas, values = [], [], [], [], []
     pairs_out = []
     for alpha, theta in cfg.params["pairs"]:
@@ -286,13 +278,13 @@ def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
 
 def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
-    grid = make_grid(p["n"], p["L"])
-    probe_field = Field(grid, make_corpus(p["n"], p["L"], 1, seed=cfg.seed).fields[0])
-    const = Field(grid, np.full(grid.n, 1.5))
     corpus = make_corpus(p["n"], p["L"], p["size"], seed=cfg.seed)
     fine = resample_corpus(corpus, 2 * p["n"])
+    # against a constant weight every family's ratio is exactly 0 or raises
+    const = Field(corpus.grid, np.full(p["n"], 1.5))
+    probe_field = Field(corpus.grid, corpus.fields[0])
 
-    res = ScenarioResult(grid=_grid_dict(grid))
+    res = ScenarioResult()
     families, tags, instances, ratios = [], [], [], []
     fams_out = []
     for entry in p["families"]:
@@ -331,7 +323,7 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
             data=(families, tags, instances, ratios),
         )
     )
-    res.summary = {"size": p["size"], "families": fams_out}
+    res.summary = {"families": fams_out}
     return res
 
 
@@ -344,7 +336,7 @@ def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
     phi = Field(grid, np.exp(-(grid.xs**2)))
     times = np.linspace(1.0, p["t_max"], p["t_count"])
 
-    res = ScenarioResult(grid=_grid_dict(grid))
+    res = ScenarioResult()
     alphas, rs, ts, norms = [], [], [], []
     pairs_out = []
     for alpha, r in p["pairs"]:
@@ -401,7 +393,7 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
     mass0 = float(masses[0])
     mass_drift = float(np.max(np.abs(masses - mass0)))
 
-    res = ScenarioResult(grid=_grid_dict(grid))
+    res = ScenarioResult()
     res.tables.append(
         Table(
             name="series",
@@ -420,9 +412,6 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
         res.checks.append(_between("residual_dominates_mass", float(R),
                                    f">= initial mass {mass0:.6g}", lo=mass0 - 1e-9))
     res.summary = {
-        "k": p["k"],
-        "t1": p["t1"],
-        "t2": p["t2"],
         "residual": float(R),
         "initial_mass": mass0,
         "mass_drift": mass_drift,
@@ -441,11 +430,21 @@ RUNNERS = {
 }
 
 
+def envelope(cfg: ScenarioConfig) -> dict:
+    """What the config fixes, which every summary opens with: the scenario,
+    config hash, seed and params, and, where params has an n, the grid
+    make_grid(n, L) builds."""
+    env = {"scenario": cfg.scenario, "config_hash": cfg.config_hash(), "seed": cfg.seed,
+           "params": cfg.params}
+    if "n" in cfg.params:
+        n, L = cfg.params["n"], cfg.params["L"]
+        env["grid"] = {"n": n, "L": L, "dx": 2.0 * L / n}
+    return env
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    """Dispatch to the scenario's runner, whose summary holds its own keys,
-    and open that summary with the envelope every summary shares."""
+    """Dispatch to the scenario's runner, whose summary holds only the
+    values it computed, and open that summary with the envelope."""
     res = RUNNERS[cfg.scenario](cfg)
-    grid = {} if res.grid is None else {"grid": res.grid}
-    res.summary = {"scenario": cfg.scenario, "config_hash": cfg.config_hash(), "seed": cfg.seed,
-                   "params": cfg.params, **grid, **res.summary}
+    res.summary = {**envelope(cfg), **res.summary}
     return res

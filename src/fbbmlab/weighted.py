@@ -189,6 +189,11 @@ def cutoff_bump(x, spec: CutoffSpec = CutoffSpec()):
     return a / (a + b)
 
 
+def _power_bump(alpha: float):
+    """The probe function |x|^alpha * cutoff_bump(x) of the |xi|^alpha symbol."""
+    return lambda x: np.abs(x) ** alpha * cutoff_bump(x)
+
+
 # -------------------------------------------- pointwise probe quadrature
 
 
@@ -307,9 +312,7 @@ def stein_asymptotics(alpha: float, theta: float) -> SteinAsymptotics:
     values are fitted.
     """
     _stein_range(alpha, theta)
-
-    def g(x):
-        return np.abs(x) ** alpha * cutoff_bump(x)
+    g = _power_bump(alpha)
 
     def value(e):
         return stein_pointwise(g, e, theta)
@@ -354,10 +357,7 @@ def l2_threshold_probe(alpha: float, theta: float, decades: int = 4) -> np.ndarr
     Increments shrink geometrically when theta < alpha + 1/2 (the integral
     is Cauchy) and grow without bound when theta > alpha + 1/2.
     """
-
-    def g(x):
-        return np.abs(x) ** alpha * cutoff_bump(x)
-
+    g = _power_bump(alpha)
     incs = []
     for k in range(1, decades + 1):
         es = np.logspace(-k - 1, -k, 25)
@@ -402,10 +402,7 @@ def bbm_symbol_stein_bound(alpha: float, theta: float):
         x = np.asarray(x, dtype=float)
         return cutoff_bump(x) / (1.0 + np.abs(x) ** alpha)
 
-    def g_pow(x):
-        x = np.asarray(x, dtype=float)
-        return np.abs(x) ** alpha * cutoff_bump(x)
-
+    g_pow = _power_bump(alpha)
     etas = np.logspace(-3, 2, 26)
     ratios = []
     for e in etas:

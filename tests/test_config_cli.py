@@ -37,7 +37,7 @@ from fbbmlab.estimates import (
 )
 from fbbmlab.evolution import EvolveConfig, evolve
 from fbbmlab.ground_state import fit_tail_exponent, petviashvili, scale_to_speed
-from fbbmlab.scenarios import Check, ScenarioResult, Table, run_scenario
+from fbbmlab.scenarios import Check, ScenarioResult, Table, envelope, run_scenario
 from fbbmlab.spectral import Field, group_propagate, make_grid, op_a
 from fbbmlab.weighted import stein_asymptotics, weighted_norm
 
@@ -584,6 +584,9 @@ def test_runner_error_lands_in_manifest(tmp_path, monkeypatch):
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["error"] == "RuntimeError: synthetic failure"
     assert manifest["outputs"] == [] and manifest["checks"] == []
+    # the grid comes from the config, so the failed run still records it
+    g = make_grid(EVOLVE_OK["n"], EVOLVE_OK["L"])
+    assert manifest["grid"] == {"n": g.n, "L": g.L, "dx": g.dx}
 
 
 def test_exit_code_tracks_checks_exactly(tmp_path, monkeypatch):
@@ -625,7 +628,8 @@ def test_shipped_schemas_pass_metaschema():
 # one small run of each scenario, every other key at its default
 SMALL = {
     "evolve": EVOLVE_OK,
-    "groundstate": {"scenario": "groundstate", "alpha": 2.0, "n": 1024, "L": 50.0, "tol": 1e-9},
+    "groundstate": {"scenario": "groundstate", "alpha": 2.0, "n": 1024, "L": 50.0, "tol": 1e-9,
+                    "c": 2.0},
     "stein": {"scenario": "stein", "pairs": [[0.25, 0.75]]},
     "commutators": {"scenario": "commutators", "n": 256, "size": 3},
     "weighted-growth": {"scenario": "weighted-growth", "t_count": 4, "pairs": [[0.5, 0.7]]},
@@ -660,6 +664,29 @@ def test_schema_subcommand_prints_resolved_contract(capsys, scenario):
     assert schema["properties"]["params"]["required"] == list(_TABLES[scenario])
     # the grid is part of the envelope exactly for the scenarios on a grid
     assert ("grid" in schema["required"]) == ("n" in _TABLES[scenario])
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_summary_says_each_value_once(tmp_path, scenario):
+    code, out = run_cli(tmp_path, SMALL[scenario], scenario)
+    assert code == EXIT_OK
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    params = summary["params"]
+    # past its envelope a summary holds only computed values: a key it
+    # shares with params (stein's pairs, commutators' families) holds the
+    # results per entry, not the config's list again
+    own = set(summary) - set(envelope(validate_config(SMALL[scenario])))
+    assert own and all(summary[k] != params[k] for k in own & set(params))
+    if scenario == "groundstate":
+        assert summary["scaled_wave"] and not set(summary["scaled_wave"]) & set(params)
+    # the grid is make_grid's, in the summary and the manifest alike
+    assert summary.get("grid") == manifest["grid"]
+    if "n" in params:
+        g = make_grid(params["n"], params["L"])
+        assert manifest["grid"] == {"n": g.n, "L": g.L, "dx": g.dx}
+    else:
+        assert manifest["grid"] is None
 
 
 def test_shipped_config_outputs_match_resolved_schemas(tmp_path):
