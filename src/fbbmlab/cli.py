@@ -5,11 +5,17 @@ byte-identical across reruns; the manifest is the only file allowed to
 differ (it records wall-clock time).  The manifest is written atomically
 and the exit status is nonzero exactly when an asserted check failed.
 
-Tables are written a column at a time: floats as repr, each distinct
-float64 value of a column formatted once into a fixed-width bytes table,
-and rows assembled and written CHUNK_ROWS at a time, so while rows are
-written the memory held beyond the columns is that table, one index per
-row and one chunk.
+Tables are written a column and CHUNK_ROWS rows at a time.  Each column
+chunk becomes a NUL-padded (rows, width) uint8 matrix with a mask of the
+bytes to keep; one hstack puts a chunk's matrices between separator and
+newline columns, and one boolean compress makes the bytes of one write.
+Floats are written as repr: a strictly increasing column of values k/2^s
+with at most 15 significant digits (a dyadic grid) from int64 digit
+arithmetic, since that exact decimal is the only string as short that
+reads back as the value (_dyadic), and any other float64 column from the
+repr of each distinct value, formatted once into a fixed-width bytes
+table.  While rows are written, the memory held beyond the columns is
+that table, one index per row and one chunk's matrices.
 """
 
 from __future__ import annotations
@@ -118,48 +124,121 @@ def _fmt(value) -> str:
 CHUNK_ROWS = 1 << 16  # table rows formatted and written per write call
 
 
-def _column(col):
-    """cells(a, b): the UTF-8 cells of rows a..b-1 of one column.
+def _padded(cells):
+    """A fixed-width bytes array as a (rows, width) uint8 matrix and the
+    mask of its bytes that are not NUL padding (repr writes no NUL)."""
+    m = cells.view(np.uint8).reshape(cells.size, cells.itemsize)
+    return m, m != 0
 
-    A float64 column's distinct values, told apart by bit pattern so that
-    0.0 and -0.0 and NaN payloads stay apart, are formatted once, CHUNK_ROWS
-    at a time, into a fixed-width bytes table that the rows gather from: a
-    mirrored profile holds most values twice.  A column without repeats
-    maps repr over each chunk instead; tolist gives Python floats, so that
-    is _fmt run in C.  A strictly increasing column skips the search for
-    repeats; it cannot hold both 0.0 and -0.0.
+
+def _reprs(values):
+    """The repr of each value of a float64 chunk, as S24 (the longest float64
+    repr); tolist gives Python floats, so this is _fmt run in C.  The bytes
+    are made one at a time: listing them first raised the solitary
+    benchmark's peak RSS by about 1 MB, the allocator holding on to it."""
+    return np.fromiter(map(repr, values.tolist()), "S24", values.size)
+
+
+def _dyadic(part):
+    """The cells of a float64 chunk written from its digits, or None where
+    that might not be repr.
+
+    Every value must be k/2^s with W + s <= 15 (W the digit count of the
+    largest integer part), and none nonzero under 1e-4 in magnitude.  Such
+    a value is exactly the decimal of its integer part and the s fraction
+    digits j 5^s, j its fraction times 2^s: at most 15 significant digits.
+    Two decimals of at most 15 significant digits never round to the same
+    double, so no other string as short lies within half an ulp: this is
+    repr's shortest round trip, written positionally as repr does for
+    1e-4 <= |v| < 1e16.  The sign comes from signbit, so -0.0 keeps it.
+    """
+    size = np.abs(part)
+    if not size.max() < 1e15:
+        return None  # also inf and nan
+    whole = np.trunc(size)
+    frac = (size - whole) * 2.0**14  # exact; W >= 1 digit, so s <= 14
+    if not np.array_equal(frac, np.trunc(frac)):
+        return None
+    k = frac.astype(np.int64)
+    low = int(np.bitwise_or.reduce(k))
+    s = 15 - (low & -low).bit_length() if low else 0  # 14 less k's trailing zeros
+    whole = whole.astype(np.int64)
+    width = len(str(int(whole.max())))
+    if width + s > 15 or np.any((size > 0) & (size < 1e-4)):
+        return None
+    m = np.zeros((part.size, width + max(s, 1) + 2), np.uint8)
+    m[:, 0] = np.where(np.signbit(part), ord("-"), 0)
+    m[:, width + 1] = ord(".")
+    # right to left, NUL for a blank: integer digit j is blank where
+    # |v| < 10^(width - j), fraction digit i where it and every digit after
+    # it are 0; the units and the first fraction digit always stay
+    rest = whole
+    for j in range(width, 0, -1):
+        rest, digit = rest // 10, rest % 10 + 48
+        m[:, j] = digit if j == width else np.where(whole >= 10 ** (width - j), digit, 0)
+    rest, seen = (k >> 14 - s) * 5**s, False
+    for i in range(max(s, 1), 0, -1):
+        rest, digit = rest // 10, rest % 10
+        seen = seen | (digit > 0)
+        m[:, width + 1 + i] = digit + 48 if i == 1 else np.where(seen, digit + 48, 0)
+    return m, m != 0
+
+
+def _column(col):
+    """cells(a, b): rows a..b-1 of one column as a (rows, width) uint8
+    matrix and the mask of its bytes to write.
+
+    A strictly increasing float64 column cannot repeat a value (nor hold
+    both 0.0 and -0.0).  Its chunks are written by _dyadic where it can, as
+    on a grid with a dyadic step, unless its first 64 values fail, and by
+    repr where it cannot.  Another float64 column's distinct values, told
+    apart by bit pattern so that 0.0 and -0.0 and NaN payloads stay apart,
+    are formatted once, CHUNK_ROWS at a time, into a table that the rows
+    gather from: a mirrored profile holds most values twice.  Any other
+    column is _fmt per cell, masked by length: a label may hold a NUL.
     """
     if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
-        return lambda a, b: map(str.encode, map(_fmt, col[a:b]))
-    if not np.all(col[1:] > col[:-1]):
+        def cells(a, b):
+            text = [_fmt(v).encode() for v in col[a:b]]
+            m = _padded(np.array(text, "S"))[0]
+            size = np.fromiter(map(len, text), np.intp, len(text))
+            return m, np.arange(m.shape[1]) < size[:, None]
+        return cells
+    if np.all(col[1:] > col[:-1]):
+        if col.size and _dyadic(col[:64]) is not None:
+            def cells(a, b):
+                dyadic = _dyadic(col[a:b])
+                return dyadic if dyadic is not None else _padded(_reprs(col[a:b]))
+            return cells
+    else:
         distinct, inverse = np.unique(col.view(np.uint64), return_inverse=True)
         if distinct.size < col.size:
             values = distinct.view(np.float64)
-            # the longest float64 repr has 24 characters.  Strings and bytes
-            # items are made one at a time, not listed: lists of them raised
-            # the solitary benchmark's peak RSS by about 1 MB, the allocator
-            # holding on to memory
             table = np.empty(values.size, "S24")
             for a in range(0, values.size, CHUNK_ROWS):
-                chunk = values[a : a + CHUNK_ROWS].tolist()
-                table[a : a + CHUNK_ROWS] = np.fromiter(map(repr, chunk), "S24", len(chunk))
-            # rows iterate the gathered chunk; its items drop the NUL
-            # padding, which no repr contains
-            return lambda a, b: table[inverse[a:b]]
-    return lambda a, b: map(str.encode, map(repr, col[a:b].tolist()))
+                table[a : a + CHUNK_ROWS] = _reprs(values[a : a + CHUNK_ROWS])
+            return lambda a, b: _padded(table[inverse[a:b]])
+    return lambda a, b: _padded(_reprs(col[a:b]))
 
 
 def _write_table(path: str, config_hash: str, header: str, cols, sep: str) -> None:
     """Write the comment and header lines, then the rows of equal-length
-    columns, CHUNK_ROWS rows at a time so the formatted bytes held at once
-    stay bounded."""
+    columns, CHUNK_ROWS rows at a time: a chunk's rows are one hstack of
+    its column matrices between separator and newline columns, and one
+    boolean mask drops the padding before a single write."""
     columns = [_column(c) for c in cols]
-    sep = sep.encode()
+    rows = len(cols[0])
     with open(path, "wb") as fh:
         fh.write(f"# config-hash: {config_hash}\n{header}\n".encode())
-        for start in range(0, len(cols[0]), CHUNK_ROWS):
-            cells = [cells_of(start, start + CHUNK_ROWS) for cells_of in columns]
-            fh.write(b"\n".join(map(sep.join, zip(*cells))) + b"\n")
+        for start in range(0, rows, CHUNK_ROWS):
+            count = min(CHUNK_ROWS, rows - start)
+            between = (np.full((count, 1), ord(sep), np.uint8), np.ones((count, 1), bool))
+            parts = []
+            for cells_of in columns:
+                parts += [cells_of(start, start + count), between]
+            parts[-1] = (np.full((count, 1), ord("\n"), np.uint8), between[1])
+            matrix, keep = (np.hstack(p) for p in zip(*parts))
+            fh.write(matrix[keep])
 
 
 def write_csv(path: str, table: Table, config_hash: str) -> None:

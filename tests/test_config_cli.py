@@ -916,6 +916,24 @@ def _mirrored(v):
         return np.array(v) + np.array(v)[::-1]
 
 
+# grid lengths whose step 2L/n is dyadic (integers and k/2^m) or not
+# (100/3, 1e-3), has too many binary places (2^-20) or reaches 15 integer
+# digits (9e14)
+GRID_LENGTHS = st.one_of(
+    st.sampled_from([100 / 3, 1e-3, 2.0**-20, 9e14]),
+    st.integers(1, 10**6).map(float),
+    st.builds(lambda k, m: k / 2**m, st.integers(1, 10**6), st.integers(1, 20)),
+)
+
+
+def _grid_rows(n):
+    # n consecutive points of a grid of 16..1024 points, anywhere on it
+    return st.builds(
+        lambda m, L, at: make_grid(m, L).xs[at % (m - n + 1) :][:n],
+        st.sampled_from([16, 32, 64, 128, 256, 512, 1024]), GRID_LENGTHS, st.integers(0, 1024),
+    )
+
+
 KINDS = {
     "float64": lambda n: st.lists(FLOATS, min_size=n, max_size=n).map(np.array),
     "mirrored": lambda n: st.lists(FLOATS, min_size=n, max_size=n).map(_mirrored),
@@ -927,13 +945,14 @@ KINDS = {
     "float": lambda n: st.lists(FLOATS, min_size=n, max_size=n),
     "int": lambda n: st.lists(st.integers(-(10**20), 10**20), min_size=n, max_size=n),
     "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n),
-    "label": lambda n: st.lists(st.text("ab=;.-_ 0", max_size=6), min_size=n, max_size=n),
+    "label": lambda n: st.lists(st.text("ab=;.-_ 0\x00é", max_size=6), min_size=n, max_size=n),
     "int64": lambda n: st.lists(
         st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n
     ).map(lambda v: np.array(v, dtype=np.int64)),
     # strictly increasing, as a grid is; unique by value, so one signed zero
     "increasing": lambda n: st.lists(st.floats(allow_nan=False, width=64), min_size=n,
                                      max_size=n, unique=True).map(sorted).map(np.array),
+    "grid": _grid_rows,
 }
 
 
@@ -957,6 +976,23 @@ _REPEATS = Table(
      range(11)),
     (0, 1),
 )
+# the digit writer's edges: 15 significant digits against 16 (and 17,
+# where repr rounds the exact decimal off), 2^-14 under 1e-4 against 1e-4
+# itself, a whole-number column (no binary places), and a dyadic column
+# whose second chunk of 64 rows is not
+_DYADIC_EDGES = Table(
+    "edges",
+    ("d15 [u]", "d16 [u]", "small [u]", "tenk [u]", "whole [u]"),
+    (np.array([-12345678901234.5, 0.25, 12345678901234.5]),
+     np.array([0.5, 123456789012345.5, 999999999999999.75]),
+     np.array([2.0**-14, 2.0**-13, 0.5]),
+     np.array([1e-4, 0.5, 1.0]),
+     np.array([-3.0, 0.0, 999999999999999.0])),
+    (0, 1),
+)
+_DYADIC_THEN_NOT = Table(
+    "tail", ("x [u]",), (np.append(np.arange(-50.0, 50.0), 123456789012345.5),), (0, 0),
+)
 _REPEAT_NANS = Table(
     "nans", ("v [model units]",),
     (np.array(NAN_BITS * 2, dtype=np.uint64).view(np.float64),), (0, 0),
@@ -973,6 +1009,10 @@ _REPEAT_NANS = Table(
 @example(table=Table("empty", ("x [model units]",), (np.array([]),), (0, 0)), chunk=2)
 @example(table=_REPEATS, chunk=4)
 @example(table=_REPEAT_NANS, chunk=4)
+@example(table=_DYADIC_EDGES, chunk=1)
+@example(table=_DYADIC_EDGES, chunk=cli_mod.CHUNK_ROWS)
+@example(table=Table("negzero", ("z [u]",), (np.array([-0.0]),), (0, 0)), chunk=1)
+@example(table=_DYADIC_THEN_NOT, chunk=64)
 def test_writers_match_row_reference(table, chunk):
     with tempfile.TemporaryDirectory() as d, mock.patch.object(cli_mod, "CHUNK_ROWS", chunk):
         for plot, writer in ((False, cli_mod.write_csv), (True, cli_mod.write_plotdata)):
@@ -1008,6 +1048,21 @@ def test_writer_skips_repeat_search_on_increasing_column(tmp_path):
         assert unique.call_count == 1
     _reference_write(str(tmp_path / "want"), table, "f00d", False)
     assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+def test_writer_spells_dyadic_grid_from_digits(tmp_path):
+    # a step of 200/4096 = 25/512 has 9 binary places: every value is an
+    # exact short decimal, written with no repr call; a step of (200/3)/4096
+    # is not dyadic, and each of its values takes one
+    for L, calls in ((100.0, 0), (100 / 3, 4096)):
+        xs = make_grid(4096, L).xs
+        table = Table("grid", ("x [model units]",), (xs,), (0, 0))
+        got, want = tmp_path / "got", tmp_path / "want"
+        with mock.patch.object(cli_mod, "repr", side_effect=repr, create=True) as counted:
+            cli_mod.write_csv(str(got), table, "f00d")
+        assert counted.call_count == calls
+        _reference_write(str(want), table, "f00d", False)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_table_rejects_ragged_columns():

@@ -54,6 +54,16 @@ def test_profile_even_and_nonnegative(wave_half):
     assert v.min() >= 0.0
 
 
+def test_returned_wave_is_the_converged_iterate():
+    # zeroing the slightly negative far tail of this alpha = 2 solve raised
+    # the returned residual from 8.5e-13 to 3.2e-11, past tol
+    grid = make_grid(1024, 200.0)
+    r = petviashvili(grid, 2.0, tol=1e-12)
+    assert r.residual <= 1e-12
+    exact = 3.0 / np.cosh(grid.xs / 2.0) ** 2
+    assert np.max(np.abs(r.wave.values - exact)) <= 1e-6
+
+
 def _full_length_petviashvili(grid, alpha, tol):
     """Reference: the same iteration on the rfft of all n samples."""
     symbol = 1.0 + frac_deriv_symbol(grid, alpha)[: grid.n // 2 + 1]
