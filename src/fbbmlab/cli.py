@@ -93,12 +93,12 @@ def load_schema(name: str) -> dict:
     schema = json.loads(path.read_text(encoding="utf-8"))
     if name != "manifest":
         return _with(schema, _envelope(name))
-    # the config echo's params are the summary's, typed there: a copy typed
-    # per scenario here made the manifest schema 3.5 times larger
-    scenario = {"enum": list(SCENARIOS)}
+    # the scenario is named once, at the top level; the config echo's params
+    # are the summary's, typed there: a copy typed per scenario here made the
+    # manifest schema 3.5 times larger
     config = schema["properties"]["config"]
-    schema["properties"]["config"] = _with(
-        config, {"scenario": scenario, "seed": _SEED, "params": {"type": "object"}})
+    schema["properties"]["config"] = _with(config, {"seed": _SEED, "params": {"type": "object"}})
+    scenario = {"enum": list(SCENARIOS)}
     grid = {"oneOf": [{"type": "null"}, _GRID]}
     return _with(schema, {"scenario": scenario, "config_hash": _HASH, "grid": grid})
 
@@ -389,7 +389,6 @@ def _run(args) -> int:
         "scenario": cfg.scenario,
         "config_hash": config_hash,
         "config": {
-            "scenario": cfg.scenario,
             "params": cfg.params,
             "seed": cfg.seed,
             "emit": cfg.emit,
@@ -448,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the JSON config file")
     p_run.add_argument("--out", default=None, help="output directory (overrides config and FBBMLAB_OUT)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=1, help="ignored; accepted for old command lines")
     p_run.set_defaults(func=_run)
 
     p_val = sub.add_parser("validate", help="validate a config and exit")

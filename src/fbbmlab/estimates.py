@@ -326,8 +326,6 @@ class RatioReport:
     base corpus max; a passing family keeps it inside [1/2, 2].
     """
 
-    family: str
-    params: dict
     ratios: tuple
     corpus_max: float
     refined_max: float
@@ -354,8 +352,6 @@ def _report(family: str, corpus: TestCorpus, fine: TestCorpus, **params) -> Rati
     base_max = float(np.max(ratios))
     factor = fine_max / base_max if base_max > 0 else 1.0
     return RatioReport(
-        family=family,
-        params=dict(params),
         ratios=tuple(float(r) for r in ratios),
         corpus_max=base_max,
         refined_max=fine_max,
@@ -370,12 +366,12 @@ def _report(family: str, corpus: TestCorpus, fine: TestCorpus, **params) -> Rati
 class GrowthReport:
     """Fitted polynomial growth of ||<x>^r exp(tA) phi||_2.
 
-    slope is the least-squares slope of log norm against log t over the
-    positive sample times; the expected ceiling is ceil(r), padded by
-    0.2 to absorb fit noise.
+    norms holds the norm at each of the caller's sample times.  slope is
+    the least-squares slope of log norm against log t over the positive
+    sample times; the expected ceiling is ceil(r), padded by 0.2 to
+    absorb fit noise.
     """
 
-    times: tuple
     norms: tuple
     base_norm: float
     slope: float
@@ -420,7 +416,6 @@ def group_weighted_growth(
     slope = _loglog_fit(ts[pos], norms[pos])[0] if np.count_nonzero(pos) >= 2 else 0.0
     bound = ceil(r) + 0.2
     return GrowthReport(
-        times=tuple(float(t) for t in ts),
         norms=tuple(float(v) for v in norms),
         base_norm=float(base),
         slope=slope,

@@ -237,13 +237,10 @@ class DiagnosticsSeries:
     hamiltonian: np.ndarray
     l2: np.ndarray
     sup: np.ndarray
-    weighted: np.ndarray | None = None
 
 
-def diagnostics_series(traj: Trajectory, weight_r: float | None = None) -> DiagnosticsSeries:
+def diagnostics_series(traj: Trajectory) -> DiagnosticsSeries:
     """Conserved quantities and norms along a trajectory."""
-    from .weighted import weighted_norm
-
     k = traj.config.power
     dsym = _half(frac_deriv_symbol(traj.grid, traj.config.alpha / 2.0), traj.grid.n)
     fields = [traj.field_at(i) for i in range(len(traj))]
@@ -258,5 +255,4 @@ def diagnostics_series(traj: Trajectory, weight_r: float | None = None) -> Diagn
         hamiltonian=series(lambda f: hamiltonian(f, k)),
         l2=series(field_l2),
         sup=series(field_linf),
-        weighted=None if weight_r is None else series(lambda f: weighted_norm(f, weight_r)),
     )

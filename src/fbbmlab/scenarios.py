@@ -231,8 +231,6 @@ def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
         target_large = -(0.5 + theta)
         pairs_out.append(
             {
-                "alpha": alpha,
-                "theta": theta,
                 "p_small": fit.p_small,
                 "r2_small": fit.r2_small,
                 "p_large": fit.p_large,
@@ -299,8 +297,6 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
         ratios += rep.ratios
         fams_out.append(
             {
-                "family": family,
-                "params": fparams,
                 "corpus_max": rep.corpus_max,
                 "refined_max": rep.refined_max,
                 "refinement_factor": rep.refinement_factor,
@@ -341,14 +337,12 @@ def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
     pairs_out = []
     for alpha, r in p["pairs"]:
         rep = group_weighted_growth(phi, alpha, r, times)
-        alphas += [alpha] * len(rep.times)
-        rs += [r] * len(rep.times)
-        ts += rep.times
+        alphas += [alpha] * times.size
+        rs += [r] * times.size
+        ts += times.tolist()
         norms += rep.norms
         pairs_out.append(
             {
-                "alpha": alpha,
-                "r": r,
                 "slope": rep.slope,
                 "bound": rep.bound,
                 "within_bound": rep.within_bound,
@@ -444,7 +438,8 @@ def envelope(cfg: ScenarioConfig) -> dict:
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Dispatch to the scenario's runner, whose summary holds only the
-    values it computed, and open that summary with the envelope."""
+    values it computed, and open that summary with the envelope.  A list of
+    per-entry results is positional: entry i belongs to params entry i."""
     res = RUNNERS[cfg.scenario](cfg)
     res.summary = {**envelope(cfg), **res.summary}
     return res

@@ -277,8 +277,6 @@ def _loglog_fit(xs, ys):
 
 @dataclass
 class SteinAsymptotics:
-    alpha: float
-    theta: float
     p_small: float
     r2_small: float
     p_large: float
@@ -333,8 +331,6 @@ def stein_asymptotics(alpha: float, theta: float) -> SteinAsymptotics:
     p_large, r2_large = _loglog_fit(etas_large, vals_large)
 
     return SteinAsymptotics(
-        alpha=alpha,
-        theta=theta,
         p_small=p_small,
         r2_small=r2_small,
         p_large=p_large,

@@ -375,24 +375,24 @@ def test_criterion_10_commutator_corpus():
     # corpus maxima of the weighted commutator ratios are finite and at
     # most double under grid refinement; constant symbols commute exactly
     t0 = time.perf_counter()
-    reports = [
-        ratio_report("generator", n=2048, L=50.0, size=50, seed=7001, alpha=0.5),
-        ratio_report("hilbert", n=2048, L=50.0, size=50, seed=7001, l=0, m=1),
-        ratio_report("hilbert", n=2048, L=50.0, size=50, seed=7001, l=1, m=1),
-        ratio_report("fractional", n=2048, L=50.0, size=50, seed=7001, alpha=0.25, beta=0.5),
-    ]
     lines = []
     ok = True
-    for rep in reports:
+    for family, params in (
+        ("generator", dict(alpha=0.5)),
+        ("hilbert", dict(l=0, m=1)),
+        ("hilbert", dict(l=1, m=1)),
+        ("fractional", dict(alpha=0.25, beta=0.5)),
+    ):
+        rep = ratio_report(family, n=2048, L=50.0, size=50, seed=7001, **params)
         good = (
             np.isfinite(rep.corpus_max)
             and rep.corpus_max > 0
             and 0.5 <= rep.refinement_factor <= 2.0
         )
         ok = ok and good
-        tag = ",".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
+        tag = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
         lines.append(
-            f"{rep.family}({tag}): max {rep.corpus_max:.4f}, "
+            f"{family}({tag}): max {rep.corpus_max:.4f}, "
             f"refinement {rep.refinement_factor:.4f}"
         )
 

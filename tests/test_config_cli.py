@@ -552,6 +552,19 @@ def test_groundstate_oracle_manifest(tmp_path):
     assert "closed_form_profile_error" in names
 
 
+def test_validated_tol_just_above_returned_residual_passes(tmp_path):
+    # the stop test passes at iteration 148 with a returned residual of
+    # 2.00788e-14, just over this tol; the solve goes on until both are
+    # under it, so the run that validate accepts exits 0
+    obj = {"scenario": "groundstate", "alpha": 0.75, "n": 1024, "L": 100.0,
+           "tol": 2.0054706333930115e-14}
+    assert main(["validate", write_cfg(tmp_path, obj)]) == EXIT_OK
+    code, out = run_cli(tmp_path, obj, "gs")
+    assert code == EXIT_OK
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["residual"] < obj["tol"]
+
+
 def test_failed_check_exits_nonzero(tmp_path):
     # alpha = 2 has no algebraic tail, so asserting on it must fail the run
     code, out = run_cli(
@@ -589,6 +602,17 @@ def test_runner_error_lands_in_manifest(tmp_path, monkeypatch):
     assert manifest["grid"] == {"n": g.n, "L": g.L, "dx": g.dx}
 
 
+# a schema-valid stein summary, for runs whose runner is replaced
+STEIN_SUMMARY = {
+    "scenario": "stein", "config_hash": "0" * 64, "seed": 1, "params": {"pairs": [[0.25, 0.75]]},
+    "pairs": [{
+        "p_small": -0.5, "r2_small": 1.0, "p_large": -1.25, "r2_large": 1.0, "plateau": None,
+        "subtracted": False, "inconclusive_small": False, "inconclusive_large": False,
+        "target_small": -0.5, "target_large": -1.25,
+    }],
+}
+
+
 def test_exit_code_tracks_checks_exactly(tmp_path, monkeypatch):
     import fbbmlab.cli as cli_mod
 
@@ -598,15 +622,8 @@ def test_exit_code_tracks_checks_exactly(tmp_path, monkeypatch):
 
         return run
 
-    pair = {
-        "alpha": 0.25, "theta": 0.75, "p_small": -0.5, "r2_small": 1.0,
-        "p_large": -1.25, "r2_large": 1.0, "plateau": None, "subtracted": False,
-        "inconclusive_small": False, "inconclusive_large": False,
-        "target_small": -0.5, "target_large": -1.25,
-    }
     passing = ScenarioResult(checks=[Check("x", True, 1.0, "<= 2")])
-    passing.summary = {"scenario": "stein", "config_hash": "0" * 64, "seed": 1,
-                       "params": {"pairs": [[0.25, 0.75]]}, "pairs": [pair]}
+    passing.summary = STEIN_SUMMARY
     failing = ScenarioResult(checks=[Check("x", False, 3.0, "<= 2")])
     failing.summary = dict(passing.summary)
 
@@ -699,9 +716,14 @@ def test_shipped_config_outputs_match_resolved_schemas(tmp_path):
         jsonschema.validate(manifest, manifest_schema)
         summary = json.load(open(os.path.join(out, "summary.json")))
         jsonschema.validate(summary, load_schema(manifest["scenario"]))
-        # the manifest names one of the scenarios, also in its config echo
-        for bad in ({**manifest, "scenario": "nope"},
-                    {**manifest, "config": {**manifest["config"], "scenario": "nope"}}):
+        # per-entry results are read against params by position: no entry
+        # restates its config entry
+        for key in ("pairs", "families"):
+            for entry in summary.get(key, []):
+                assert not set(entry) & {"alpha", "theta", "r", "family", "params"}, name
+        # the manifest names one of the scenarios, once: not in its config echo
+        echo = {**manifest["config"], "scenario": manifest["scenario"]}
+        for bad in ({**manifest, "scenario": "nope"}, {**manifest, "config": echo}):
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(bad, manifest_schema)
 
@@ -750,16 +772,8 @@ def _strict_load(path):
 def test_non_finite_values_keep_json_strict(tmp_path, monkeypatch):
     import fbbmlab.cli as cli_mod
 
-    pair = {
-        "alpha": 0.25, "theta": 0.75, "p_small": -0.5, "r2_small": 1.0,
-        "p_large": -1.25, "r2_large": 1.0, "plateau": None, "subtracted": False,
-        "inconclusive_small": False, "inconclusive_large": False,
-        "target_small": -0.5, "target_large": -1.25,
-    }
-    summary = {"scenario": "stein", "config_hash": "0" * 64, "seed": 1,
-               "params": {"pairs": [[0.25, 0.75]]}, "pairs": [pair]}
     nan_check = ScenarioResult(checks=[Check("x", True, float("nan"), "<= 2")],
-                               summary=summary)
+                               summary=STEIN_SUMMARY)
     stein_cfg = {"scenario": "stein", "pairs": [[0.25, 0.75]]}
 
     monkeypatch.setattr(cli_mod, "run_scenario", lambda cfg: nan_check)
@@ -772,7 +786,8 @@ def test_non_finite_values_keep_json_strict(tmp_path, monkeypatch):
     assert manifest["error"] is None
     _strict_load(os.path.join(out, "summary.json"))
 
-    nan_summary = ScenarioResult(summary={**summary, "pairs": [{**pair, "p_small": float("nan")}]})
+    nan_summary = ScenarioResult(
+        summary={**STEIN_SUMMARY, "pairs": [{**STEIN_SUMMARY["pairs"][0], "p_small": float("nan")}]})
     monkeypatch.setattr(cli_mod, "run_scenario", lambda cfg: nan_summary)
     code, out = run_cli(tmp_path, stein_cfg, "nansummary")
     assert code == EXIT_ERROR
@@ -846,20 +861,15 @@ def test_unusable_out_dir_is_config_error(tmp_path, capsys):
     assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
-def test_threads_do_not_change_outputs(tmp_path):
-    obj = {
-        "scenario": "commutators",
-        "n": 512,
-        "L": 50.0,
-        "size": 6,
-        "families": [{"family": "fractional", "alpha": 0.25, "beta": 0.5}],
-        "seed": 3,
-    }
-    _, out_a = run_cli(tmp_path, obj, "t1")
-    _, out_b = run_cli(tmp_path, obj, "t2", extra=("--threads", "3"))
-    a = open(os.path.join(out_a, "summary.json"), "rb").read()
-    b = open(os.path.join(out_b, "summary.json"), "rb").read()
-    assert a == b
+def test_threads_option_is_gone(tmp_path, capsys):
+    # every scenario runs on one thread; run takes no --threads
+    cfg = write_cfg(tmp_path, {"scenario": "stein", "pairs": [[0.25, 0.75]]})
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg, "--out", str(out), "--threads", "3"])
+    assert exc.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments: --threads 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_out_dir_from_env(tmp_path, monkeypatch):

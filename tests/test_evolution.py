@@ -344,16 +344,6 @@ def test_wrong_length_initial_rejected():
             evolve(Field(g, vals), cfg)
 
 
-def test_diagnostics_weighted_branch():
-    g = make_grid(512, 25.0)
-    u0 = Field(g, np.exp(-g.xs**2))
-    traj = evolve(u0, EvolveConfig(alpha=0.5, dt=0.02, t_final=1.0))
-    d = diagnostics_series(traj, weight_r=0.7)
-    assert d.weighted is not None and len(d.weighted) == len(traj)
-    assert np.all(np.isfinite(d.weighted))
-    assert np.all(d.weighted >= d.l2 - 1e-12)  # <x>^r >= 1
-
-
 # ------------------------------------------------------- functional oracles
 
 
