@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .estimates import _check_family, _check_orders, _check_size, _check_times
+from .estimates import _check_box, _check_family, _check_orders, _check_size, _check_times
 from .evolution import EvolveConfig, _check_dt, _check_power, _check_stride, _check_T
 from .ground_state import _check_speed, _check_tol, _speed_box, _tail_samples
 from .spectral import _check_L, _check_alpha, _check_n
@@ -164,7 +164,7 @@ _TABLES = {
     },
     "commutators": {
         "n": ("int", 2048, _check_n),
-        "L": ("number", 50.0, _check_L),
+        "L": ("number", 50.0, _check_box),
         "size": ("int", 50, _check_size),
         "families": (
             "list",

@@ -57,8 +57,8 @@ __all__ = [
     "RATIO_FAMILIES",
 ]
 
-# A commutator against a constant weight vanishes identically; anything
-# above this (relative to ||f||_2) means the discretization broke.
+# A commutator against a constant weight vanishes identically; this is
+# the floor of _constant_tol, its roundoff bound relative to ||f||_2.
 CONSTANT_COMMUTATOR_TOL = 1e-11
 
 # Weights use a fixed low band so the same smooth function is
@@ -82,9 +82,9 @@ class BoundaryContaminationError(RuntimeError):
 
 
 def _synthesize(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Evaluate a trigonometric polynomial from its series coefficients.
+    """Evaluate trigonometric polynomials, one per row of coefficients.
 
-    coeffs[k] multiplies the k-th positive-frequency mode (coeffs[0] the
+    coeffs[..., k] multiplies the k-th positive-frequency mode (k = 0 the
     mean), independently of n, so the same continuum function comes back
     on any grid that resolves the band.
     """
@@ -101,8 +101,6 @@ class TestCorpus:
     can be re-sampled on a finer grid as the same continuum functions.
     """
 
-    seed: int
-    size: int
     grid: SpectralGrid
     field_coeffs: np.ndarray
     weight_coeffs: np.ndarray
@@ -114,20 +112,13 @@ def _grad_sup(values: np.ndarray, grid: SpectralGrid) -> float:
     return field_linf(deriv(Field(grid, values)))
 
 
-def _build(seed, size, grid, field_coeffs, weight_coeffs) -> TestCorpus:
-    fields = np.empty((size, grid.n))
-    weights = np.empty((size, grid.n))
-    for i in range(size):
-        fields[i] = _synthesize(field_coeffs[i], grid)
-        weights[i] = _synthesize(weight_coeffs[i], grid)
+def _build(grid, field_coeffs, weight_coeffs) -> TestCorpus:
     return TestCorpus(
-        seed=seed,
-        size=size,
         grid=grid,
         field_coeffs=field_coeffs,
         weight_coeffs=weight_coeffs,
-        fields=fields,
-        weights=weights,
+        fields=_synthesize(field_coeffs, grid),
+        weights=_synthesize(weight_coeffs, grid),
     )
 
 
@@ -136,37 +127,34 @@ def _check_size(size: int) -> None:
         raise ValueError(f"corpus size must be >= 1, got {size}")
 
 
-def make_corpus(
-    n: int, L: float, size: int, seed: int, field_band: int | None = None
-) -> TestCorpus:
+def _check_box(L: float) -> None:
+    """1e-50 <= L <= 1e50: the corpus' squared second derivatives overflow
+    below L ~ 1e-60, its squared samples underflow above 1e305 (n 16-256)."""
+    if not 1e-50 <= L <= 1e50:
+        raise ValueError(f"the commutator corpus needs 1e-50 <= L <= 1e50, got L = {L}")
+
+
+def make_corpus(n: int, L: float, size: int, seed: int) -> TestCorpus:
     """Draw `size` random (field, weight) pairs on an n-point box.
 
-    Fields get standard-normal coefficients on modes 0..field_band
-    (default n//6) and are normalized to unit L2.  Weights use
-    1/(1+k)-damped coefficients on modes 0..WEIGHT_BAND.  Regeneration
-    from the same seed is bit-identical.
+    Fields get standard-normal coefficients on modes 0..n//6 and are
+    normalized to unit L2.  Weights use 1/(1+k)-damped coefficients on
+    modes 0..WEIGHT_BAND.  Regeneration from the same seed is
+    bit-identical.
     """
+    _check_box(L)
     grid = make_grid(n, L)
-    band = n // 6 if field_band is None else int(field_band)
-    if not 1 <= band <= n // 6:
-        raise ValueError(f"field band must lie in [1, n//6], got {band}")
     _check_size(size)
     rng = np.random.default_rng(seed)
-    fc = rng.standard_normal((size, band + 1)) + 1j * rng.standard_normal(
-        (size, band + 1)
-    )
-    fc[:, 0] = fc[:, 0].real
-    wc = rng.standard_normal((size, WEIGHT_BAND + 1)) + 1j * rng.standard_normal(
-        (size, WEIGHT_BAND + 1)
-    )
-    wc[:, 0] = wc[:, 0].real
+    fc, wc = (rng.standard_normal((size, band + 1)) + 1j * rng.standard_normal((size, band + 1))
+              for band in (n // 6, WEIGHT_BAND))
+    for coeffs in (fc, wc):
+        coeffs[:, 0] = coeffs[:, 0].real
     wc /= 1.0 + np.arange(WEIGHT_BAND + 1)
     # normalize fields through the synthesized values; quadrature is exact
     # for band-limited data so the norm carries to any finer grid
-    for i in range(size):
-        nrm = field_l2(Field(grid, _synthesize(fc[i], grid)))
-        fc[i] /= nrm
-    return _build(seed, size, grid, fc, wc)
+    fc /= np.array([[field_l2(Field(grid, v))] for v in _synthesize(fc, grid)])
+    return _build(grid, fc, wc)
 
 
 def resample_corpus(corpus: TestCorpus, n: int) -> TestCorpus:
@@ -174,9 +162,7 @@ def resample_corpus(corpus: TestCorpus, n: int) -> TestCorpus:
     if n // 6 < corpus.field_coeffs.shape[-1] - 1:
         raise ValueError("target grid does not resolve the corpus band")
     grid = make_grid(n, corpus.grid.L)
-    return _build(
-        corpus.seed, corpus.size, grid, corpus.field_coeffs, corpus.weight_coeffs
-    )
+    return _build(grid, corpus.field_coeffs, corpus.weight_coeffs)
 
 
 # ------------------------------------------------------------ ratio kernels
@@ -189,19 +175,28 @@ def _nonzero_l2(f: Field) -> float:
     return nrm
 
 
-def _ratio(num: float, den_sup: float, den_scale: float, fnorm: float) -> float:
+def _constant_tol(grid: SpectralGrid, family: str, **params) -> float:
+    """Bound on ||[op, c] f||_2 / ||f||_2 for a constant weight c: 10 eps
+    max(1, pi n / 2L)^order (order l + m for hilbert, else 1), measured at
+    most 2.91 eps max(1, pi n / 2L)^order (n 16-4096, L 0.01-1e4)."""
+    order = params["l"] + params["m"] if family == "hilbert" else 1
+    xi_max = np.pi * grid.n / (2.0 * grid.L)
+    return max(CONSTANT_COMMUTATOR_TOL, 10.0 * np.finfo(float).eps * max(1.0, xi_max) ** order)
+
+
+def _ratio(num: float, den_sup: float, den_scale: float, fnorm: float, tol: float) -> float:
     """Shared constant-weight policy for all commutator families.
 
     den_sup is the sup of the relevant weight derivative; a value at
     roundoff level (relative to den_scale) means the weight is constant
     for this family, the commutator must vanish, and the ratio is 0 by
-    convention.  A non-vanishing numerator there is a quadrature bug.
+    convention.  A numerator above tol * ||f|| there is a quadrature bug.
     """
     if den_sup <= 1e-13 * max(1.0, den_scale):
-        if num > CONSTANT_COMMUTATOR_TOL * fnorm:
+        if num > tol * fnorm:
             raise QuadratureInconsistencyError(
                 f"constant weight but commutator norm {num:.3e} "
-                f"exceeds {CONSTANT_COMMUTATOR_TOL:.0e} * ||f||"
+                f"exceeds {tol:.3e} * ||f||"
             )
         return 0.0
     return num / (den_sup * fnorm)
@@ -226,7 +221,7 @@ def _a_ratio(weight: Field, f: Field, alpha: float) -> float:
     comm = op_a(gf, alpha).values - weight.values * op_a(f, alpha).values
     num = field_l2(Field(f.grid, comm))
     gsup = _grad_sup(weight.values, f.grid)
-    return _ratio(num, gsup, field_linf(weight), fnorm)
+    return _ratio(num, gsup, field_linf(weight), fnorm, _constant_tol(f.grid, "generator"))
 
 
 def hilbert_commutator_ratio(psi: Field, f: Field, l: int, m: int) -> float:
@@ -248,7 +243,8 @@ def _hilbert_ratio(psi: Field, f: Field, l: int, m: int) -> float:
     inner = Field(f.grid, hilbert(pv).values - psi.values * hilbert(v).values)
     lhs = deriv(inner, l) if l else inner
     dsup = field_linf(deriv(psi, l + m)) if l + m else field_linf(psi)
-    return _ratio(field_l2(lhs), dsup, field_linf(psi), fnorm)
+    tol = _constant_tol(f.grid, "hilbert", l=l, m=m)
+    return _ratio(field_l2(lhs), dsup, field_linf(psi), fnorm, tol)
 
 
 def frac_commutator_ratio(psi: Field, f: Field, alpha: float, beta: float) -> float:
@@ -271,7 +267,8 @@ def _frac_ratio(psi: Field, f: Field, alpha: float, beta: float) -> float:
     inner = Field(f.grid, frac_deriv(pv, beta).values - psi.values * frac_deriv(v, beta).values)
     lhs = frac_deriv(inner, alpha) if alpha > 0 else inner
     psup = _grad_sup(psi.values, f.grid)
-    return _ratio(field_l2(lhs), psup, field_linf(psi), fnorm)
+    tol = _constant_tol(f.grid, "fractional")
+    return _ratio(field_l2(lhs), psup, field_linf(psi), fnorm, tol)
 
 
 # ------------------------------------------------------------- corpus sweep

@@ -75,18 +75,15 @@ def _check_stride(stride: int | None) -> None:
 class EvolveConfig:
     """Time-stepping parameters.
 
-    dealias_fraction is the kept fraction of the spectrum per axis; the
-    default 2/(k+1) removes aliasing errors from the degree-k product
-    exactly.  linear_only drops the nonlinear term, turning the stepper
-    into the exact free group (useful for oracle tests and for growth
-    diagnostics of the linear flow).
+    linear_only drops the nonlinear term, turning the stepper into the
+    exact free group (useful for oracle tests and for growth diagnostics
+    of the linear flow).
     """
 
     alpha: float
     dt: float
     t_final: float
     power: int = 2
-    dealias_fraction: float | None = None
     linear_only: bool = False
     snapshot_stride: int | None = None
     blowup_factor: float = 1e6
@@ -96,10 +93,6 @@ class EvolveConfig:
         _check_dt(self.dt)
         _check_T(self.t_final)
         _check_power(self.power)
-        if self.dealias_fraction is not None and not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError(
-                f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"
-            )
         _check_stride(self.snapshot_stride)
         if self.blowup_factor <= 1.0:
             raise ValueError(f"blowup_factor must exceed 1, got {self.blowup_factor}")
@@ -124,8 +117,7 @@ class EvolveConfig:
 
     @property
     def kept_fraction(self) -> float:
-        if self.dealias_fraction is not None:
-            return self.dealias_fraction
+        """2/(k+1), the kept half-spectrum share that dealiases u^k exactly."""
         return 2.0 / (self.power + 1)
 
 
@@ -154,9 +146,8 @@ def evolve(initial: Field, config: EvolveConfig) -> Trajectory:
     if not np.all(np.isfinite(values)):
         raise ValueError("initial data must be finite")
     # the state is np.fft.rfft of the samples, kept modes k < m only (irfft
-    # zero-pads the rest); the dealiased flow never keeps the Nyquist mode
-    kept = min(int(config.kept_fraction * (n // 2)), n // 2 - 1)
-    m = n // 2 + 1 if config.linear_only else kept + 1
+    # zero-pads the rest); kept_fraction <= 2/3 never reaches Nyquist
+    m = n // 2 + 1 if config.linear_only else int(config.kept_fraction * (n // 2)) + 1
     minus_ia = a_symbol_grid(g, config.alpha)[:m]  # A = -i a(xi); 0 at Nyquist
     E = np.exp(minus_ia * config.dt / 2.0)
     E2 = E * E

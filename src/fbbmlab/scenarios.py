@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import ScenarioConfig, _evolve_config
 from .estimates import (
-    CONSTANT_COMMUTATOR_TOL,
     RATIO_FAMILIES,
+    _constant_tol,
     _report,
     group_weighted_growth,
     make_corpus,
@@ -82,7 +82,7 @@ def _between(name: str, value, threshold: str, lo=-math.inf, hi=math.inf) -> Che
 
 
 def _at_most(name: str, value: float, tol: float) -> Check:
-    return _between(name, value, f"<= {tol:.0e}", hi=tol)
+    return _between(name, value, f"<= {tol:g}", hi=tol)
 
 
 def _within(name: str, value: float, target: float, tol: float) -> Check:
@@ -306,7 +306,7 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
         res.checks.append(_between(f"refinement({family} {tag})", rep.refinement_factor,
                                    "in [0.5, 2]", lo=0.5, hi=2.0))
         res.checks.append(_at_most(f"constant_zero({family} {tag})", float(const_ratio),
-                                   CONSTANT_COMMUTATOR_TOL))
+                                   _constant_tol(corpus.grid, family, **fparams)))
     res.tables.append(
         Table(
             name="ratios",

@@ -29,7 +29,6 @@ from .spectral import Field, _check_alpha, _half, _half_l2, bessel_symbol, deriv
 
 __all__ = [
     "WeightSpec",
-    "CutoffSpec",
     "weight_values",
     "weighted_norm",
     "stein_derivative",
@@ -157,18 +156,8 @@ def stein_derivative(f: Field, b: float) -> Field:
 # ------------------------------------------------------------ smooth cutoffs
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Even C-infinity bump: 1 on [-inner, inner], 0 outside [-outer, outer]."""
-
-    inner: float = 1.0
-    outer: float = 2.0
-
-    def __post_init__(self):
-        if not 0 < self.inner < self.outer:
-            raise ValueError(
-                f"need 0 < inner < outer, got inner={self.inner} outer={self.outer}"
-            )
+BUMP_INNER = 1.0
+BUMP_OUTER = 2.0
 
 
 def _ramp(t):
@@ -180,10 +169,11 @@ def _ramp(t):
     return out
 
 
-def cutoff_bump(x, spec: CutoffSpec = CutoffSpec()):
-    """Partition-of-unity bump built from exp(-1/t) ramps."""
+def cutoff_bump(x):
+    """Even C-infinity bump built from exp(-1/t) ramps: 1 on
+    [-BUMP_INNER, BUMP_INNER], 0 outside [-BUMP_OUTER, BUMP_OUTER]."""
     x = np.asarray(x, dtype=float)
-    s = (np.abs(x) - spec.inner) / (spec.outer - spec.inner)
+    s = (np.abs(x) - BUMP_INNER) / (BUMP_OUTER - BUMP_INNER)
     a = _ramp(1.0 - s)
     b = _ramp(s)
     return a / (a + b)
@@ -208,23 +198,21 @@ def stein_pointwise(
     gfun,
     eta: float,
     theta: float,
-    support: float = CutoffSpec().outer,
     points_per_decade: int = 160,
 ) -> float:
     """Evaluate the squared-difference derivative of a compactly supported
     function at a single probe point.
 
-    gfun must vanish identically outside [-support, support]; the integral
+    gfun must vanish identically outside cutoff_bump's support
+    [-BUMP_OUTER, BUMP_OUTER], as every probe below does; the integral
     outside that interval is then |g(eta)|^2 * closed form, added exactly.
-    The default support is that of cutoff_bump's default spec, which every
-    probe below builds on.
     Nodes cluster logarithmically around the singular point eta and around
     the origin (probe functions may have kinks or integrable blowup there).
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     eta = float(eta)
-    Y0 = float(support)
+    Y0 = BUMP_OUTER
     ys = np.concatenate(
         [
             _log_cluster(eta, Y0 + abs(eta) + 1.0, points_per_decade),
@@ -250,7 +238,7 @@ def stein_pointwise(
         - float(np.asarray(gfun(np.array([eta - h])))[0])
     ) / (2.0 * h)
     total += gprime**2 * 2.0 * delta ** (2.0 - 2.0 * theta) / (2.0 - 2.0 * theta)
-    # exact contribution of |y| >= support, where g vanishes
+    # exact contribution of |y| >= Y0, where g vanishes
     if abs(eta) < Y0 and ge != 0.0:
         total += (
             ge**2
@@ -285,10 +273,10 @@ class SteinAsymptotics:
     subtracted: bool
     inconclusive_small: bool
     inconclusive_large: bool
-    etas_small: np.ndarray = field(repr=False, default=None)
-    values_small: np.ndarray = field(repr=False, default=None)
-    etas_large: np.ndarray = field(repr=False, default=None)
-    values_large: np.ndarray = field(repr=False, default=None)
+    etas_small: np.ndarray = field(repr=False)
+    values_small: np.ndarray = field(repr=False)
+    etas_large: np.ndarray = field(repr=False)
+    values_large: np.ndarray = field(repr=False)
 
 
 def _stein_range(alpha, theta):

@@ -4,6 +4,7 @@ that are nonzero exactly when an asserted check fails."""
 
 import functools
 import json
+import math
 import os
 import re
 import subprocess
@@ -189,6 +190,8 @@ def test_families_validation():
         # dx = 2L/n overflows
         ({"scenario": "evolve", "alpha": 0.5, "n": 16, "L": 1e308, "dt": 0.01, "T": 0.02},
          "L must be positive with a finite grid step"),
+        # the corpus' squared samples underflow; the run used to exit 1
+        ({"scenario": "commutators", "L": 1e306}, "1e-50 <= L <= 1e50, got L = 1e\\+306"),
         # L is fine, but the speed-c wave's box L / lambda overflows
         ({"scenario": "groundstate", "alpha": 2.0, "n": 4096, "L": 1e307, "c": 1.0001,
           "tol": 1e-9}, "speed-c box .* got L = inf"),
@@ -198,7 +201,8 @@ def test_families_validation():
     ],
     ids=["stein-theta", "fractional-sum", "hilbert-orders", "hilbert-half-order",
          "generator-alpha", "non-number", "unhashable-family", "groundstate-tol-floor",
-         "groundstate-tol-floor-2^18", "evolve-L-overflow", "groundstate-c-box-overflow",
+         "groundstate-tol-floor-2^18", "evolve-L-overflow", "commutators-L-box",
+         "groundstate-c-box-overflow",
          "groundstate-window-samples"],
 )
 def test_kernel_ranges_are_config_errors(tmp_path, capsys, obj, message):
@@ -247,6 +251,54 @@ def test_fractional_orders_summing_to_one_run(tmp_path):
     obj = {"scenario": "commutators", "n": 256, "size": 4, "families": [family]}
     code, _ = run_cli(tmp_path, obj, "frac")
     assert code == EXIT_OK
+
+
+def _around(*edges):
+    # each rule boundary and the nearest doubles on either side of it
+    return st.sampled_from(
+        [w for e in edges for w in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))])
+
+
+@st.composite
+def commutators_configs(draw):
+    family = draw(st.sampled_from(["generator", "hilbert", "fractional"]))
+    if family == "generator":
+        params = {"alpha": draw(st.floats(0.0, 2.0) | _around(0.0, 2.0))}
+    elif family == "hilbert":
+        params = {"l": draw(st.integers(-1, 2)), "m": draw(st.integers(-1, 2))}
+    else:
+        alpha = draw(st.floats(0.0, 1.0) | _around(0.0, 1.0))
+        beta = draw(st.floats(0.0, 1.0) | _around(0.0, 1.0, 1.0 - alpha))
+        params = {"alpha": alpha, "beta": beta}
+    # the corpus box rule and the ends of the double range
+    edges = _around(1e-50, 1e50, 0.0, sys.float_info.max)
+    L = draw(st.floats(-52.0, 52.0).map(lambda e: 10.0**e) | edges)
+    return {
+        "scenario": "commutators",
+        "n": draw(st.sampled_from([16, 32, 64, 128, 256, 15, 17])),
+        "L": L,
+        "size": draw(st.sampled_from([1, 2, 0])),
+        "families": [{"family": family, **params}],
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=commutators_configs())
+@example(cfg={"scenario": "commutators", "n": 256, "L": 1.0, "size": 2,
+              "families": [{"family": "hilbert", "l": 2, "m": 0}]})
+@example(cfg={"scenario": "commutators", "n": 4096, "L": 0.1, "size": 3,
+              "families": [{"family": "fractional", "alpha": 0.99, "beta": 0.01}]})
+def test_validated_commutators_config_runs(cfg):
+    # the contract: a config that validates runs to exit 0 or 3, never 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        if main(["validate", path]) != EXIT_OK:
+            return
+        assert main(["run", path, "--out", os.path.join(tmp, "out")]) in (
+            EXIT_OK, EXIT_CHECK_FAILED)
 
 
 # ------------------------------------------------------------ rule parity
@@ -333,6 +385,10 @@ PARITY = {
                lambda v: weighted_norm(F64, v), [-1.0, 0.0]),
     "size": (lambda v: {"scenario": "commutators", "size": v}, "size",
              lambda v: make_corpus(16, 1.0, v, seed=1), [-1, 0, 1, 2]),
+    "L-corpus": (lambda v: {"scenario": "commutators", "L": v}, "L",
+                 lambda v: make_corpus(16, v, 1, seed=1),
+                 [0.0, 1e-60, math.nextafter(1e-50, 0.0), 1e-50, 50.0, 1e50,
+                  math.nextafter(1e50, math.inf), 1e306]),
 }
 
 

@@ -16,6 +16,7 @@ from fbbmlab.estimates import (
     QuadratureInconsistencyError,
     RATIO_FAMILIES,
     _ratio,
+    _synthesize,
     commutator_a_ratio,
     corpus_ratios,
     frac_commutator_ratio,
@@ -65,8 +66,6 @@ def test_corpus_fields_unit_norm(corpus):
 def test_corpus_validation():
     with pytest.raises(ValueError, match="size"):
         make_corpus(2048, 50.0, 0, seed=1)
-    with pytest.raises(ValueError, match="band"):
-        make_corpus(2048, 50.0, 4, seed=1, field_band=400)
 
 
 def test_resample_is_same_function(corpus):
@@ -76,6 +75,21 @@ def test_resample_is_same_function(corpus):
     assert np.allclose(fine.weights[:, ::2], corpus.weights, atol=1e-12)
     with pytest.raises(ValueError, match="resolve"):
         resample_corpus(corpus, 512)
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_batched_corpus_matches_per_instance_loop(n):
+    # the per-instance loops the batched synthesis replaced, bit for bit
+    corpus = make_corpus(n, 50.0, 50, seed=SEED)
+    rng = np.random.default_rng(SEED)
+    fc = rng.standard_normal((50, n // 6 + 1)) + 1j * rng.standard_normal((50, n // 6 + 1))
+    fc[:, 0] = fc[:, 0].real
+    for i in range(50):
+        fc[i] /= field_l2(Field(corpus.grid, _synthesize(fc[i], corpus.grid)))
+    assert np.array_equal(corpus.field_coeffs, fc)
+    for c in (corpus, resample_corpus(corpus, 2 * n)):
+        for coeffs, rows in ((c.field_coeffs, c.fields), (c.weight_coeffs, c.weights)):
+            assert np.array_equal(rows, [_synthesize(k, c.grid) for k in coeffs])
 
 
 # ------------------------------------------------------------ ratio kernels
@@ -96,7 +110,7 @@ def test_constant_weight_gives_zero(corpus):
 
 def test_constant_weight_nonzero_numerator_flags():
     with pytest.raises(QuadratureInconsistencyError):
-        _ratio(num=1.0, den_sup=0.0, den_scale=1.0, fnorm=1.0)
+        _ratio(num=1.0, den_sup=0.0, den_scale=1.0, fnorm=1.0, tol=1e-11)
 
 
 def test_generator_ratio_unit_slope_weight():
@@ -197,9 +211,9 @@ def test_commutators_share_one_corpus_pair(monkeypatch):
     builds = []
     real_build = estimates_mod._build
 
-    def counting(seed, size, grid, *coeffs):
-        builds.append((size, grid.n))
-        return real_build(seed, size, grid, *coeffs)
+    def counting(grid, field_coeffs, weight_coeffs):
+        builds.append((len(field_coeffs), grid.n))
+        return real_build(grid, field_coeffs, weight_coeffs)
 
     monkeypatch.setattr(estimates_mod, "_build", counting)
     cfg = validate_config({"scenario": "commutators", "n": 256, "size": 6, "seed": SEED})

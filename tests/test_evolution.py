@@ -56,10 +56,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EvolveConfig(**{**ok, "power": 1})
     with pytest.raises(ValueError):
-        EvolveConfig(**{**ok, "dealias_fraction": 0.0})
-    with pytest.raises(ValueError):
-        EvolveConfig(**{**ok, "dealias_fraction": 1.2})
-    with pytest.raises(ValueError):
         EvolveConfig(**{**ok, "snapshot_stride": 0})
     with pytest.raises(ValueError):
         EvolveConfig(**{**ok, "blowup_factor": 1.0})
@@ -321,19 +317,6 @@ def test_snapshot_stride_uneven(steps, stride, recorded):
     assert traj.times[-1] == pytest.approx(cfg.t_final, abs=1e-15)
     assert traj.states.shape == (len(recorded), g.n)
     assert np.max(np.abs(traj.states - _full_spectrum_rk4(u0, cfg)[recorded])) < 1e-12
-
-
-def test_undealiased_rk4_matches_full_spectrum():
-    # dealias_fraction = 1 keeps every mode but the Nyquist one; the noise
-    # puts content in all of them
-    g = make_grid(128, 15.0)
-    noise = 0.01 * np.random.default_rng(3).standard_normal(g.n)
-    u0 = Field(g, 1.5 * np.exp(-g.xs**2) - 0.5 * np.exp(-((g.xs - 3.0) ** 2)) + noise)
-    cfg = EvolveConfig(alpha=0.5, dt=0.02, t_final=0.1, dealias_fraction=1.0, snapshot_stride=1)
-    traj = evolve(u0, cfg)
-    ref = _full_spectrum_rk4(u0, cfg)
-    assert traj.states.shape == ref.shape == (6, g.n)
-    assert np.max(np.abs(traj.states - ref)) < 1e-12
 
 
 def test_wrong_length_initial_rejected():

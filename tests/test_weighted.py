@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from fbbmlab.spectral import Field, apply_multiplier, field_l2, forward, frac_deriv, make_grid
 from fbbmlab.weighted import (
-    CutoffSpec,
     WeightSpec,
     bbm_symbol_stein_bound,
     cutoff_bump,
@@ -167,25 +166,23 @@ def test_stein_product_rule_pointwise():
 
 
 def test_cutoff_plateau_and_support():
-    spec = CutoffSpec(1.0, 2.0)
     xs_in = np.linspace(-1, 1, 41)
-    np.testing.assert_allclose(cutoff_bump(xs_in, spec), 1.0, atol=1e-15)
+    np.testing.assert_allclose(cutoff_bump(xs_in), 1.0, atol=1e-15)
     xs_out = np.array([-2.0, 2.0, 2.5, -7.0])
-    np.testing.assert_allclose(cutoff_bump(xs_out, spec), 0.0, atol=1e-15)
+    np.testing.assert_allclose(cutoff_bump(xs_out), 0.0, atol=1e-15)
     # values saturate to 1.0 in doubles right at the junctions; probe the
     # middle of the transition band for strict interior values
-    mid = cutoff_bump(np.linspace(1.2, 1.8, 50), spec)
+    mid = cutoff_bump(np.linspace(1.2, 1.8, 50))
     assert np.all((mid > 0) & (mid < 1))
     assert np.all(np.diff(mid) < 0)
 
 
 def test_cutoff_smooth_at_junction():
     # infinitely flat: a few one-sided derivatives vanish numerically
-    spec = CutoffSpec(1.0, 2.0)
     h = 1e-3
     for x0 in (1.0, 2.0):
-        samples = cutoff_bump(np.array([x0 + h, x0 + 2 * h, x0 + 4 * h]), spec)
-        inside = cutoff_bump(np.array([x0 - h]), spec)[0]
+        samples = cutoff_bump(np.array([x0 + h, x0 + 2 * h, x0 + 4 * h]))
+        inside = cutoff_bump(np.array([x0 - h]))[0]
         # second difference stays tiny across the junction
         assert abs(samples[1] - 2 * samples[0] + inside) < 5e-4
 
