@@ -1,6 +1,6 @@
 #!/bin/sh
-# The shipped-config and source-size steps of the CI workflow, runnable
-# offline.  FBBMLAB is the command that runs the CLI:
+# The benchmark smoke test, shipped-config and source-size steps of the CI
+# workflow, runnable offline.  FBBMLAB is the command that runs the CLI:
 #
 #   FBBMLAB=fbbmlab scripts/ci.sh                                    # installed
 #   PYTHONPATH=src FBBMLAB="python3 -m fbbmlab.cli" scripts/ci.sh    # from source
@@ -13,6 +13,11 @@ cd "$(dirname "$0")/.." || exit 1
 status=0
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+
+# every workload in smoke mode, untraced and traced; the traced runs guard
+# the function names bench/tracing.py patches
+echo "== benchmark smoke"
+python3 -m pytest bench/test_bench.py || status=1
 
 echo "== validate shipped configs"
 for cfg in scripts/configs/*.json; do $FBBMLAB validate "$cfg" || status=1; done

@@ -23,7 +23,7 @@ from math import ceil
 
 import numpy as np
 
-from .evolution import Trajectory, _check_power
+from .evolution import Trajectory
 from .spectral import (
     Field,
     SpectralGrid,
@@ -108,10 +108,6 @@ class TestCorpus:
     weights: np.ndarray
 
 
-def _grad_sup(values: np.ndarray, grid: SpectralGrid) -> float:
-    return field_linf(deriv(Field(grid, values)))
-
-
 def _build(grid, field_coeffs, weight_coeffs) -> TestCorpus:
     return TestCorpus(
         grid=grid,
@@ -168,38 +164,61 @@ def resample_corpus(corpus: TestCorpus, n: int) -> TestCorpus:
 # ------------------------------------------------------------ ratio kernels
 
 
-def _nonzero_l2(f: Field) -> float:
-    nrm = field_l2(f)
-    if nrm == 0.0:
-        raise ValueError("ratio undefined for the zero field")
-    return nrm
-
-
 def _constant_tol(grid: SpectralGrid, family: str, **params) -> float:
     """Bound on ||[op, c] f||_2 / ||f||_2 for a constant weight c: 10 eps
-    max(1, pi n / 2L)^order (order l + m for hilbert, else 1), measured at
+    max(1, pi n / 2L)^order (the family's order in RATIO_FAMILIES), measured at
     most 2.91 eps max(1, pi n / 2L)^order (n 16-4096, L 0.01-1e4)."""
-    order = params["l"] + params["m"] if family == "hilbert" else 1
+    order = RATIO_FAMILIES[family][1](**params)
     xi_max = np.pi * grid.n / (2.0 * grid.L)
     return max(CONSTANT_COMMUTATOR_TOL, 10.0 * np.finfo(float).eps * max(1.0, xi_max) ** order)
 
 
-def _ratio(num: float, den_sup: float, den_scale: float, fnorm: float, tol: float) -> float:
-    """Shared constant-weight policy for all commutator families.
+def _family_ratio(family: str, psi: Field, f: Field, **params) -> float:
+    """||[op, psi] f||_2 / (||psi^(order)||_inf ||f||_2) for one family of
+    RATIO_FAMILIES, its orders unchecked (order 0 divides by ||psi||_inf).
 
-    den_sup is the sup of the relevant weight derivative; a value at
-    roundoff level (relative to den_scale) means the weight is constant
-    for this family, the commutator must vanish, and the ratio is 0 by
-    convention.  A numerator above tol * ||f|| there is a quadrature bug.
+    A weight with ||psi^(order)||_inf <= 10 eps ||psi||_inf (pi n / 2L)^order
+    is constant for the family: the commutator must vanish and the ratio is 0
+    by convention; a numerator above _constant_tol ||f||_2 there is a
+    quadrature bug.  The test scales with the box, so a smooth weight on a
+    large box is never taken for a constant.  The derivative of a constant
+    weight is exactly 0 (constants 1.5, 1.7, 0.1, 1/3, 1e10; n 16-4096;
+    L 1e-50-1e50; orders 1, 2); with every sample moved by up to one ulp it
+    measured at most 3.44 eps ||psi||_inf (pi n / 2L)^order.
     """
-    if den_sup <= 1e-13 * max(1.0, den_scale):
+    if psi.grid != f.grid:
+        raise ValueError("weight and field live on different grids")
+    if (fnorm := field_l2(f)) == 0.0:
+        raise ValueError("ratio undefined for the zero field")
+    commutator, order_of = RATIO_FAMILIES[family][:2]
+    num = field_l2(commutator(psi, f, **params))
+    scale, order = field_linf(psi), order_of(**params)
+    dsup = field_linf(deriv(psi, order)) if order else scale
+    xi_max = np.pi * f.grid.n / (2.0 * f.grid.L)
+    if dsup <= 10.0 * np.finfo(float).eps * scale * xi_max**order:
+        tol = _constant_tol(f.grid, family, **params)
         if num > tol * fnorm:
-            raise QuadratureInconsistencyError(
-                f"constant weight but commutator norm {num:.3e} "
-                f"exceeds {tol:.3e} * ||f||"
-            )
+            raise QuadratureInconsistencyError(f"constant weight but commutator norm {num:.3e} "
+                                               f"exceeds {tol:.3e} * ||f||")
         return 0.0
-    return num / (den_sup * fnorm)
+    return num / (dsup * fnorm)
+
+
+def _bracket(op, psi: Field, v: Field) -> Field:
+    """[op, psi] v = op(psi v) - psi op(v)."""
+    pv = Field(v.grid, psi.values * v.values)
+    return Field(v.grid, op(pv).values - psi.values * op(v).values)
+
+
+def _hilbert_commutator(psi: Field, f: Field, l: int, m: int) -> Field:
+    inner = _bracket(hilbert, psi, deriv(f, m) if m else f)
+    return deriv(inner, l) if l else inner
+
+
+def _frac_commutator(psi: Field, f: Field, alpha: float, beta: float) -> Field:
+    v = frac_deriv(f, max(0.0, 1.0 - alpha - beta))
+    inner = _bracket(lambda u: frac_deriv(u, beta), psi, v)
+    return frac_deriv(inner, alpha) if alpha > 0 else inner
 
 
 def commutator_a_ratio(weight: Field, f: Field, alpha: float) -> float:
@@ -210,18 +229,7 @@ def commutator_a_ratio(weight: Field, f: Field, alpha: float) -> float:
     per-instance lower estimate.
     """
     _check_orders("generator", alpha=alpha)
-    return _a_ratio(weight, f, alpha)
-
-
-def _a_ratio(weight: Field, f: Field, alpha: float) -> float:
-    if weight.grid != f.grid:
-        raise ValueError("weight and field live on different grids")
-    fnorm = _nonzero_l2(f)
-    gf = Field(f.grid, weight.values * f.values)
-    comm = op_a(gf, alpha).values - weight.values * op_a(f, alpha).values
-    num = field_l2(Field(f.grid, comm))
-    gsup = _grad_sup(weight.values, f.grid)
-    return _ratio(num, gsup, field_linf(weight), fnorm, _constant_tol(f.grid, "generator"))
+    return _family_ratio("generator", weight, f, alpha=alpha)
 
 
 def hilbert_commutator_ratio(psi: Field, f: Field, l: int, m: int) -> float:
@@ -231,20 +239,7 @@ def hilbert_commutator_ratio(psi: Field, f: Field, l: int, m: int) -> float:
     absorbs l+m derivatives into the weight, one order per slot.
     """
     _check_orders("hilbert", l=l, m=m)
-    return _hilbert_ratio(psi, f, l, m)
-
-
-def _hilbert_ratio(psi: Field, f: Field, l: int, m: int) -> float:
-    if psi.grid != f.grid:
-        raise ValueError("weight and field live on different grids")
-    fnorm = _nonzero_l2(f)
-    v = deriv(f, m) if m else f
-    pv = Field(f.grid, psi.values * v.values)
-    inner = Field(f.grid, hilbert(pv).values - psi.values * hilbert(v).values)
-    lhs = deriv(inner, l) if l else inner
-    dsup = field_linf(deriv(psi, l + m)) if l + m else field_linf(psi)
-    tol = _constant_tol(f.grid, "hilbert", l=l, m=m)
-    return _ratio(field_l2(lhs), dsup, field_linf(psi), fnorm, tol)
+    return _family_ratio("hilbert", psi, f, l=l, m=m)
 
 
 def frac_commutator_ratio(psi: Field, f: Field, alpha: float, beta: float) -> float:
@@ -255,36 +250,23 @@ def frac_commutator_ratio(psi: Field, f: Field, alpha: float, beta: float) -> fl
     a + b <= 1 + 1e-12; the third order 1 - a - b, which may round below 0, clamps at 0.
     """
     _check_orders("fractional", alpha=alpha, beta=beta)
-    return _frac_ratio(psi, f, alpha, beta)
-
-
-def _frac_ratio(psi: Field, f: Field, alpha: float, beta: float) -> float:
-    if psi.grid != f.grid:
-        raise ValueError("weight and field live on different grids")
-    fnorm = _nonzero_l2(f)
-    v = frac_deriv(f, max(0.0, 1.0 - alpha - beta))
-    pv = Field(f.grid, psi.values * v.values)
-    inner = Field(f.grid, frac_deriv(pv, beta).values - psi.values * frac_deriv(v, beta).values)
-    lhs = frac_deriv(inner, alpha) if alpha > 0 else inner
-    psup = _grad_sup(psi.values, f.grid)
-    tol = _constant_tol(f.grid, "fractional")
-    return _ratio(field_l2(lhs), psup, field_linf(psi), fnorm, tol)
+    return _family_ratio("fractional", psi, f, alpha=alpha, beta=beta)
 
 
 # ------------------------------------------------------------- corpus sweep
 
 
-# family -> (ratio function, its parameter names, the orders it accepts and
-# their statement): the one table of commutator families.  The ratio
-# functions are the kernels without their order check, which corpus_ratios
-# makes once per corpus and each public kernel once per call.
+# family -> (commutator [op, psi] f, the order of the weight derivative it
+# absorbs, its parameter names, the orders it accepts and their statement):
+# the one table of commutator families, read by _family_ratio.
 RATIO_FAMILIES = {
-    "generator": (_a_ratio, ("alpha",), _alpha_admitted, "alpha in (0, 2]"),
-    "hilbert": (_hilbert_ratio, ("l", "m"),
+    "generator": (lambda psi, f, alpha: _bracket(lambda u: op_a(u, alpha), psi, f),
+                  lambda alpha: 1, ("alpha",), _alpha_admitted, "alpha in (0, 2]"),
+    "hilbert": (_hilbert_commutator, lambda l, m: l + m, ("l", "m"),
                 lambda l, m: l >= 0 and m >= 0 and l + m <= 2 and l % 1 == m % 1 == 0,
                 "whole numbers l, m >= 0 with l + m <= 2"),
     "fractional": (
-        _frac_ratio, ("alpha", "beta"),
+        _frac_commutator, lambda alpha, beta: 1, ("alpha", "beta"),
         lambda alpha, beta: 0 <= alpha < 1 and 0 < beta < 1 and alpha + beta <= 1 + 1e-12,
         "alpha in [0, 1), beta in (0, 1) and alpha + beta <= 1"),
 }
@@ -299,7 +281,7 @@ def _check_orders(family: str, **params) -> None:
     """Raise ValueError unless the family exists and takes these orders;
     config checks with it too."""
     _check_family(family)
-    _, want, accepts, statement = RATIO_FAMILIES[family]
+    _, _, want, accepts, statement = RATIO_FAMILIES[family]
     if set(params) != set(want):
         raise ValueError(f"family {family!r} takes parameters {want}, got {tuple(params)}")
     if not accepts(**params):
@@ -309,10 +291,10 @@ def _check_orders(family: str, **params) -> None:
 def corpus_ratios(corpus: TestCorpus, family: str, **params) -> np.ndarray:
     """Per-instance ratios over the corpus, in corpus order."""
     _check_orders(family, **params)
-    ratio = RATIO_FAMILIES[family][0]
     grid = corpus.grid
     pairs = zip(corpus.weights, corpus.fields)
-    return np.array([ratio(Field(grid, w), Field(grid, f), **params) for w, f in pairs])
+    return np.array([_family_ratio(family, Field(grid, w), Field(grid, f), **params)
+                     for w, f in pairs])
 
 
 @dataclass(frozen=True)
@@ -439,19 +421,18 @@ def _check_times(t1: float, t2: float) -> None:
         raise ValueError(f"0 <= t1 < t2 required, got t1={t1}, t2={t2}")
 
 
-def ucp_residual(traj: Trajectory, t1: float, t2: float, k: int | None = None) -> float:
+def ucp_residual(traj: Trajectory, t1: float, t2: float) -> float:
     """Two-time mass identity residual over a recorded trajectory.
 
-    R = u-hat(0, t1) + (1/(t2 - t1)) int_{t1}^{t2} int u^k dx dtau,
-    with the time integral by trapezoid over the recorded snapshots.
+    R = u-hat(0, t1) + (1/(t2 - t1)) int_{t1}^{t2} int u^k dx dtau, k the
+    trajectory's power, with the time integral by trapezoid over the
+    recorded snapshots.
     A solution with critical spatial decay at both ends would force
     R = 0; for even k and nonnegative initial mean both terms are
     nonnegative, so R = 0 pins the zero solution.  For odd k the sign
     carries no such obstruction and R is reported as-is.
     """
     _check_times(t1, t2)
-    kk = traj.config.power if k is None else int(k)
-    _check_power(kk)
     times = traj.times
     i1 = _snap_index(times, t1, "t1")
     i2 = _snap_index(times, t2, "t2")
@@ -460,6 +441,6 @@ def ucp_residual(traj: Trajectory, t1: float, t2: float, k: int | None = None) -
     dx = traj.grid.dx
     block = traj.states[i1 : i2 + 1]
     mass1 = dx * float(np.sum(block[0]))
-    inner = dx * np.sum(block**kk, axis=1)
+    inner = dx * np.sum(block**traj.config.power, axis=1)
     integral = float(np.trapezoid(inner, times[i1 : i2 + 1]))
     return mass1 + integral / (times[i2] - times[i1])

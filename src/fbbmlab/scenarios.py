@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import ScenarioConfig, _evolve_config
 from .estimates import (
-    RATIO_FAMILIES,
     _constant_tol,
+    _family_ratio,
     _report,
     group_weighted_growth,
     make_corpus,
@@ -289,7 +289,7 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
         family = entry["family"]
         fparams = {k: v for k, v in entry.items() if k != "family"}
         rep = _report(family, corpus, fine, **fparams)
-        const_ratio = RATIO_FAMILIES[family][0](const, probe_field, **fparams)
+        const_ratio = _family_ratio(family, const, probe_field, **fparams)
         tag = ";".join(f"{k}={v:g}" for k, v in sorted(fparams.items()))
         families += [family] * len(rep.ratios)
         tags += [tag] * len(rep.ratios)
@@ -380,7 +380,7 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
         # odd data: integral is exactly zero; 'mean' is ignored
         phi = Field(grid, grid.xs * np.exp(-((grid.xs / p["width"]) ** 2)))
     traj = evolve(phi, _evolve_config(cfg.scenario, p))
-    R = ucp_residual(traj, p["t1"], p["t2"], k=p["k"])
+    R = ucp_residual(traj, p["t1"], p["t2"])
 
     masses = traj.grid.dx * np.sum(traj.states, axis=1)
     integrand = traj.grid.dx * np.sum(traj.states ** p["k"], axis=1)

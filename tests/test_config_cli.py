@@ -350,7 +350,8 @@ PARITY = {
     "k": (lambda v: {**EVOLVE_OK, "k": v}, "k",
           lambda v: EvolveConfig(alpha=0.5, dt=0.01, t_final=0.5, power=v), [1, 2, 3]),
     "k-ucp": (lambda v: {**UCP_OK, "k": v}, "k",
-              lambda v: ucp_residual(ucp_trajectory(None), 0.0, 0.5, k=v), [1, 2]),
+              lambda v: _evolve_config("ucp", {**validate_config(UCP_OK).params, "k": v}),
+              [1, 2]),
     "snapshot_stride": (lambda v: {**EVOLVE_OK, "snapshot_stride": v}, "snapshot_stride",
                         lambda v: EvolveConfig(alpha=0.5, dt=0.01, t_final=0.5, snapshot_stride=v),
                         [-1, 0, 1]),

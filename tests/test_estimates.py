@@ -15,7 +15,6 @@ from fbbmlab.estimates import (
     BoundaryContaminationError,
     QuadratureInconsistencyError,
     RATIO_FAMILIES,
-    _ratio,
     _synthesize,
     commutator_a_ratio,
     corpus_ratios,
@@ -108,9 +107,15 @@ def test_constant_weight_gives_zero(corpus):
     assert frac_commutator_ratio(const, f, 0.25, 0.5) == 0.0
 
 
-def test_constant_weight_nonzero_numerator_flags():
+def test_constant_weight_nonzero_numerator_flags(corpus, monkeypatch):
+    # a commutator as large as f itself against a constant weight
+    g = corpus.grid
+    const = Field(g, np.full(g.n, 1.7))
+    f = Field(g, corpus.fields[0])
+    broken = (lambda psi, f, alpha: f, *RATIO_FAMILIES["generator"][1:])
+    monkeypatch.setitem(RATIO_FAMILIES, "generator", broken)
     with pytest.raises(QuadratureInconsistencyError):
-        _ratio(num=1.0, den_sup=0.0, den_scale=1.0, fnorm=1.0, tol=1e-11)
+        commutator_a_ratio(const, f, 0.5)
 
 
 def test_generator_ratio_unit_slope_weight():
@@ -188,18 +193,33 @@ def test_corpus_ratios_match_registry(corpus, family, kernel, params):
 # ------------------------------------------------------------ corpus sweeps
 
 
+PINNED = [
+    ("generator", dict(alpha=0.5), 0.129175),
+    ("hilbert", dict(l=0, m=1), 0.073834),
+    ("hilbert", dict(l=1, m=1), 0.025474),
+    ("fractional", dict(alpha=0.25, beta=0.5), 0.299156),
+    ("fractional", dict(alpha=0.0, beta=0.5), 0.299570),
+]
+
+
+def _pinned(i, L, pinned_max=None):
+    # an id names the box only when it is not the default L = 50
+    family, params, pin = PINNED[i]
+    pin = pinned_max or pin
+    box = "" if L == 50.0 else f"-L{L:g}"
+    return pytest.param(family, params, L, pin, id=f"{family}-params{i}-{pin:g}{box}")
+
+
+# the hilbert and fractional ratios are scale-free, so their pins hold on
+# every box; the generator's symbol is not, and its ratio moves with L
 @pytest.mark.parametrize(
-    "family, params, pinned_max",
-    [
-        ("generator", dict(alpha=0.5), 0.129175),
-        ("hilbert", dict(l=0, m=1), 0.073834),
-        ("hilbert", dict(l=1, m=1), 0.025474),
-        ("fractional", dict(alpha=0.25, beta=0.5), 0.299156),
-        ("fractional", dict(alpha=0.0, beta=0.5), 0.299570),
-    ],
+    "family, params, L, pinned_max",
+    [_pinned(i, 50.0) for i in range(5)]
+    + [_pinned(i, L) for i in range(1, 5) for L in (1e8, 1e14, 1e50)]
+    + [_pinned(0, 1e14, 0.599191)],
 )
-def test_ratio_report_pinned(family, params, pinned_max):
-    rep = ratio_report(family, 2048, 50.0, 50, seed=SEED, **params)
+def test_ratio_report_pinned(family, params, L, pinned_max):
+    rep = ratio_report(family, 2048, L, 50, seed=SEED, **params)
     assert rep.corpus_max == pytest.approx(pinned_max, abs=2e-6)
     assert 0.5 <= rep.refinement_factor <= 2.0
     # same continuum corpus on both grids: factor is 1 up to roundoff
@@ -377,5 +397,7 @@ def test_ucp_validation(mean_half_traj):
         ucp_residual(mean_half_traj, 0.005, 5.0)
     with pytest.raises(ValueError, match="snapshot"):
         ucp_residual(mean_half_traj, 0.0, 5.7)
+    # the power rule belongs to the trajectory's config
     with pytest.raises(ValueError, match="power"):
-        ucp_residual(mean_half_traj, 0.0, 5.0, k=1)
+        EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, power=1)
+    assert EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, power=2).power == 2

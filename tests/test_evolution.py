@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbbmlab.evolution as evolution
 from fbbmlab.spectral import (
     Field,
     Spectrum,
@@ -42,7 +43,9 @@ from fbbmlab.ground_state import petviashvili, scale_to_speed
 # ------------------------------------------------------------------- config
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
+    # the abort threshold is a module constant: no config carries or checks it
+    monkeypatch.setattr(evolution, "BLOWUP_FACTOR", 1.0)
     ok = dict(alpha=0.5, dt=0.01, t_final=1.0)
     EvolveConfig(**ok)
     with pytest.raises(ValueError):
@@ -57,7 +60,7 @@ def test_config_validation():
         EvolveConfig(**{**ok, "power": 1})
     with pytest.raises(ValueError):
         EvolveConfig(**{**ok, "snapshot_stride": 0})
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         EvolveConfig(**{**ok, "blowup_factor": 1.0})
 
 
@@ -210,33 +213,34 @@ def test_traveling_wave_low_dispersion():
 # ------------------------------------------------------------------ aborts
 
 
-def test_blowup_abort_triggers():
+def test_blowup_abort_triggers(monkeypatch):
     g = make_grid(512, 25.0)
     u0 = Field(g, 2.0 * np.exp(-g.xs**2))
+    monkeypatch.setattr(evolution, "BLOWUP_FACTOR", 1.0001)
     with pytest.raises(BlowUpError):
-        evolve(u0, EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, blowup_factor=1.0001))
+        evolve(u0, EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0))
     # dt = 0.05 is far beyond the stable step for this amplitude: the state
     # is finite at t = 0.4 and overflows in the next step.  The error names
     # that step whatever the snapshot stride.
     g = make_grid(256, 10.0)
     big = Field(g, 10.0 * np.exp(-g.xs**2))
+    monkeypatch.setattr(evolution, "BLOWUP_FACTOR", 1e308)
     with np.errstate(all="ignore"):
-        ok = evolve(big, EvolveConfig(alpha=0.5, dt=0.05, t_final=0.4, blowup_factor=1e308))
+        ok = evolve(big, EvolveConfig(alpha=0.5, dt=0.05, t_final=0.4))
         assert np.all(np.isfinite(ok.states))
         for stride in (1, 7, 50):
-            cfg = EvolveConfig(
-                alpha=0.5, dt=0.05, t_final=5.0, snapshot_stride=stride, blowup_factor=1e308
-            )
+            cfg = EvolveConfig(alpha=0.5, dt=0.05, t_final=5.0, snapshot_stride=stride)
             with pytest.raises(BlowUpError, match=r"at t = 0\.45( |$)"):
                 evolve(big, cfg)
 
 
-def test_blowup_raises_without_numpy_warnings():
+def test_blowup_raises_without_numpy_warnings(monkeypatch):
     # the overflow is reported once, by BlowUpError; numpy's
     # RuntimeWarnings on the way there would be noise beside it
     g = make_grid(256, 10.0)
     big = Field(g, 10.0 * np.exp(-g.xs**2))
-    cfg = EvolveConfig(alpha=0.5, dt=0.05, t_final=5.0, blowup_factor=1e308)
+    monkeypatch.setattr(evolution, "BLOWUP_FACTOR", 1e308)
+    cfg = EvolveConfig(alpha=0.5, dt=0.05, t_final=5.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BlowUpError, match=r"at t = 0\.45( |$)"):
