@@ -41,6 +41,35 @@ for shipped in scripts/configs/*.json; do
   done
 done
 
+# every float cell those runs wrote must be repr's spelling of its value:
+# the writer checked against repr on real outputs, apart from its tests
+echo "== float cells are repr"
+python3 - "$work/runs-a" <<'EOF' || status=1
+import glob, os, sys
+checked, wrong = 0, []
+for path in sorted(glob.glob(os.path.join(sys.argv[1], "*", "*.csv"))
+                   + glob.glob(os.path.join(sys.argv[1], "*", "*.dat"))):
+    sep = "," if path.endswith(".csv") else " "
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue  # the config-hash and .dat header lines
+            for cell in line.rstrip("\n").split(sep):
+                if not any(mark in cell for mark in (".", "e", "inf", "nan")):
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a header or label
+                checked += 1
+                if cell != repr(value):
+                    wrong.append(f"{path}: {cell!r} is not {repr(value)!r}")
+print(f"{checked} float cells, {len(wrong)} not repr")
+for line in wrong[:20]:
+    print(line)
+sys.exit(1 if wrong or not checked else 0)
+EOF
+
 # the line counts the ROADMAP tracks: the Python and the declared output
 # formats, next to the collected test count
 echo "== source size"

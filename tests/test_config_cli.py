@@ -482,6 +482,21 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command):
+    # a directory and a file that is not UTF-8 are reported, not raised
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    for path, why in ((tmp_path, "Is a directory"), (binary, "is not UTF-8"),
+                      (tmp_path / "missing.json", "No such file")):
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, str(path), *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and why in err
+    assert not out.exists()
+
+
 def test_schema_subcommand(capsys):
     assert main(["schema"]) == EXIT_OK
     listed = capsys.readouterr().out.split()
@@ -1013,6 +1028,9 @@ KINDS = {
     "int": lambda n: st.lists(st.integers(-(10**20), 10**20), min_size=n, max_size=n),
     "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n),
     "label": lambda n: st.lists(st.text("ab=;.-_ 0\x00é", max_size=6), min_size=n, max_size=n),
+    # raw bit patterns: subnormals, every exponent, NaN payloads
+    "bits": lambda n: st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n)
+    .map(lambda v: np.array(v, dtype=np.uint64).view(np.float64)),
     "int64": lambda n: st.lists(
         st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n
     ).map(lambda v: np.array(v, dtype=np.int64)),
@@ -1089,6 +1107,40 @@ def test_writers_match_row_reference(table, chunk):
             assert open(got, "rb").read() == open(want, "rb").read()
 
 
+def _shortest_cells(values):
+    m, keep = cli_mod._shortest(values)
+    return [bytes(row[k]).decode() for row, k in zip(m, keep)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_shortest_matches_repr_on_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert _shortest_cells(values) == [repr(v) for v in values.tolist()]
+
+
+def test_shortest_matches_repr_on_boundaries():
+    # every power of two (its lower gap is half its upper one), 10^k, the
+    # neighbours of both, the least normal and largest subnormal, and
+    # decimals of 15, 16 and 17 significant digits over the exponent range
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    rng = np.random.default_rng(19)
+    decimals = [float(f"{rng.integers(10 ** (size - 1), 10**size)}e{e}")
+                for size in (15, 16, 17) for e in rng.integers(-340, 310, 1000)]
+    values = np.concatenate([twos, tens, decimals, [0.0, np.inf, np.nan]])
+    values = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, 0.0)])
+    values = np.concatenate([values, -values])
+    assert np.nextafter(2.0**-1022, 0.0) in values and np.finfo(np.float64).max in values
+    for part in np.array_split(values, 3):  # more than one _BLOCK each
+        assert _shortest_cells(part) == [repr(v) for v in part.tolist()]
+
+
+def _rows_formatted(counted):
+    # the values handed to the shortest-digit formatter, over all its calls
+    return sum(call.args[0].size for call in counted.call_args_list)
+
+
 def test_writer_formats_each_distinct_float_once(tmp_path):
     # a mirrored column of 1001 rows holds 501 distinct values
     col = _mirrored(np.random.default_rng(1).standard_normal(1001))
@@ -1097,9 +1149,9 @@ def test_writer_formats_each_distinct_float_once(tmp_path):
     assert distinct == 501
     got, want = tmp_path / "got", tmp_path / "want"
     with mock.patch.object(cli_mod, "CHUNK_ROWS", 64), \
-            mock.patch.object(cli_mod, "repr", side_effect=repr, create=True) as counted:
+            mock.patch.object(cli_mod, "_shortest", side_effect=cli_mod._shortest) as counted:
         cli_mod.write_csv(str(got), table, "f00d")
-    assert 0 < counted.call_count <= distinct
+    assert 0 < _rows_formatted(counted) <= distinct
     _reference_write(str(want), table, "f00d", False)
     assert got.read_bytes() == want.read_bytes()
 
@@ -1119,15 +1171,15 @@ def test_writer_skips_repeat_search_on_increasing_column(tmp_path):
 
 def test_writer_spells_dyadic_grid_from_digits(tmp_path):
     # a step of 200/4096 = 25/512 has 9 binary places: every value is an
-    # exact short decimal, written with no repr call; a step of (200/3)/4096
-    # is not dyadic, and each of its values takes one
-    for L, calls in ((100.0, 0), (100 / 3, 4096)):
+    # exact short decimal, spelled by _dyadic with no shortest-digit search;
+    # a step of (200/3)/4096 is not dyadic, and each of its values takes one
+    for L, rows in ((100.0, 0), (100 / 3, 4096)):
         xs = make_grid(4096, L).xs
         table = Table("grid", ("x [model units]",), (xs,), (0, 0))
         got, want = tmp_path / "got", tmp_path / "want"
-        with mock.patch.object(cli_mod, "repr", side_effect=repr, create=True) as counted:
+        with mock.patch.object(cli_mod, "_shortest", side_effect=cli_mod._shortest) as counted:
             cli_mod.write_csv(str(got), table, "f00d")
-        assert counted.call_count == calls
+        assert _rows_formatted(counted) == rows
         _reference_write(str(want), table, "f00d", False)
         assert got.read_bytes() == want.read_bytes()
 
