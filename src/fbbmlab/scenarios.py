@@ -211,6 +211,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
     res.summary = {
         "residual": float(sol.residual),
         "iterations": sol.iterations,
+        "mixed_from": sol.mixed_from,
         "tail": tail,
         "scaled_wave": scaled,
         "oracle_sup_error": oracle_sup_error,

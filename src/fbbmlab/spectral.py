@@ -198,15 +198,19 @@ def _dct1(x: np.ndarray) -> np.ndarray:
     if N <= _DCT1_DIRECT:
         return np.fft.rfft(np.concatenate((x, x[-2:0:-1]))).real
     M = N // 2
+    # the even half first, and each temporary dropped once spent, so that
+    # only out and one level's temporaries are alive at any depth
+    out = np.empty(N + 1)
+    out[0::2] = _dct1(x[: M + 1] + x[N : M - 1 : -1])
     z = x[:M] - x[N:M:-1]
     v = np.empty(M // 2 + 1, dtype=complex)
     v.real = z[: M // 2 + 1]
     v.imag[0] = 0.0
     np.negative(z[: M // 2 - 1 : -1], out=v.imag[1:])
+    del z
     v *= _dct1_twiddle(M)
     u = np.fft.irfft(v, M, norm="forward")
-    out = np.empty(N + 1)
-    out[0::2] = _dct1(x[: M + 1] + x[N : M - 1 : -1])
+    del v
     out[1::4] = u[: M // 2]
     out[3::4] = u[: M // 2 - 1 : -1]
     return out

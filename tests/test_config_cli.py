@@ -619,6 +619,7 @@ def test_groundstate_oracle_manifest(tmp_path):
     assert summary["oracle_sup_error"] is not None
     assert summary["oracle_sup_error"] <= 1e-6
     assert summary["tail"] is None  # exponential localization: nothing to fit
+    assert 1 < summary["mixed_from"] < summary["iterations"]
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     names = {c["name"] for c in manifest["checks"]}
     assert "closed_form_profile_error" in names

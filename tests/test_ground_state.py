@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from fbbmlab.spectral import Field, _half_l2, _parseval, frac_deriv_symbol, make_grid
 from fbbmlab.ground_state import (
+    _MIX_DEPTH,
+    _MIX_GUARD,
     NonConvergenceError,
     StabilizerDegenerateError,
     _check_tol,
@@ -65,18 +67,31 @@ def test_returned_wave_is_the_converged_iterate():
 
 
 def _full_length_petviashvili(grid, alpha, tol):
-    """Reference: the same iteration on the rfft of all n samples."""
+    """Reference: the same iteration on the rfft of all n samples, its
+    updates mixed from the guard on with a plain list history."""
     symbol = 1.0 + frac_deriv_symbol(grid, alpha)[: grid.n // 2 + 1]
     coeffs = np.real(np.fft.rfft(3.0 * np.exp(-(grid.xs**2))))
     size = _half_l2(coeffs, grid)
+    fs, gs = [], []  # F = G(x) - x and G(x) of the mixed iterates
     for it in range(1, 401):
         psi = np.fft.irfft(coeffs, grid.n)
         quad = np.real(np.fft.rfft(0.5 * psi**2))
         lin = symbol * coeffs
-        if _half_l2(lin - quad, grid) / size < tol:
+        resid = _half_l2(lin - quad, grid) / size
+        if resid < tol:
             return psi, it
         M = _parseval(coeffs, lin, grid) / _parseval(coeffs, quad, grid)
-        coeffs = M**2 / symbol * quad
+        g = quad * M**2 / symbol
+        if gs or resid < _MIX_GUARD:
+            fs, gs = (fs + [g - coeffs])[-_MIX_DEPTH - 1 :], (gs + [g])[-_MIX_DEPTH - 1 :]
+            dF = [b - a for a, b in zip(fs, fs[1:])]
+            dG = [b - a for a, b in zip(gs, gs[1:])]
+            if dF:
+                gram = np.array([[_parseval(a, b, grid) for b in dF] for a in dF])
+                rhs = np.array([_parseval(a, fs[-1], grid) for a in dF])
+                gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+                g = g - sum(c * d for c, d in zip(gamma, dG))
+        coeffs = g
         size = _half_l2(coeffs, grid)
     raise AssertionError("reference iteration did not converge")
 
@@ -92,6 +107,47 @@ def test_half_length_solve_matches_full_length_reference(n, L, alpha):
     assert np.max(np.abs(r.wave.values - ref)) <= 1e-13 * np.max(ref)
 
 
+def test_guarded_mixing_finds_the_plain_wave():
+    # mixing from the first step converges here to another even wave (peak
+    # 4.4281 at x = -0.25, mass 7.1693); behind the guard the solve finds
+    # the plain one, the 2^22 criterion-06 wave at 1/64 of its grid
+    n, L = 2**16, 8192.0
+    g = make_grid(n, L)
+    r = petviashvili(g, 0.25, tol=1e-9)
+    v = r.wave.values
+    assert r.mixed_from is not None
+    assert np.argmax(v) == n // 2  # x = 0
+    assert v.max() == pytest.approx(4.9137, rel=1e-4)
+    assert np.sum(v) * g.dx == pytest.approx(3.09828, rel=1e-4)
+
+
+def test_mixing_cuts_iterations():
+    # the plain solve takes 104 iterations here
+    g = make_grid(2**14, 800.0)
+    r = petviashvili(g, 0.75, tol=1e-10)
+    assert r.iterations <= 35
+    assert r.mixed_from < r.iterations
+    # a solve that stops before its first mixed update reports none
+    assert petviashvili(g, 0.75, tol=0.5).mixed_from is None
+
+
+@pytest.mark.parametrize("n, L, alpha", [(64, 10.0, 0.5), (1024, 100.0, 2.0)])
+def test_stalled_mixing_ends_in_nonconvergence(n, L, alpha):
+    # below the roundoff floor the residual stalls and the mixing
+    # differences go singular; the budget, not the solve, must end it
+    with pytest.raises(NonConvergenceError):
+        petviashvili(make_grid(n, L), alpha, tol=1e-17)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -1}, {"tol": 0.0},
+                                    {"tol": -1e-10}, {"tol": float("nan")}])
+def test_budget_and_tol_validated_up_front(grid, kwargs):
+    # max_iter 0 used to end in UnboundLocalError, and a NaN or nonpositive
+    # tol spent all 400 iterations before NonConvergenceError
+    with pytest.raises(ValueError, match="max_iter|tol"):
+        petviashvili(grid, 0.5, **kwargs)
+
+
 def test_stabilizer_history_ends_near_one(wave_half):
     assert abs(wave_half.stabilizers[-1] - 1.0) < 1e-8
 
@@ -103,7 +159,8 @@ def test_default_tolerance_converges(grid):
 
 def test_tight_tolerance_reached_on_large_grid():
     # the roundoff floor does not grow with the grid: 1e-13 is reached at
-    # n = 2^16 (321 iterations when measured, returned residual 9.8e-14)
+    # n = 2^16 (81 iterations when measured, 321 unmixed; returned
+    # residual 8.2e-15)
     g = make_grid(2**16, 800.0)
     r = petviashvili(g, 0.5, tol=1e-13)
     assert r.residual < 2e-13
