@@ -8,20 +8,3 @@ periodic grid.
 """
 
 __version__ = "0.1.0"
-
-from .spectral import (  # noqa: F401
-    Field,
-    SpectralGrid,
-    Spectrum,
-    apply_multiplier,
-    field_l2,
-    field_linf,
-    forward,
-    frac_deriv,
-    group_propagate,
-    hilbert,
-    inverse,
-    make_grid,
-    op_a,
-    spectrum_l2,
-)

@@ -16,7 +16,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .estimates import _check_box, _check_family, _check_orders, _check_size, _check_times
+import numpy as np
+
+from .estimates import (_check_box, _check_family, _check_orders, _check_sample_times,
+                        _check_size, _snapshot_indices)
 from .evolution import EvolveConfig, _check_dt, _check_power, _check_stride, _check_T
 from .ground_state import _check_speed, _check_tol, _speed_box, _tail_samples
 from .spectral import _check_L, _check_alpha, _check_n
@@ -223,21 +226,22 @@ def _cross_evolve(p, bad, scenario="evolve"):
         return None
 
 
+def _ucp_amplitude(p) -> float:
+    """The peak of the ucp run's gaussian data, whose integral is mean."""
+    return p["mean"] / (p["width"] * math.sqrt(math.pi))
+
+
 def _cross_ucp(p, bad):
     econf = _cross_evolve(p, bad, "ucp")
     if p["t2"] is None:
         p["t2"] = float(p["T"])
-    t1, t2 = p["t1"], p["t2"]
-    if msg := _violation("t1", _check_times, t1, t2):
-        bad.append(msg)
-    if t2 > p["T"] + 1e-12:
-        bad.append("t2 must not exceed T")
-    if bad:
-        return
-    for name, t in (("t1", t1), ("t2", t2)):
-        if not econf.records(t):
-            bad.append(f"{name} must be a recorded snapshot time: a multiple of "
-                       f"snapshot_stride * dt = {econf.snapshot_stride * econf.dt:g}, or T")
+    if econf is not None:
+        try:
+            _snapshot_indices(econf, p["t1"], p["t2"])
+        except ValueError as e:
+            bad.append(str(e))  # the message opens with the time at fault
+    if p["profile"] == "gaussian" and not math.isfinite(amp := _ucp_amplitude(p)):
+        bad.append(f"width: the gaussian's peak mean / (width sqrt(pi)) = {amp} is not finite")
 
 
 def _cross_groundstate(p, bad):
@@ -257,10 +261,14 @@ def _cross_groundstate(p, bad):
             bad.append(f"window: {e}")
 
 
+def _growth_times(p) -> np.ndarray:
+    """The weighted-growth run's sample times."""
+    return np.linspace(1.0, p["t_max"], p["t_count"])
+
+
 def _cross_growth(p, bad):
-    # sample times run linspace(1, t_max, t_count) and must increase
-    if p["t_count"] >= 2 and p["t_max"] <= 1.0:
-        bad.append("t_max must exceed 1 when t_count >= 2 (samples run from t = 1)")
+    if msg := _violation("t_max", _check_sample_times, _growth_times(p)):
+        bad.append(msg)
 
 
 _CROSS = {

@@ -23,7 +23,7 @@ from math import ceil
 
 import numpy as np
 
-from .evolution import Trajectory
+from .evolution import EvolveConfig, Trajectory
 from .spectral import (
     Field,
     SpectralGrid,
@@ -358,6 +358,11 @@ class GrowthReport:
     within_bound: bool
 
 
+def _check_sample_times(ts: np.ndarray) -> None:
+    if ts.size == 0 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
+        raise ValueError("times must be nonempty, nonnegative, strictly increasing")
+
+
 def group_weighted_growth(
     phi: Field,
     alpha: float,
@@ -374,8 +379,7 @@ def group_weighted_growth(
     checks r.
     """
     ts = np.asarray(times, dtype=float)
-    if ts.size == 0 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
-        raise ValueError("times must be nonempty, nonnegative, strictly increasing")
+    _check_sample_times(ts)
     grid = phi.grid
     edge = np.abs(grid.xs) > EDGE_FRACTION * grid.L
     base = weighted_norm(phi, r)
@@ -406,19 +410,24 @@ def group_weighted_growth(
 # ------------------------------------------------------------ mass identity
 
 
-def _snap_index(times: np.ndarray, t: float, name: str) -> int:
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(
-            f"{name}={t:g} does not coincide with a recorded snapshot "
-            f"(nearest is {times[idx]:g})"
-        )
-    return idx
-
-
-def _check_times(t1: float, t2: float) -> None:
+def _snapshot_indices(config: EvolveConfig, t1: float, t2: float) -> tuple[int, int]:
+    """Indices of the snapshots at t1 and t2 among the times of evolve(...,
+    config).  Raises ValueError, its message opening with the time at fault,
+    unless 0 <= t1 < t2 <= T, config records both, and they differ in step."""
     if not 0 <= t1 < t2:
-        raise ValueError(f"0 <= t1 < t2 required, got t1={t1}, t2={t2}")
+        raise ValueError(f"t1: 0 <= t1 < t2 required, got t1={t1}, t2={t2}")
+    if np.round(t2 / config.dt) > config.steps:
+        raise ValueError(f"t2 must not exceed T = {config.t_final:g}, the last snapshot")
+    for name, t in (("t1", t1), ("t2", t2)):
+        if not config.records(t):
+            raise ValueError(f"{name} must be a recorded snapshot time: a multiple of "
+                             f"snapshot_stride * dt = {config.stride * config.dt:g}, or T")
+    s1, s2 = round(t1 / config.dt), round(t2 / config.dt)
+    if s1 == s2:
+        raise ValueError(f"t2 must fall on a later snapshot than t1: both are step {s1}")
+    # evolve records steps 0, stride, 2 stride, ... and the last step, so the
+    # recorded step s is snapshot ceil(s / stride)
+    return -(-s1 // config.stride), -(-s2 // config.stride)
 
 
 def ucp_residual(traj: Trajectory, t1: float, t2: float) -> float:
@@ -426,18 +435,14 @@ def ucp_residual(traj: Trajectory, t1: float, t2: float) -> float:
 
     R = u-hat(0, t1) + (1/(t2 - t1)) int_{t1}^{t2} int u^k dx dtau, k the
     trajectory's power, with the time integral by trapezoid over the
-    recorded snapshots.
+    recorded snapshots from t1 to t2 (as _snapshot_indices requires them).
     A solution with critical spatial decay at both ends would force
     R = 0; for even k and nonnegative initial mean both terms are
     nonnegative, so R = 0 pins the zero solution.  For odd k the sign
     carries no such obstruction and R is reported as-is.
     """
-    _check_times(t1, t2)
+    i1, i2 = _snapshot_indices(traj.config, t1, t2)
     times = traj.times
-    i1 = _snap_index(times, t1, "t1")
-    i2 = _snap_index(times, t2, "t2")
-    if i2 <= i1:
-        raise ValueError("t1 and t2 snap to the same snapshot; refine the stride")
     dx = traj.grid.dx
     block = traj.states[i1 : i2 + 1]
     mass1 = dx * float(np.sum(block[0]))

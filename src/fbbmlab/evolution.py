@@ -106,14 +106,17 @@ class EvolveConfig:
     def steps(self) -> int:
         return round(self.t_final / self.dt)
 
+    @property
+    def stride(self) -> int:
+        """Steps between snapshots: snapshot_stride, else about 400 in all."""
+        return self.snapshot_stride or max(1, self.steps // 400)
+
     def records(self, t):
         """Whether evolve records the state at time t (a number or an array): a
-        whole step (to 1e-9 relative) that is a multiple of snapshot_stride (by
-        default about 400 snapshots in all) or the last."""
+        whole step (to 1e-9 relative) that is a multiple of stride or the last."""
         step = np.round(t / self.dt)
-        stride = self.snapshot_stride or max(1, self.steps // 400)
         whole = np.abs(step * self.dt - t) <= 1e-9 * np.maximum(1.0, t)
-        return whole & ((step % stride == 0) | (step == self.steps))
+        return whole & ((step % self.stride == 0) | (step == self.steps))
 
     @property
     def kept_fraction(self) -> float:

@@ -66,29 +66,31 @@ class PetviashviliResult:
     mixed_from: int | None  # first iteration whose update was mixed
 
 
+# petviashvili's iteration budget
+MAX_ITER = 400
+
 # The solve mixes its updates once the equation residual first falls below
 # _MIX_GUARD, from the last _MIX_DEPTH differences (see petviashvili)
 _MIX_GUARD = 1e-2
 _MIX_DEPTH = 2
 
 
+def _residual(v: Field, symbol: np.ndarray, rhs: np.ndarray) -> float:
+    """|| symbol v-hat - rhs ||_2 / || v ||_2, rhs a half spectrum."""
+    return _half_l2(symbol * np.fft.rfft(v.values) - rhs, v.grid) / field_l2(v)
+
+
 def normalized_residual(psi: Field, alpha: float) -> float:
     """|| psi + D^alpha psi - psi^2/2 ||_2 / || psi ||_2."""
     g = psi.grid
     symbol = 1.0 + _half(frac_deriv_symbol(g, alpha), g.n)
-    quad = np.fft.rfft(0.5 * psi.values**2)
-    return _half_l2(symbol * np.fft.rfft(psi.values) - quad, g) / field_l2(psi)
+    return _residual(psi, symbol, np.fft.rfft(0.5 * psi.values**2))
 
 
-def petviashvili(
-    grid: SpectralGrid,
-    alpha: float,
-    initial: Field | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 400,
-) -> PetviashviliResult:
+def petviashvili(grid: SpectralGrid, alpha: float, tol: float = 1e-10) -> PetviashviliResult:
     """Fixed-point iteration for the normalized even solitary profile.
 
+    The guess is 3 exp(-x^2), and the solve takes at most MAX_ITER steps.
     Each step maps spec -> G(spec) = M^2 (1 + |xi|^alpha)^{-1} F[psi^2/2]
     with M the Rayleigh-type stabilizer; convergence is declared when the
     relative equation residual drops below tol.  The iterate is the n/2+1
@@ -132,17 +134,11 @@ def petviashvili(
     _check_alpha(alpha)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if initial is not None and initial.grid != grid:
-        raise ValueError("initial guess lives on a different grid")
 
     n = grid.n
     symbol = 1.0 + _half(frac_deriv_symbol(grid, alpha), n)
-    coeffs = _dct1(_even_samples(grid, initial))
-    norm0 = size = _half_l2(coeffs, grid)
-    if norm0 == 0:
-        raise ValueError("initial guess must be nonzero")
+    coeffs = _dct1(_even_samples(grid))
+    norm0 = size = _half_l2(coeffs, grid)  # nonzero: the guess is 3 at x_{n/2} = 0
     stabs = []
     floor = _tol_floor(alpha, n, grid.L)
     mixer = _Mixer(grid)
@@ -150,7 +146,7 @@ def petviashvili(
     mixed_from = None
     # |M - 1| is quadratically small in the error (Rayleigh stationarity),
     # so the stopping test uses the equation residual itself
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         psi = _dct1(coeffs)
         psi /= n
         quad = _dct1(0.5 * psi**2)
@@ -194,7 +190,7 @@ def petviashvili(
                 f"iterate collapsed to {size:.3e} of initial size at iteration {it}"
             )
     raise NonConvergenceError(
-        f"no convergence to tol={tol:.1e} in {max_iter} iterations "
+        f"no convergence to tol={tol:.1e} in {MAX_ITER} iterations "
         f"(last residual {resid:.3e})"
     )
 
@@ -244,14 +240,14 @@ class _Mixer:
         return out
 
 
-def _even_samples(grid: SpectralGrid, initial: Field | None) -> np.ndarray:
-    """Samples j = 0..n/2 of the guess's even part (default 3 exp(-x^2)).
+def _even_samples(grid: SpectralGrid) -> np.ndarray:
+    """Samples j = 0..n/2 of the even part of the guess 3 exp(-x^2).
 
     x_{n-j} = -x_j, so an even field is fixed by these n/2+1 samples and its
     half spectrum is their real DCT-I; v[-j] = v[n-j] is the sample at the
     mirror point, and averaging the pairs projects onto the even sector.
     """
-    v = 3.0 * np.exp(-(grid.xs**2)) if initial is None else initial.values
+    v = 3.0 * np.exp(-(grid.xs**2))
     j = np.arange(grid.n // 2 + 1)
     return 0.5 * (v[j] + v[-j])
 
@@ -309,8 +305,7 @@ def traveling_wave_residual(q: Field, alpha: float, c: float) -> float:
     """|| c (q + D^alpha q) - q - q^2 ||_2 / || q ||_2 on q's box."""
     g = q.grid
     symbol = c * (1.0 + _half(frac_deriv_symbol(g, alpha), g.n))
-    rhs = np.fft.rfft(q.values + q.values**2)
-    return _half_l2(symbol * np.fft.rfft(q.values) - rhs, g) / field_l2(q)
+    return _residual(q, symbol, np.fft.rfft(q.values + q.values**2))
 
 
 def _tail_window(L: float) -> tuple[float, float]:

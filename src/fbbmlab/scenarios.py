@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ScenarioConfig, _evolve_config
+from .config import ScenarioConfig, _evolve_config, _growth_times, _ucp_amplitude
 from .estimates import (
     _constant_tol,
     _family_ratio,
@@ -331,7 +331,7 @@ def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
     phi = Field(grid, np.exp(-(grid.xs**2)))
-    times = np.linspace(1.0, p["t_max"], p["t_count"])
+    times = _growth_times(p)
 
     res = ScenarioResult()
     alphas, rs, ts, norms = [], [], [], []
@@ -375,10 +375,9 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
     if p["profile"] == "gaussian":
-        amp = p["mean"] / (p["width"] * np.sqrt(np.pi))
-        phi = Field(grid, amp * np.exp(-((grid.xs / p["width"]) ** 2)))
+        phi = Field(grid, _ucp_amplitude(p) * np.exp(-((grid.xs / p["width"]) ** 2)))
     else:
-        # odd data: integral is exactly zero; 'mean' is ignored
+        # odd data: integral zero up to roundoff; 'mean' is ignored
         phi = Field(grid, grid.xs * np.exp(-((grid.xs / p["width"]) ** 2)))
     traj = evolve(phi, _evolve_config(cfg.scenario, p))
     R = ucp_residual(traj, p["t1"], p["t2"])
@@ -402,7 +401,9 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
         )
     )
     res.checks.append(_at_most("mass_drift", mass_drift, MASS_DRIFT_TOL))
-    sign_asserted = p["k"] % 2 == 0 and mass0 >= 0.0
+    # decided by the config, not by mass0: odd data's mass is zero only up
+    # to roundoff, whose sign would otherwise decide
+    sign_asserted = p["k"] % 2 == 0 and (p["profile"] == "odd-gaussian" or p["mean"] >= 0.0)
     if sign_asserted:
         res.checks.append(_between("residual_dominates_mass", float(R),
                                    f">= initial mass {mass0:.6g}", lo=mass0 - 1e-9))

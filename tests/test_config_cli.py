@@ -31,6 +31,8 @@ from fbbmlab.config import (
     validate_config,
 )
 from fbbmlab.estimates import (
+    _check_sample_times,
+    _snapshot_indices,
     commutator_a_ratio,
     group_weighted_growth,
     make_corpus,
@@ -155,6 +157,8 @@ def test_pairs_validation():
         validate_config({"scenario": "stein", "pairs": [[0.5, 0.5]]})
     with pytest.raises(ConfigError, match="two-number pair"):
         validate_config({"scenario": "stein", "pairs": [[0.5]]})
+    with pytest.raises(ConfigError, match="pairs must be a nonempty list"):
+        validate_config({"scenario": "stein", "pairs": []})
     with pytest.raises(ConfigError, match="below 3/2 \\+ alpha"):
         validate_config({"scenario": "weighted-growth", "pairs": [[0.5, 2.1]]})
 
@@ -162,6 +166,10 @@ def test_pairs_validation():
 def test_families_validation():
     with pytest.raises(ConfigError, match="unknown family"):
         validate_config({"scenario": "commutators", "families": [{"family": "riesz"}]})
+    with pytest.raises(ConfigError, match="families must be a nonempty list"):
+        validate_config({"scenario": "commutators", "families": []})
+    with pytest.raises(ConfigError, match="families\\[0\\] must be an object with a 'family' key"):
+        validate_config({"scenario": "commutators", "families": [{"alpha": 0.5}]})
     with pytest.raises(ConfigError, match="takes parameters"):
         validate_config(
             {"scenario": "commutators", "families": [{"family": "generator", "l": 1}]}
@@ -198,12 +206,16 @@ def test_families_validation():
         # the tail fit needs 8 grid points in its window
         ({"scenario": "groundstate", "alpha": 0.75, "n": 4096, "L": 200.0, "tol": 1e-10,
           "window": [30.0, 30.5]}, "only 5 samples in window"),
+        # the gaussian's peak mean / (width sqrt(pi)) overflows; the run used
+        # to exit 1 on non-finite initial data
+        ({"scenario": "ucp", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 0.01, "T": 0.1,
+          "width": 1e-310}, "width: the gaussian's peak .* is not finite"),
     ],
     ids=["stein-theta", "fractional-sum", "hilbert-orders", "hilbert-half-order",
          "generator-alpha", "non-number", "unhashable-family", "groundstate-tol-floor",
          "groundstate-tol-floor-2^18", "evolve-L-overflow", "commutators-L-box",
          "groundstate-c-box-overflow",
-         "groundstate-window-samples"],
+         "groundstate-window-samples", "ucp-width-peak-overflow"],
 )
 def test_kernel_ranges_are_config_errors(tmp_path, capsys, obj, message):
     # the ranges the kernels enforce, caught before anything runs
@@ -222,11 +234,19 @@ UCP_OK = {"scenario": "ucp", "alpha": 0.5, "n": 256, "L": 50.0, "dt": 0.01, "T":
     [
         ({**UCP_OK, "t1": 0.013}, "t1 must be a recorded snapshot time"),
         ({**UCP_OK, "snapshot_stride": 7, "t2": 0.3}, "t2 must be a recorded snapshot time"),
-        ({"scenario": "weighted-growth", "t_max": 0.5, "t_count": 3}, "t_max must exceed 1"),
-        ({"scenario": "weighted-growth", "t_max": 1.0, "t_count": 3}, "t_max must exceed 1"),
+        ({"scenario": "weighted-growth", "t_max": 0.5, "t_count": 3},
+         "t_max: times must be .*strictly increasing"),
+        ({"scenario": "weighted-growth", "t_max": 1.0, "t_count": 3},
+         "t_max: times must be .*strictly increasing"),
+        # both times round to step 5; the run used to exit 1
+        ({"scenario": "ucp", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 0.01, "T": 0.1,
+          "t1": 0.05, "t2": 0.0500000001}, "t2 must fall on a later snapshot than t1"),
+        # linspace(1, t_max, 3) repeats t = 1; the run used to exit 1
+        ({"scenario": "weighted-growth", "n": 256, "L": 50.0, "t_max": 1.0000000000000002,
+          "t_count": 3, "pairs": [[0.5, 0.7]]}, "t_max: times must be .*strictly increasing"),
     ],
     ids=["ucp-t1-between-steps", "ucp-t2-between-strides", "growth-t_max-below-1",
-         "growth-t_max-equal-1"],
+         "growth-t_max-equal-1", "ucp-t1-t2-one-snapshot", "growth-t_max-one-ulp-above-1"],
 )
 def test_unsampled_times_are_config_errors(tmp_path, capsys, obj, message):
     # times the run would never sample, caught before anything runs
@@ -243,6 +263,18 @@ def test_recorded_times_run(tmp_path):
     code, _ = run_cli(tmp_path, {**UCP_OK, "snapshot_stride": 7, "t1": 0.07}, "ucp")
     assert code == EXIT_OK
     validate_config({"scenario": "weighted-growth", "t_max": 0.5, "t_count": 1})
+
+
+def test_odd_data_sign_asserted_from_the_config():
+    # odd data's initial mass is zero up to roundoff, -2.6e-16 on the first
+    # box and 0.0 on the second; whether the residual's sign is asserted
+    # must not follow that roundoff
+    results = [run_scenario(validate_config({**UCP_OK, "L": L, "T": 1.0, "profile": "odd-gaussian"}))
+               for L in (50.0, 10.1)]
+    assert [r.summary["sign_asserted"] for r in results] == [True, True]
+    for r in results:
+        assert abs(r.summary["initial_mass"]) < 1e-14
+        assert {c.name: c.passed for c in r.checks}["residual_dominates_mass"]
 
 
 def test_fractional_orders_summing_to_one_run(tmp_path):
@@ -368,6 +400,14 @@ PARITY = {
                            [0.01, 0.013, 0.25]),
     "t1<t2": (lambda v: {**UCP_OK, "t1": v, "t2": 0.3}, "t1",
               lambda v: ucp_residual(ucp_trajectory(None), v, 0.3), [-0.01, 0.0, 0.29, 0.3, 0.31]),
+    "t1-t2-distinct-snapshots": (lambda v: {**UCP_OK, "t1": 0.05, "t2": v}, "t2",
+                                 lambda v: ucp_residual(ucp_trajectory(None), 0.05, v),
+                                 [0.0500000001, 0.05 + 5e-10, 0.05 + 2e-9, 0.06]),
+    "growth-sample-times": (
+        lambda v: {"scenario": "weighted-growth", "n": 256, "L": 50.0, "t_max": v, "t_count": 3,
+                   "pairs": [[0.5, 0.7]]}, "t_max",
+        lambda v: group_weighted_growth(WIDE, 0.5, 0.7, np.linspace(1.0, v, 3)),
+        [0.5, 1.0, 1.0000000000000002, 1.0000000000000004, 1.5]),
     "window": (lambda v: {**GROUNDSTATE, "window": list(v)}, "window",
                lambda v: fit_tail_exponent(TAIL, v),
                [(0.0, 10.0), (20.0, 10.0), (30.0, 140.0), (30.0, 140.001), (30.0, 30.5),
@@ -421,6 +461,70 @@ def test_config_and_library_apply_one_rule(rule):
     assert decisions == {True, False}  # the values straddle the boundary
 
 
+def _near(t):
+    # t, the doubles next to it, and the offsets either side of the 1e-9
+    # relative tolerance that makes a time a whole step
+    scale = max(1.0, abs(t))
+    return st.sampled_from([t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf),
+                            *(t + d * scale for d in (-2e-9, -5e-10, 5e-10, 2e-9))])
+
+
+@st.composite
+def time_rule_configs(draw):
+    if draw(st.booleans()):
+        # linspace(1, t_max, t_count) repeats a time for t_max a few ulps above 1
+        t_max = draw(st.integers(-2, 8).map(lambda m: 1.0 + m * 2.0**-52) | st.floats(1e-3, 3.0))
+        return {"scenario": "weighted-growth", "n": 256, "L": 50.0, "t_max": t_max,
+                "t_count": draw(st.integers(1, 10)), "pairs": [[0.5, 0.7]]}
+    dt = draw(st.sampled_from([0.01, 0.1, 0.25, 0.003]))
+    steps = draw(st.integers(1, 40))
+    obj = {"scenario": "ucp", "alpha": 0.5, "n": 64, "L": 10.0, "dt": dt,
+           "T": draw(_near(steps * dt)), "t1": draw(_near(draw(st.integers(-1, steps)) * dt))}
+    stride = draw(st.none() | st.integers(1, 9))
+    if stride is not None:
+        obj["snapshot_stride"] = stride
+    t2 = draw(st.none() | st.integers(0, steps + 2).map(lambda s: s * dt) | st.just(obj["t1"]))
+    if t2 is not None:
+        obj["t2"] = draw(_near(t2))
+    return obj
+
+
+def _time_rules_accept(obj) -> bool:
+    """The library's preconditions on the times a config's run uses."""
+    if obj["scenario"] == "weighted-growth":
+        return _library_accepts(_check_sample_times,
+                                np.linspace(1.0, obj["t_max"], obj["t_count"]))
+    t1, t2 = obj["t1"], obj.get("t2", obj["T"])
+    try:
+        # a ucp run records every step unless the config sets a stride
+        config = EvolveConfig(0.5, obj["dt"], obj["T"], snapshot_stride=obj.get("snapshot_stride", 1))
+        indices = _snapshot_indices(config, t1, t2)
+    except ValueError:
+        return False
+    # the indices pick the snapshots evolve records at those times
+    times = config.dt * np.flatnonzero(config.records(config.dt * np.arange(config.steps + 1)))
+    for i, t in zip(indices, (t1, t2)):
+        assert abs(times[i] - t) <= 1e-9 * max(1.0, t), (obj, indices)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=time_rule_configs())
+@example(obj={"scenario": "ucp", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 0.01, "T": 0.1,
+              "t1": 0.05, "t2": 0.0500000001})
+@example(obj={"scenario": "weighted-growth", "n": 256, "L": 50.0, "t_max": 1.0000000000000002,
+              "t_count": 3, "pairs": [[0.5, 0.7]]})
+def test_time_rules_validate_as_the_library_checks(obj):
+    # the config accepts sample and snapshot times exactly when the library
+    # check the run calls does; nothing is run, so no run-time outcome hides
+    try:
+        validate_config(obj)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    assert accepted == _time_rules_accept(obj), obj
+
+
 def test_groundstate_window_rule():
     with pytest.raises(ConfigError, match="0.7 L"):
         validate_config(
@@ -439,6 +543,8 @@ def test_emit_flags_validated():
         validate_config({**EVOLVE_OK, "emit": {"csvx": True}})
     with pytest.raises(ConfigError, match="emit.csv must be a boolean"):
         validate_config({**EVOLVE_OK, "emit": {"csv": 1}})
+    with pytest.raises(ConfigError, match="emit must be an object"):
+        validate_config({**EVOLVE_OK, "emit": ["csv"]})
     cfg = validate_config({**EVOLVE_OK, "emit": {"plotdata": True, "csv": False}})
     assert cfg.emit == {"csv": False, "json": True, "plotdata": True}
 
@@ -446,6 +552,12 @@ def test_emit_flags_validated():
 def test_type_checks():
     with pytest.raises(ConfigError, match="n must be an integer"):
         validate_config({**EVOLVE_OK, "n": 256.0})
+    with pytest.raises(ConfigError, match="n must not be null"):
+        validate_config({**EVOLVE_OK, "n": None})
+    with pytest.raises(ConfigError, match="out must be a string path"):
+        validate_config({**EVOLVE_OK, "out": 3})
+    with pytest.raises(ConfigError, match="profile must be 'gaussian' or 'odd-gaussian'"):
+        validate_config({**UCP_OK, "profile": "square"})
     with pytest.raises(ConfigError, match="must be a number, got a boolean"):
         validate_config({**EVOLVE_OK, "alpha": True})
     with pytest.raises(ConfigError, match="seed must be an integer"):
@@ -951,6 +1063,28 @@ def test_out_dir_from_env(tmp_path, monkeypatch):
     assert main(["run", cfg]) == EXIT_OK
     runs = os.listdir(tmp_path / "envout")
     assert len(runs) == 1 and runs[0].startswith("stein-")
+    # the config's out comes before the environment's
+    cfg = write_cfg(tmp_path, {"scenario": "stein", "pairs": [[0.25, 0.75]],
+                               "out": str(tmp_path / "cfgout")})
+    assert main(["run", cfg]) == EXIT_OK
+    assert os.path.exists(tmp_path / "cfgout" / "manifest.json")
+    assert len(os.listdir(tmp_path / "envout")) == 1
+
+
+def test_failed_manifest_write_leaves_no_temporary(tmp_path, monkeypatch):
+    code, out = run_cli(tmp_path, {"scenario": "stein", "pairs": [[0.25, 0.75]]}, "m")
+    assert code == EXIT_OK
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+
+    def refuse(src, dst):
+        raise OSError("synthetic rename failure")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "fresh"
+    target.mkdir()
+    with pytest.raises(OSError, match="synthetic rename failure"):
+        cli_mod.write_manifest(str(target / "manifest.json"), manifest)
+    assert os.listdir(target) == []  # the temporary file went with the failure
 
 
 # ----------------------------------------------------------------- writers

@@ -327,6 +327,21 @@ def test_interpolation_ratio_bounded_on_dilations():
         assert 0.5 < r < 2.0
 
 
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: negative_power_probe(0.0, 0.25),
+        lambda: negative_power_probe(0.5, 0.25),
+        lambda: interpolation_ratio(Field(make_grid(64, 5.0), np.ones(64)), 1.0, 1.0, -0.1),
+        lambda: interpolation_ratio(Field(make_grid(64, 5.0), np.ones(64)), 1.0, 1.0, 1.1),
+    ],
+    ids=["beta-zero", "beta-half", "theta-below-0", "theta-above-1"],
+)
+def test_probes_reject_orders_out_of_range(probe):
+    with pytest.raises(ValueError, match="must lie in"):
+        probe()
+
+
 def test_interpolation_ratio_rejects_zero_field():
     g = make_grid(256, 10.0)
     with pytest.raises(ValueError):
