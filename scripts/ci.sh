@@ -41,6 +41,12 @@ for shipped in scripts/configs/*.json; do
   done
 done
 
+# one sha256 line per table, plot data and summary those runs wrote: byte
+# identity between two checkouts is then a diff of their ci.sh logs
+echo "== output digests"
+(cd "$work/runs-a" && find . -type f \( -name '*.csv' -o -name '*.dat' -o -name summary.json \) \
+  | LC_ALL=C sort | xargs sha256sum) || status=1
+
 # every float cell those runs wrote must be repr's spelling of its value:
 # the writer checked against repr on real outputs, apart from its tests
 echo "== float cells are repr"

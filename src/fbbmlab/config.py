@@ -100,7 +100,7 @@ def _pairs_checker(second_name, pair_check):
         for i, entry in enumerate(v):
             if not _two_numbers(entry):
                 return f"pairs[{i}] must be a two-number pair [alpha, {second_name}]"
-            if msg := _violation(f"pairs[{i}]", pair_check, float(entry[0]), float(entry[1])):
+            if msg := _violation(f"pairs[{i}]", pair_check, *entry):
                 return msg
         return None
 
@@ -292,6 +292,14 @@ _KINDS = {
 }
 
 
+def _as_float(value):
+    """value with every number a float, inside lists too (pairs, window);
+    booleans, strings and objects (family parameters) stay as written."""
+    if isinstance(value, list):
+        return [_as_float(v) for v in value]
+    return float(value) if isinstance(value, int) and not isinstance(value, bool) else value
+
+
 def _check_kind(key, kind, value, bad):
     if value is None:
         if not kind.endswith("?"):
@@ -304,7 +312,8 @@ def _check_kind(key, kind, value, bad):
         got = ", got a boolean" if isinstance(value, bool) else ""
         bad.append(f"{key} must be {noun}{got}")
         return None
-    return float(value) if base == "number" else value
+    # one form per number, so configs giving the same numbers share a hash
+    return _as_float(value) if base in ("number", "list") else value
 
 
 def _seed_error(seed) -> str | None:

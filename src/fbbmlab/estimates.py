@@ -86,10 +86,9 @@ def _synthesize(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
     coeffs[..., k] multiplies the k-th positive-frequency mode (k = 0 the
     mean), independently of n, so the same continuum function comes back
-    on any grid that resolves the band.
+    on any grid that resolves the band (make_corpus and resample_corpus
+    keep it within n // 6).
     """
-    if coeffs.shape[-1] > grid.n // 2 + 1:
-        raise ValueError("band exceeds grid resolution")
     return np.fft.irfft(coeffs * grid.n, grid.n)  # zero-pads the missing modes
 
 

@@ -18,6 +18,7 @@ recorded samples carry it up to the roundoff of one inverse transform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,8 @@ class EvolveConfig:
         _check_T(self.t_final)
         _check_power(self.power)
         _check_stride(self.snapshot_stride)
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError(f"T / dt = {self.t_final} / {self.dt} is not a finite step count")
         # evolve records its last step, so t_final must be that step's time
         if self.steps < 1 or not self.records(self.t_final):
             raise ValueError(

@@ -10,7 +10,7 @@ CLI writes around these results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -89,6 +89,13 @@ def _within(name: str, value: float, target: float, tol: float) -> Check:
     return Check(name, abs(value - target) <= tol, value, f"within {tol} of {target}")
 
 
+def _scalars(report) -> dict:
+    """A library report's None, bool, int and float fields, which open its
+    per-entry summary; its arrays and tuples go to the tables."""
+    return {f.name: v for f in fields(report)
+            if isinstance(v := getattr(report, f.name), (type(None), int, float))}
+
+
 # ------------------------------------------------------------------ evolve
 
 
@@ -159,7 +166,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
             "exponent": float(exponent),
             "r_squared": float(r2),
             "samples": int(samples),
-            "window": [float(window[0]), float(window[1])],
+            "window": list(window),
             "target": target,
         }
 
@@ -209,9 +216,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
         res.checks.append(_between("tail_r_squared", r2, f">= {TAIL_R2_MIN}", lo=TAIL_R2_MIN))
 
     res.summary = {
-        "residual": float(sol.residual),
-        "iterations": sol.iterations,
-        "mixed_from": sol.mixed_from,
+        **_scalars(sol),
         "tail": tail,
         "scaled_wave": scaled,
         "oracle_sup_error": oracle_sup_error,
@@ -230,20 +235,8 @@ def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
         fit = stein_asymptotics(alpha, theta)
         target_small = None if fit.subtracted else alpha - theta
         target_large = -(0.5 + theta)
-        pairs_out.append(
-            {
-                "p_small": fit.p_small,
-                "r2_small": fit.r2_small,
-                "p_large": fit.p_large,
-                "r2_large": fit.r2_large,
-                "plateau": fit.plateau,
-                "subtracted": fit.subtracted,
-                "inconclusive_small": fit.inconclusive_small,
-                "inconclusive_large": fit.inconclusive_large,
-                "target_small": target_small,
-                "target_large": target_large,
-            }
-        )
+        pairs_out.append({**_scalars(fit), "target_small": target_small,
+                          "target_large": target_large})
         small, large = len(fit.etas_small), len(fit.etas_large)
         alphas += [alpha] * (small + large)
         thetas += [theta] * (small + large)
@@ -296,14 +289,7 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
         tags += [tag] * len(rep.ratios)
         instances += range(len(rep.ratios))
         ratios += rep.ratios
-        fams_out.append(
-            {
-                "corpus_max": rep.corpus_max,
-                "refined_max": rep.refined_max,
-                "refinement_factor": rep.refinement_factor,
-                "constant_weight_ratio": float(const_ratio),
-            }
-        )
+        fams_out.append({**_scalars(rep), "constant_weight_ratio": float(const_ratio)})
         res.checks.append(_between(f"refinement({family} {tag})", rep.refinement_factor,
                                    "in [0.5, 2]", lo=0.5, hi=2.0))
         res.checks.append(_at_most(f"constant_zero({family} {tag})", float(const_ratio),
@@ -342,16 +328,9 @@ def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
         rs += [r] * times.size
         ts += times.tolist()
         norms += rep.norms
-        pairs_out.append(
-            {
-                "slope": rep.slope,
-                "bound": rep.bound,
-                "within_bound": rep.within_bound,
-                "base_norm": rep.base_norm,
-            }
-        )
-        res.checks.append(_between(f"slope({alpha:g},{r:g})", rep.slope, f"<= {rep.bound}",
-                                   hi=rep.bound))
+        pairs_out.append(_scalars(rep))
+        res.checks.append(Check(f"slope({alpha:g},{r:g})", rep.within_bound, rep.slope,
+                                f"<= {rep.bound}"))
     res.tables.append(
         Table(
             name="growth",

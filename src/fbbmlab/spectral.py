@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal on (n, L); a grid is not hashed
 class SpectralGrid:
     """Uniform periodic grid on [-L, L) with FFT-ordered wavenumbers."""
 
@@ -79,9 +79,6 @@ class SpectralGrid:
         if not isinstance(other, SpectralGrid):
             return NotImplemented
         return self.n == other.n and self.L == other.L
-
-    def __hash__(self):
-        return hash((self.n, self.L))
 
 
 @dataclass

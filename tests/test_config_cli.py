@@ -36,6 +36,7 @@ from fbbmlab.estimates import (
     commutator_a_ratio,
     group_weighted_growth,
     make_corpus,
+    ratio_report,
     ucp_residual,
 )
 from fbbmlab.evolution import EvolveConfig, evolve
@@ -210,12 +211,18 @@ def test_families_validation():
         # to exit 1 on non-finite initial data
         ({"scenario": "ucp", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 0.01, "T": 0.1,
           "width": 1e-310}, "width: the gaussian's peak .* is not finite"),
+        # T / dt overflows to inf; the step count used to raise OverflowError
+        ({"scenario": "evolve", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 1e-300, "T": 1e10},
+         "T: T / dt = .* is not a finite step count"),
+        ({"scenario": "ucp", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 1e-300, "T": 1e10},
+         "T: T / dt = .* is not a finite step count"),
     ],
     ids=["stein-theta", "fractional-sum", "hilbert-orders", "hilbert-half-order",
          "generator-alpha", "non-number", "unhashable-family", "groundstate-tol-floor",
          "groundstate-tol-floor-2^18", "evolve-L-overflow", "commutators-L-box",
          "groundstate-c-box-overflow",
-         "groundstate-window-samples", "ucp-width-peak-overflow"],
+         "groundstate-window-samples", "ucp-width-peak-overflow", "evolve-T-dt-overflow",
+         "ucp-T-dt-overflow"],
 )
 def test_kernel_ranges_are_config_errors(tmp_path, capsys, obj, message):
     # the ranges the kernels enforce, caught before anything runs
@@ -570,6 +577,10 @@ def test_hash_covers_numbers_not_plumbing():
     c = validate_config({**EVOLVE_OK, "seed": 99})
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+    # a number takes one form inside window too
+    window = {"scenario": "groundstate", "alpha": 0.75, "n": 4096, "L": 200.0}
+    assert (validate_config({**window, "window": [30, 120]}).config_hash()
+            == validate_config({**window, "window": [30.0, 120.0]}).config_hash())
 
 
 def test_example_configs_all_valid():
@@ -889,6 +900,69 @@ def test_summary_says_each_value_once(tmp_path, scenario):
         assert manifest["grid"] == {"n": g.n, "L": g.L, "dx": g.dx}
     else:
         assert manifest["grid"] is None
+
+
+def _is_report(entry, report, **extras):
+    """entry is report's None, bool, int and float fields plus extras."""
+    scalars = {k: v for k, v in vars(report).items() if v is None or isinstance(v, (int, float))}
+    return entry == {**scalars, **extras}
+
+
+def test_each_summary_entry_is_its_report():
+    # a per-entry summary holds its library report's scalars plus named extras
+    stein = run_scenario(validate_config(SMALL["stein"])).summary
+    for (alpha, theta), entry in zip(SMALL["stein"]["pairs"], stein["pairs"], strict=True):
+        fit = stein_asymptotics(alpha, theta)
+        assert _is_report(entry, fit, target_small=None if fit.subtracted else alpha - theta,
+                          target_large=-(0.5 + theta))
+
+    cfg = validate_config(SMALL["commutators"])
+    p = cfg.params
+    comm = run_scenario(cfg).summary
+    for fam, entry in zip(p["families"], comm["families"], strict=True):
+        fparams = {k: v for k, v in fam.items() if k != "family"}
+        rep = ratio_report(fam["family"], p["n"], p["L"], p["size"], cfg.seed, **fparams)
+        assert _is_report(entry, rep, constant_weight_ratio=entry["constant_weight_ratio"])
+        assert isinstance(entry["constant_weight_ratio"], float)
+
+    cfg = validate_config(SMALL["weighted-growth"])
+    p = cfg.params
+    res = run_scenario(cfg)
+    grid = make_grid(p["n"], p["L"])
+    times = np.linspace(1.0, p["t_max"], p["t_count"])
+    slopes = [c for c in res.checks if c.name.startswith("slope(")]
+    for (alpha, r), entry, check in zip(p["pairs"], res.summary["pairs"], slopes, strict=True):
+        rep = group_weighted_growth(Field(grid, np.exp(-(grid.xs**2))), alpha, r, times)
+        assert _is_report(entry, rep)
+        assert check.passed is rep.within_bound and check.value == rep.slope
+
+    cfg = validate_config(SMALL["groundstate"])
+    p = cfg.params
+    ground = run_scenario(cfg).summary
+    sol = petviashvili(make_grid(p["n"], p["L"]), p["alpha"], tol=p["tol"])
+    extras = ("tail", "scaled_wave", "oracle_sup_error")
+    own = {k: v for k, v in ground.items() if k not in envelope(cfg)}
+    assert _is_report(own, sol, **{k: ground[k] for k in extras})
+
+
+@pytest.mark.parametrize(
+    "as_int, as_float, table",
+    [
+        ({"scenario": "weighted-growth", "n": 1024, "L": 100.0, "t_max": 2.0, "t_count": 2,
+          "pairs": [[0.5, 1]]}, [[0.5, 1.0]], "growth.csv"),
+        ({"scenario": "stein", "pairs": [[1, 0.5]]}, [[1.0, 0.5]], "probes.csv"),
+    ],
+    ids=["growth", "stein"],
+)
+def test_nested_numbers_take_one_form(tmp_path, as_int, as_float, table):
+    # 1 and 1.0 inside pairs are one number: one hash, one set of bytes
+    (code_a, a), (code_b, b) = (run_cli(tmp_path, obj, name) for obj, name in
+                                ((as_int, "int"), ({**as_int, "pairs": as_float}, "float")))
+    assert code_a == code_b == EXIT_OK
+    ha, hb = (json.load(open(os.path.join(o, "manifest.json")))["config_hash"] for o in (a, b))
+    assert ha == hb
+    for name in (table, "summary.json"):
+        assert open(os.path.join(a, name), "rb").read() == open(os.path.join(b, name), "rb").read()
 
 
 def test_shipped_config_outputs_match_resolved_schemas(tmp_path):
