@@ -28,12 +28,20 @@ for cfg in scripts/configs/*.json; do $FBBMLAB validate "$cfg" || status=1; done
 # writer
 echo "== run shipped configs"
 mkdir -p "$work/configs"
+# runs a command as a child and appends "<name>: peak RSS <MB>" to a file;
+# the exit code is the command's
+peak_rss='import resource, subprocess, sys
+code = subprocess.call(sys.argv[3:])
+kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+with open(sys.argv[1], "a", encoding="utf-8") as fh:
+    print(f"{sys.argv[2]}: peak RSS {kb / 1024:.1f} MB", file=fh)
+sys.exit(code)'
 for shipped in scripts/configs/*.json; do
   name=$(basename "$shipped" .json)
   cfg="$work/configs/$name.json"
   python3 -c 'import json, sys; c = json.load(open(sys.argv[1])); c.setdefault("emit", {})["plotdata"] = True; json.dump(c, open(sys.argv[2], "w"))' "$shipped" "$cfg"
   a="$work/runs-a/$name" b="$work/runs-b/$name"
-  $FBBMLAB run "$cfg" --out "$a" || status=1
+  python3 -c "$peak_rss" "$work/rss" "$name" $FBBMLAB run "$cfg" --out "$a" || status=1
   $FBBMLAB run "$cfg" --out "$b" || status=1
   for f in "$a"/*.csv "$a"/*.dat "$a"/summary.json; do
     [ -e "$f" ] || continue
@@ -83,5 +91,10 @@ wc -l src/fbbmlab/*.py || status=1
 wc -l src/fbbmlab/schemas/*.json || status=1
 python3 -m pytest --collect-only -q > "$work/collected" || status=1
 tail -n 1 "$work/collected"
+
+# the peak resident set of each shipped config's first run, so a memory
+# regression shows in the log; printed only, not a gate
+echo "== peak RSS of shipped config runs"
+cat "$work/rss" || status=1
 
 exit $status

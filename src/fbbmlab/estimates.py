@@ -53,6 +53,7 @@ __all__ = [
     "corpus_ratios",
     "ratio_report",
     "group_weighted_growth",
+    "UcpSums",
     "ucp_residual",
     "RATIO_FAMILIES",
 ]
@@ -429,6 +430,26 @@ def _snapshot_indices(config: EvolveConfig, t1: float, t2: float) -> tuple[int, 
     return -(-s1 // config.stride), -(-s2 // config.stride)
 
 
+class UcpSums:
+    """Mass and int u^k dx of each state it is called on, in order: an
+    evolve observer, or a reducer over stored states."""
+
+    def __init__(self, dx: float, power: int):
+        self.dx, self.power = dx, power
+        self.mass: list[float] = []
+        self.integrand: list[float] = []
+
+    def __call__(self, values: np.ndarray) -> None:
+        self.mass.append(self.dx * float(np.sum(values)))
+        self.integrand.append(self.dx * float(np.sum(values**self.power)))
+
+    def residual(self, times: np.ndarray, i1: int, i2: int) -> float:
+        """The two-time identity R over snapshots i1..i2, at the given times
+        of the snapshots summed so far (see ucp_residual)."""
+        integral = float(np.trapezoid(self.integrand[i1 : i2 + 1], times[i1 : i2 + 1]))
+        return self.mass[i1] + integral / (times[i2] - times[i1])
+
+
 def ucp_residual(traj: Trajectory, t1: float, t2: float) -> float:
     """Two-time mass identity residual over a recorded trajectory.
 
@@ -441,10 +462,7 @@ def ucp_residual(traj: Trajectory, t1: float, t2: float) -> float:
     carries no such obstruction and R is reported as-is.
     """
     i1, i2 = _snapshot_indices(traj.config, t1, t2)
-    times = traj.times
-    dx = traj.grid.dx
-    block = traj.states[i1 : i2 + 1]
-    mass1 = dx * float(np.sum(block[0]))
-    inner = dx * np.sum(block**traj.config.power, axis=1)
-    integral = float(np.trapezoid(inner, times[i1 : i2 + 1]))
-    return mass1 + integral / (times[i2] - times[i1])
+    sums = UcpSums(traj.grid.dx, traj.config.power)
+    for values in traj.states[: i2 + 1]:
+        sums(values)
+    return sums.residual(traj.times, i1, i2)

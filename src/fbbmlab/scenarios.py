@@ -16,15 +16,16 @@ import numpy as np
 
 from .config import ScenarioConfig, _evolve_config, _growth_times, _ucp_amplitude
 from .estimates import (
+    UcpSums,
     _constant_tol,
     _family_ratio,
     _report,
+    _snapshot_indices,
     group_weighted_growth,
     make_corpus,
     resample_corpus,
-    ucp_residual,
 )
-from .evolution import diagnostics_series, evolve
+from .evolution import Diagnostics, evolve
 from .ground_state import (
     _tail_window,
     fit_tail_exponent,
@@ -108,8 +109,9 @@ def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
     grid = make_grid(p["n"], p["L"])
     phi = _gaussian(grid, p["amplitude"], p["width"], p["center"])
     econf = _evolve_config(cfg.scenario, p)
-    traj = evolve(phi, econf)
-    diag = diagnostics_series(traj)
+    diagnostics = Diagnostics(grid, econf)
+    traj = evolve(phi, econf, observe=diagnostics)
+    diag = diagnostics.series(traj.times)
 
     drift = {
         "mass": float(np.max(np.abs(diag.mass - diag.mass[0]))),
@@ -358,11 +360,12 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
     else:
         # odd data: integral zero up to roundoff; 'mean' is ignored
         phi = Field(grid, grid.xs * np.exp(-((grid.xs / p["width"]) ** 2)))
-    traj = evolve(phi, _evolve_config(cfg.scenario, p))
-    R = ucp_residual(traj, p["t1"], p["t2"])
+    econf = _evolve_config(cfg.scenario, p)
+    sums = UcpSums(grid.dx, p["k"])
+    traj = evolve(phi, econf, observe=sums)
+    R = sums.residual(traj.times, *_snapshot_indices(econf, p["t1"], p["t2"]))
 
-    masses = traj.grid.dx * np.sum(traj.states, axis=1)
-    integrand = traj.grid.dx * np.sum(traj.states ** p["k"], axis=1)
+    masses, integrand = np.array(sums.mass), np.array(sums.integrand)
     mass0 = float(masses[0])
     mass_drift = float(np.max(np.abs(masses - mass0)))
 

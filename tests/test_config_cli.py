@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import jsonschema
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fbbmlab.cli as cli_mod
+import fbbmlab.scenarios as scenarios_mod
 
 from fbbmlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_ERROR, EXIT_OK, load_schema, main
 from fbbmlab.config import (
@@ -39,7 +41,7 @@ from fbbmlab.estimates import (
     ratio_report,
     ucp_residual,
 )
-from fbbmlab.evolution import EvolveConfig, evolve
+from fbbmlab.evolution import EvolveConfig, diagnostics_series, evolve
 from fbbmlab.ground_state import fit_tail_exponent, petviashvili, scale_to_speed
 from fbbmlab.scenarios import Check, ScenarioResult, Table, envelope, run_scenario
 from fbbmlab.spectral import Field, group_propagate, make_grid, op_a
@@ -216,13 +218,19 @@ def test_families_validation():
          "T: T / dt = .* is not a finite step count"),
         ({"scenario": "ucp", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 1e-300, "T": 1e10},
          "T: T / dt = .* is not a finite step count"),
+        # 1e290 steps: a finite count no run can finish; evolve's step index
+        # array used to fail with "Maximum allowed size exceeded"
+        ({"scenario": "evolve", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 1e-300, "T": 1e-10},
+         "T: T / dt = .* steps; at most MAX_STEPS = 1000000"),
+        ({"scenario": "ucp", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 1e-300, "T": 1e-10},
+         "T: T / dt = .* steps; at most MAX_STEPS = 1000000"),
     ],
     ids=["stein-theta", "fractional-sum", "hilbert-orders", "hilbert-half-order",
          "generator-alpha", "non-number", "unhashable-family", "groundstate-tol-floor",
          "groundstate-tol-floor-2^18", "evolve-L-overflow", "commutators-L-box",
          "groundstate-c-box-overflow",
          "groundstate-window-samples", "ucp-width-peak-overflow", "evolve-T-dt-overflow",
-         "ucp-T-dt-overflow"],
+         "ucp-T-dt-overflow", "evolve-steps-cap", "ucp-steps-cap"],
 )
 def test_kernel_ranges_are_config_errors(tmp_path, capsys, obj, message):
     # the ranges the kernels enforce, caught before anything runs
@@ -943,6 +951,96 @@ def test_each_summary_entry_is_its_report():
     extras = ("tail", "scaled_wave", "oracle_sup_error")
     own = {k: v for k, v in ground.items() if k not in envelope(cfg)}
     assert _is_report(own, sol, **{k: ground[k] for k in extras})
+
+
+def _streamed_and_stored(obj):
+    """Run obj in-process, its evolve handing each snapshot to the runner's
+    observer, and evolve the same initial data and config again storing
+    every snapshot; the handed-over snapshots must be the stored ones."""
+    stored = []
+
+    def spy(initial, config, observe):
+        handed = []
+
+        def copy_then_observe(values):
+            handed.append(values.copy())
+            observe(values)
+
+        streamed = evolve(initial, config, observe=copy_then_observe)
+        stored.append(evolve(initial, config))
+        assert streamed.states.shape == (0, initial.grid.n)
+        assert np.array_equal(streamed.times, stored[0].times)
+        assert np.array_equal(np.array(handed), stored[0].states)
+        return streamed
+
+    with mock.patch.object(scenarios_mod, "evolve", spy):
+        res = run_scenario(validate_config(obj))
+    return res, stored[0]
+
+
+STREAM_CASES = [
+    *({"scenario": "evolve", "linear_only": lin, "k": k, "snapshot_stride": stride}
+      for lin in (False, True) for k in (2, 3) for stride in (1, None)),
+    *({"scenario": "ucp", "k": k, "snapshot_stride": stride} for k in (2, 3) for stride in (1, None)),
+]
+
+
+@pytest.mark.parametrize("case", STREAM_CASES,
+                         ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_streamed_reductions_equal_the_stored_trajectory(case, data):
+    # the runners reduce each snapshot as evolve makes it; the same formulas
+    # over the stored trajectory give the same bits
+    steps = data.draw(st.integers(1, 30), label="steps")
+    # evolve's default stride keeps about 400 snapshots: runs of 800 steps
+    # and more record every 2nd or 3rd step
+    scale = data.draw(st.sampled_from([1, 40]), label="scale") if case["snapshot_stride"] is None else 1
+    obj = {**case, "alpha": data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="alpha"),
+           "n": 64, "L": 10.0, "dt": 0.01, "T": steps * scale * 0.01}
+    if case["snapshot_stride"] is None:
+        del obj["snapshot_stride"]
+    if obj["scenario"] == "evolve":
+        obj["amplitude"] = data.draw(st.floats(0.1, 2.0), label="amplitude")
+        res, traj = _streamed_and_stored(obj)
+        diag = diagnostics_series(traj)
+        want = (diag.times, diag.mass, diag.energy, diag.hamiltonian, diag.l2, diag.sup)
+        for got, ref in zip(res.tables[0].data, want, strict=True):
+            assert np.array_equal(got, ref)
+        return
+    obj["mean"] = data.draw(st.floats(-1.0, 1.0), label="mean")
+    config = _evolve_config("ucp", validate_config(obj).params)
+    recorded = np.flatnonzero(config.records(config.dt * np.arange(config.steps + 1)))
+    j1 = data.draw(st.integers(0, recorded.size - 2), label="t1 snapshot")
+    j2 = data.draw(st.integers(j1 + 1, recorded.size - 1), label="t2 snapshot")
+    obj["t1"], obj["t2"] = recorded[j1] * config.dt, recorded[j2] * config.dt
+    res, traj = _streamed_and_stored(obj)
+    dx, k = traj.grid.dx, traj.config.power
+    times, masses, integrand = res.tables[0].data
+    assert np.array_equal(times, traj.times)
+    # the whole-matrix sums the runner took before it streamed
+    assert np.array_equal(masses, dx * np.sum(traj.states, axis=1))
+    assert np.array_equal(integrand, dx * np.sum(traj.states**k, axis=1))
+    assert res.summary["residual"] == ucp_residual(traj, obj["t1"], obj["t2"])
+
+
+@pytest.mark.parametrize("scenario", ["evolve", "ucp"])
+def test_run_memory_does_not_grow_with_snapshots(scenario):
+    # 401 snapshots at n = 4096 are 12.5 MiB as a stored (snapshots, n)
+    # matrix; streamed into their reductions the run peaks near 20
+    # n-length arrays (the RK4 stages and the grid), measured 0.67 MB for
+    # evolve and 0.60 MB for ucp
+    n = 4096
+    cfg = validate_config({"scenario": scenario, "alpha": 0.5, "n": n, "L": 100.0,
+                           "dt": 0.01, "T": 4.0})
+    tracemalloc.start()
+    try:
+        res = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.tables[0].data[0]) == 401
+    assert peak < 32 * 8 * n, f"peak {peak / (8 * n):.1f} n-length arrays"
 
 
 @pytest.mark.parametrize(
