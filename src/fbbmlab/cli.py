@@ -24,9 +24,9 @@ chunk's matrices and the formatter's temporaries for 8,192 values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .config import _KINDS, _TABLES, SCENARIOS, ConfigError, ScenarioConfig, load_config, with_seed
-from .scenarios import Check, ScenarioResult, Table, envelope, run_scenario
+from .scenarios import ScenarioResult, Table, envelope, run_scenario
 
 SCHEMA_NAMES = SCENARIOS + ("manifest",)
 
@@ -483,24 +483,6 @@ def _out_dir(cfg: ScenarioConfig, cli_out: str | None) -> str:
     return os.path.join(base, f"{cfg.scenario}-{cfg.config_hash()[:12]}")
 
 
-def _checks_to_json(checks: list[Check]) -> list[dict]:
-    """Manifest form of the checks.  Strict JSON has no NaN, so a
-    non-finite value is written as null and fails its check."""
-    out = []
-    for c in checks:
-        value = None if c.value is None else float(c.value)
-        finite = value is None or math.isfinite(value)
-        out.append(
-            {
-                "name": c.name,
-                "passed": bool(c.passed) and finite,
-                "value": value if finite else None,
-                "threshold": c.threshold,
-            }
-        )
-    return out
-
-
 def _write_outputs(
     cfg: ScenarioConfig,
     result: ScenarioResult,
@@ -588,7 +570,7 @@ def _run(args) -> int:
                     os.unlink(path)
             outputs = []
 
-    checks = _checks_to_json(result.checks)
+    checks = [dataclasses.asdict(c) for c in result.checks]
     manifest = {
         "tool": "fbbmlab",
         "version": __version__,

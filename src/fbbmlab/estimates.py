@@ -411,43 +411,45 @@ def group_weighted_growth(
 
 
 def _snapshot_indices(config: EvolveConfig, t1: float, t2: float) -> tuple[int, int]:
-    """Indices of the snapshots at t1 and t2 among the times of evolve(...,
-    config).  Raises ValueError, its message opening with the time at fault,
-    unless 0 <= t1 < t2 <= T, config records both, and they differ in step."""
+    """Indices of the snapshots at t1 and t2 among config.snapshot_times.
+    Raises ValueError, its message opening with the time at fault, unless
+    0 <= t1 < t2 <= T, config records both, and they differ in step."""
     if not 0 <= t1 < t2:
         raise ValueError(f"t1: 0 <= t1 < t2 required, got t1={t1}, t2={t2}")
     if np.round(t2 / config.dt) > config.steps:
         raise ValueError(f"t2 must not exceed T = {config.t_final:g}, the last snapshot")
-    for name, t in (("t1", t1), ("t2", t2)):
-        if not config.records(t):
+    i1, i2 = config.snapshot_index(t1), config.snapshot_index(t2)
+    for name, i in (("t1", i1), ("t2", i2)):
+        if i is None:
             raise ValueError(f"{name} must be a recorded snapshot time: a multiple of "
                              f"snapshot_stride * dt = {config.stride * config.dt:g}, or T")
-    s1, s2 = round(t1 / config.dt), round(t2 / config.dt)
-    if s1 == s2:
-        raise ValueError(f"t2 must fall on a later snapshot than t1: both are step {s1}")
-    # evolve records steps 0, stride, 2 stride, ... and the last step, so the
-    # recorded step s is snapshot ceil(s / stride)
-    return -(-s1 // config.stride), -(-s2 // config.stride)
+    if i1 == i2:
+        raise ValueError(f"t2 must fall on a later snapshot than t1: both are step "
+                         f"{round(t1 / config.dt)}")
+    return i1, i2
 
 
 class UcpSums:
     """Mass and int u^k dx of each state it is called on, in order: an
-    evolve observer, or a reducer over stored states."""
+    evolve observer, or a reducer over stored states.  The states are the
+    snapshots of config, at config.snapshot_times."""
 
-    def __init__(self, dx: float, power: int):
-        self.dx, self.power = dx, power
+    def __init__(self, grid: SpectralGrid, config: EvolveConfig):
+        self.dx, self.config = grid.dx, config
         self.mass: list[float] = []
         self.integrand: list[float] = []
 
     def __call__(self, values: np.ndarray) -> None:
         self.mass.append(self.dx * float(np.sum(values)))
-        self.integrand.append(self.dx * float(np.sum(values**self.power)))
+        self.integrand.append(self.dx * float(np.sum(values**self.config.power)))
 
-    def residual(self, times: np.ndarray, i1: int, i2: int) -> float:
-        """The two-time identity R over snapshots i1..i2, at the given times
-        of the snapshots summed so far (see ucp_residual)."""
-        integral = float(np.trapezoid(self.integrand[i1 : i2 + 1], times[i1 : i2 + 1]))
-        return self.mass[i1] + integral / (times[i2] - times[i1])
+    def residual(self, t1: float, t2: float) -> float:
+        """The two-time identity R from t1 to t2 over the snapshots summed
+        so far, which must reach t2 (see ucp_residual)."""
+        i1, i2 = _snapshot_indices(self.config, t1, t2)
+        times = self.config.snapshot_times[i1 : i2 + 1]
+        integral = float(np.trapezoid(self.integrand[i1 : i2 + 1], times))
+        return self.mass[i1] + integral / (times[-1] - times[0])
 
 
 def ucp_residual(traj: Trajectory, t1: float, t2: float) -> float:
@@ -461,8 +463,7 @@ def ucp_residual(traj: Trajectory, t1: float, t2: float) -> float:
     nonnegative, so R = 0 pins the zero solution.  For odd k the sign
     carries no such obstruction and R is reported as-is.
     """
-    i1, i2 = _snapshot_indices(traj.config, t1, t2)
-    sums = UcpSums(traj.grid.dx, traj.config.power)
-    for values in traj.states[: i2 + 1]:
+    sums = UcpSums(traj.grid, traj.config)
+    for values in traj.states:
         sums(values)
-    return sums.residual(traj.times, i1, i2)
+    return sums.residual(t1, t2)

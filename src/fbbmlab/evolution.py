@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -112,7 +113,7 @@ class EvolveConfig:
             raise ValueError(f"T / dt = {self.t_final} / {self.dt} is {self.steps:.3g} steps; "
                              f"at most MAX_STEPS = {MAX_STEPS} are allowed")
         # evolve records its last step, so t_final must be that step's time
-        if self.steps < 1 or not self.records(self.t_final):
+        if self.steps < 1 or self.snapshot_index(self.t_final) is None:
             raise ValueError(
                 f"final time {self.t_final} is not a positive integer multiple of dt = {self.dt}"
             )
@@ -126,12 +127,27 @@ class EvolveConfig:
         """Steps between snapshots: snapshot_stride, else about 400 in all."""
         return self.snapshot_stride or max(1, self.steps // 400)
 
-    def records(self, t):
-        """Whether evolve records the state at time t (a number or an array): a
-        whole step (to 1e-9 relative) that is a multiple of stride or the last."""
-        step = np.round(t / self.dt)
-        whole = np.abs(step * self.dt - t) <= 1e-9 * np.maximum(1.0, t)
-        return whole & ((step % self.stride == 0) | (step == self.steps))
+    @property
+    def snapshot_steps(self) -> np.ndarray:
+        """The steps evolve records, in order: 0, stride, 2 stride, ... and
+        the last; O(steps / stride) entries, one per snapshot."""
+        return np.append(np.arange(0, self.steps, self.stride), self.steps)
+
+    @property
+    def snapshot_times(self) -> np.ndarray:
+        """The times of the snapshot steps, one per snapshot."""
+        return self.dt * self.snapshot_steps
+
+    def snapshot_index(self, t: float) -> int | None:
+        """Index in snapshot_times of the snapshot at time t, in O(1); None
+        unless t is a snapshot step's time to 1e-9 relative."""
+        q = t / self.dt
+        step = round(q) if math.isfinite(q) else -1
+        if not 0 <= step <= self.steps or abs(step * self.dt - t) > 1e-9 * max(1.0, t):
+            return None
+        if step == self.steps:
+            return (step - 1) // self.stride + 1  # after 0, stride, ... below it
+        return step // self.stride if step % self.stride == 0 else None
 
     @property
     def kept_fraction(self) -> float:
@@ -142,29 +158,22 @@ class EvolveConfig:
 @dataclass
 class Trajectory:
     grid: SpectralGrid
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), n), sample values; (0, n) if observed
+    states: np.ndarray  # one row per config.snapshot_times, sample values; (0, n) if observed
     config: EvolveConfig
-
-    def field_at(self, i: int) -> Field:
-        return Field(self.grid, self.states[i])
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 def evolve(initial: Field, config: EvolveConfig,
            observe: Callable[[np.ndarray], None] | None = None) -> Trajectory:
     """March the equation forward, recording snapshots along the way.
 
-    Snapshots are the states at the steps config.records, step 0 (the
-    initial state) among them.  Each is written into one reused n-length
-    buffer and handed to observe(values) as it is made; observe must not
-    keep the buffer.  With an observer the returned states is empty, (0, n),
-    so the run holds O(n) floats whatever the snapshot count; without one
-    every snapshot is copied into states, one row each.  The state is
-    tested for finiteness after every step and against the sup-norm limit
-    at every snapshot, before observe sees it.
+    Snapshots are the states at config.snapshot_steps, step 0 (the initial
+    state) among them; their times are config.snapshot_times.  Each is
+    written into one reused n-length buffer and handed to observe(values)
+    as it is made; observe must not keep the buffer.  With an observer the
+    returned states is empty, (0, n), so the run holds O(n) floats whatever
+    the snapshot count; without one every snapshot is copied into states,
+    one row each.  The state is tested for finiteness after every step and
+    against the sup-norm limit at every snapshot, before observe sees it.
     """
     g, n, values = initial.grid, initial.grid.n, initial.values
     if not np.all(np.isfinite(values)):
@@ -185,9 +194,8 @@ def evolve(initial: Field, config: EvolveConfig,
         return minus_ia * np.fft.rfft(u ** config.power)[:m]
 
     dt = config.dt
-    recorded = config.records(dt * np.arange(config.steps + 1))
-    times = dt * np.flatnonzero(recorded)
-    states = np.empty((times.size if observe is None else 0, n))
+    recorded = config.snapshot_steps.tolist()
+    states = np.empty((len(recorded) if observe is None else 0, n))
     if observe is None:
         rows = iter(states)
 
@@ -208,27 +216,27 @@ def evolve(initial: Field, config: EvolveConfig,
 
     half_dt, dt6, dt_E, two_E = dt / 2.0, dt / 6.0, dt * E, 2.0 * E
     with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowUpError
-        for step in range(1, config.steps + 1):
-            E2v = E2 * v
-            n1 = nonlin(v, u)
-            n2 = nonlin(E * (v + half_dt * n1))
-            n3 = nonlin(E * v + half_dt * n2)
-            n4 = nonlin(E2v + dt_E * n3)
-            v = E2v + dt6 * (E2 * n1 + two_E * (n2 + n3) + n4)
-            u = None
-            if not np.isfinite(np.sum(v)):
-                raise BlowUpError(f"state not finite at t = {step * dt:.6g}")
-            if recorded[step]:
-                u = np.fft.irfft(v, n)
-                np.add(u, shift, out=buffer)
-                sup = float(np.max(np.abs(buffer)))
-                if not np.isfinite(sup) or sup > limit:
-                    raise BlowUpError(
-                        f"sup norm {sup:.3e} at t = {step * dt:.6g} exceeded "
-                        f"{BLOWUP_FACTOR:.1e} x initial ({sup0:.3e})"
-                    )
-                observe(buffer)
-    return Trajectory(grid=g, times=times, states=states, config=config)
+        for last, record in pairwise(recorded):
+            for step in range(last + 1, record + 1):
+                E2v = E2 * v
+                n1 = nonlin(v, u)
+                n2 = nonlin(E * (v + half_dt * n1))
+                n3 = nonlin(E * v + half_dt * n2)
+                n4 = nonlin(E2v + dt_E * n3)
+                v = E2v + dt6 * (E2 * n1 + two_E * (n2 + n3) + n4)
+                u = None
+                if not np.isfinite(np.sum(v)):
+                    raise BlowUpError(f"state not finite at t = {step * dt:.6g}")
+            u = np.fft.irfft(v, n)
+            np.add(u, shift, out=buffer)
+            sup = float(np.max(np.abs(buffer)))
+            if not np.isfinite(sup) or sup > limit:
+                raise BlowUpError(
+                    f"sup norm {sup:.3e} at t = {record * dt:.6g} exceeded "
+                    f"{BLOWUP_FACTOR:.1e} x initial ({sup0:.3e})"
+                )
+            observe(buffer)
+    return Trajectory(grid=g, states=states, config=config)
 
 
 # ----------------------------------------------------------- conserved sums
@@ -268,21 +276,22 @@ class DiagnosticsSeries:
 
 class Diagnostics:
     """Conserved quantities and norms of each state it is called on, in
-    order: an evolve observer, or a reducer over stored states."""
+    order: an evolve observer, or a reducer over stored states.  The states
+    are the snapshots of config, at config.snapshot_times."""
 
     def __init__(self, grid: SpectralGrid, config: EvolveConfig):
-        self.grid, self.power = grid, config.power
+        self.grid, self.config = grid, config
         self.dsym = _half(frac_deriv_symbol(grid, config.alpha / 2.0), grid.n)
         self.rows: list[tuple] = []
 
     def __call__(self, values: np.ndarray) -> None:
         f = Field(self.grid, values)
-        self.rows.append((mass(f), _energy(f, self.dsym), hamiltonian(f, self.power),
+        self.rows.append((mass(f), _energy(f, self.dsym), hamiltonian(f, self.config.power),
                           field_l2(f), field_linf(f)))
 
-    def series(self, times: np.ndarray) -> DiagnosticsSeries:
-        """The rows so far as series over times, one time per row."""
-        return DiagnosticsSeries(times.copy(), *(np.array(c) for c in zip(*self.rows)))
+    def series(self) -> DiagnosticsSeries:
+        """The rows of a whole run as series over its snapshot times."""
+        return DiagnosticsSeries(self.config.snapshot_times, *map(np.array, zip(*self.rows)))
 
 
 def diagnostics_series(traj: Trajectory) -> DiagnosticsSeries:
@@ -290,4 +299,4 @@ def diagnostics_series(traj: Trajectory) -> DiagnosticsSeries:
     diag = Diagnostics(traj.grid, traj.config)
     for values in traj.states:
         diag(values)
-    return diag.series(traj.times)
+    return diag.series()

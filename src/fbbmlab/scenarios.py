@@ -20,7 +20,6 @@ from .estimates import (
     _constant_tol,
     _family_ratio,
     _report,
-    _snapshot_indices,
     group_weighted_growth,
     make_corpus,
     resample_corpus,
@@ -47,12 +46,19 @@ STEIN_EXPONENT_TOL = 0.1
 
 @dataclass(frozen=True)
 class Check:
-    """One asserted quantity: measured value against a stated threshold."""
+    """One asserted quantity: measured value against a stated threshold.
+    The value is held as a float, or None when missing or non-finite (strict
+    JSON has no NaN), and a check without a value fails."""
 
     name: str
     passed: bool
     value: float | None
     threshold: str
+
+    def __post_init__(self):
+        finite = self.value is not None and math.isfinite(self.value)
+        object.__setattr__(self, "value", float(self.value) if finite else None)
+        object.__setattr__(self, "passed", bool(self.passed) and finite)
 
 
 @dataclass(frozen=True)
@@ -110,8 +116,8 @@ def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
     phi = _gaussian(grid, p["amplitude"], p["width"], p["center"])
     econf = _evolve_config(cfg.scenario, p)
     diagnostics = Diagnostics(grid, econf)
-    traj = evolve(phi, econf, observe=diagnostics)
-    diag = diagnostics.series(traj.times)
+    evolve(phi, econf, observe=diagnostics)
+    diag = diagnostics.series()
 
     drift = {
         "mass": float(np.max(np.abs(diag.mass - diag.mass[0]))),
@@ -361,9 +367,9 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
         # odd data: integral zero up to roundoff; 'mean' is ignored
         phi = Field(grid, grid.xs * np.exp(-((grid.xs / p["width"]) ** 2)))
     econf = _evolve_config(cfg.scenario, p)
-    sums = UcpSums(grid.dx, p["k"])
-    traj = evolve(phi, econf, observe=sums)
-    R = sums.residual(traj.times, *_snapshot_indices(econf, p["t1"], p["t2"]))
+    sums = UcpSums(grid, econf)
+    evolve(phi, econf, observe=sums)
+    R = sums.residual(p["t1"], p["t2"])
 
     masses, integrand = np.array(sums.mass), np.array(sums.integrand)
     mass0 = float(masses[0])
@@ -378,7 +384,7 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
                 "mass [model units]",
                 "nonlinearity_integral [model units]",
             ),
-            data=(traj.times, masses, integrand),
+            data=(econf.snapshot_times, masses, integrand),
             plot=(0, 2),
         )
     )

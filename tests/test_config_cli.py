@@ -41,7 +41,7 @@ from fbbmlab.estimates import (
     ratio_report,
     ucp_residual,
 )
-from fbbmlab.evolution import EvolveConfig, diagnostics_series, evolve
+from fbbmlab.evolution import MAX_STEPS, EvolveConfig, diagnostics_series, evolve
 from fbbmlab.ground_state import fit_tail_exponent, petviashvili, scale_to_speed
 from fbbmlab.scenarios import Check, ScenarioResult, Table, envelope, run_scenario
 from fbbmlab.spectral import Field, group_propagate, make_grid, op_a
@@ -517,7 +517,7 @@ def _time_rules_accept(obj) -> bool:
     except ValueError:
         return False
     # the indices pick the snapshots evolve records at those times
-    times = config.dt * np.flatnonzero(config.records(config.dt * np.arange(config.steps + 1)))
+    times = config.snapshot_times
     for i, t in zip(indices, (t1, t2)):
         assert abs(times[i] - t) <= 1e-9 * max(1.0, t), (obj, indices)
     return True
@@ -969,7 +969,7 @@ def _streamed_and_stored(obj):
         streamed = evolve(initial, config, observe=copy_then_observe)
         stored.append(evolve(initial, config))
         assert streamed.states.shape == (0, initial.grid.n)
-        assert np.array_equal(streamed.times, stored[0].times)
+        assert len(handed) == config.snapshot_times.size
         assert np.array_equal(np.array(handed), stored[0].states)
         return streamed
 
@@ -1010,14 +1010,14 @@ def test_streamed_reductions_equal_the_stored_trajectory(case, data):
         return
     obj["mean"] = data.draw(st.floats(-1.0, 1.0), label="mean")
     config = _evolve_config("ucp", validate_config(obj).params)
-    recorded = np.flatnonzero(config.records(config.dt * np.arange(config.steps + 1)))
+    recorded = config.snapshot_steps
     j1 = data.draw(st.integers(0, recorded.size - 2), label="t1 snapshot")
     j2 = data.draw(st.integers(j1 + 1, recorded.size - 1), label="t2 snapshot")
     obj["t1"], obj["t2"] = recorded[j1] * config.dt, recorded[j2] * config.dt
     res, traj = _streamed_and_stored(obj)
     dx, k = traj.grid.dx, traj.config.power
     times, masses, integrand = res.tables[0].data
-    assert np.array_equal(times, traj.times)
+    assert np.array_equal(times, config.snapshot_times)
     # the whole-matrix sums the runner took before it streamed
     assert np.array_equal(masses, dx * np.sum(traj.states, axis=1))
     assert np.array_equal(integrand, dx * np.sum(traj.states**k, axis=1))
@@ -1041,6 +1041,43 @@ def test_run_memory_does_not_grow_with_snapshots(scenario):
         tracemalloc.stop()
     assert len(res.tables[0].data[0]) == 401
     assert peak < 32 * 8 * n, f"peak {peak / (8 * n):.1f} n-length arrays"
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evolve_memory_before_its_first_snapshot_is_per_snapshot():
+    # MAX_STEPS at the default stride are 401 snapshots; evolve walks their
+    # steps, so it holds O(steps / stride) before the first one, not
+    # (steps + 1)-length arrays of 8 MB each (measured 33 MB when it did)
+    cfg = EvolveConfig(alpha=0.5, dt=1e-6, t_final=1.0)
+    assert cfg.steps == MAX_STEPS
+    g = make_grid(16, 10.0)
+
+    def stop(values):
+        raise StopIteration
+
+    def first_snapshot():
+        with pytest.raises(StopIteration):
+            evolve(Field(g, np.exp(-(g.xs**2))), cfg, observe=stop)
+
+    assert _peak_bytes(first_snapshot) < 1e6
+
+
+def test_snapshot_index_is_constant_memory():
+    # a million recorded steps: the lookup places t1 and t2 without
+    # building the schedule (8 MB per array if it did)
+    def lookup():
+        cfg = EvolveConfig(0.5, 1e-6, 1.0, snapshot_stride=1)
+        assert _snapshot_indices(cfg, 0.0, 1.0) == (0, MAX_STEPS)
+
+    assert _peak_bytes(lookup) < 1e6
 
 
 @pytest.mark.parametrize(
@@ -1124,6 +1161,20 @@ def _strict_load(path):
 
     with open(path, encoding="utf-8") as fh:
         return json.loads(fh.read(), parse_constant=reject)
+
+
+def test_infinite_check_value_fails_in_result_and_manifest(tmp_path, monkeypatch):
+    # the check decides that a value without a finite float fails, so the
+    # runner's checks and the manifest written from them agree
+    check = scenarios_mod._between("residual_dominates_mass", math.inf, ">= 0.5", lo=0.5)
+    assert check.passed is False and check.value is None
+    monkeypatch.setattr(cli_mod, "run_scenario",
+                        lambda cfg: ScenarioResult(checks=[check], summary=STEIN_SUMMARY))
+    code, out = run_cli(tmp_path, {"scenario": "stein", "pairs": [[0.25, 0.75]]}, "infcheck")
+    assert code == EXIT_CHECK_FAILED
+    assert _strict_load(os.path.join(out, "manifest.json"))["checks"] == [
+        {"name": "residual_dominates_mass", "passed": False, "value": None, "threshold": ">= 0.5"}
+    ]
 
 
 def test_non_finite_values_keep_json_strict(tmp_path, monkeypatch):

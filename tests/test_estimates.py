@@ -333,7 +333,7 @@ def test_ucp_positive_mean(mean_half_traj):
     R = ucp_residual(mean_half_traj, 0.0, 5.0)
     assert R == pytest.approx(0.6000492460, rel=1e-6)
     # both terms nonnegative for even power, so R dominates the mass
-    assert R >= mass(mean_half_traj.field_at(0)) >= 0.5
+    assert R >= mass(Field(mean_half_traj.grid, mean_half_traj.states[0])) >= 0.5
 
 
 def test_ucp_mass_constant_along_trajectory(mean_half_traj):

@@ -105,8 +105,8 @@ def test_mass_mode_frozen_bitwise():
     g = make_grid(1024, 50.0)
     u0 = Field(g, 1.5 * np.exp(-g.xs**2) + 0.2 * np.exp(-((g.xs - 5) ** 2)))
     traj = evolve(u0, EvolveConfig(alpha=0.5, dt=0.02, t_final=2.0))
-    m0 = forward(traj.field_at(0)).coeffs[0]
-    mT = forward(traj.field_at(len(traj) - 1)).coeffs[0]
+    m0 = forward(Field(g, traj.states[0])).coeffs[0]
+    mT = forward(Field(g, traj.states[-1])).coeffs[0]
     assert mT == m0  # the zero mode is untouched by the stepper
 
 
@@ -138,10 +138,10 @@ def test_l2_derivative_matches_quadratic_pairing():
     u0 = Field(g, 2.0 * np.exp(-g.xs**2))
     cfg = EvolveConfig(alpha=0.5, dt=0.01, t_final=2.0, snapshot_stride=10)
     traj = evolve(u0, cfg)
-    tau = traj.times[1] - traj.times[0]
-    half_l2_sq = 0.5 * np.array([field_l2(traj.field_at(i)) ** 2 for i in range(len(traj))])
+    tau = cfg.snapshot_times[1] - cfg.snapshot_times[0]
+    half_l2_sq = 0.5 * np.array([field_l2(Field(g, values)) ** 2 for values in traj.states])
     for i in (3, 7, 11):
-        f = traj.field_at(i)
+        f = Field(g, traj.states[i])
         u2 = Field(g, f.values**2)
         pairing = g.dx * np.sum(f.values * op_a(u2, 0.5).values)
         fd = (half_l2_sq[i + 1] - half_l2_sq[i - 1]) / (2 * tau)
@@ -303,9 +303,10 @@ def test_half_spectrum_rk4_matches_full_spectrum(power):
 def test_snapshot_stride_and_endpoints():
     g = make_grid(256, 10.0)
     u0 = Field(g, 0.5 * np.exp(-g.xs**2))
-    traj = evolve(u0, EvolveConfig(alpha=0.5, dt=0.01, t_final=1.0, snapshot_stride=25))
-    np.testing.assert_allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
-    assert len(traj) == len(traj.states)
+    cfg = EvolveConfig(alpha=0.5, dt=0.01, t_final=1.0, snapshot_stride=25)
+    traj = evolve(u0, cfg)
+    np.testing.assert_allclose(cfg.snapshot_times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
+    assert len(cfg.snapshot_times) == len(traj.states)
 
 
 @pytest.mark.parametrize(
@@ -317,10 +318,32 @@ def test_snapshot_stride_uneven(steps, stride, recorded):
     u0 = Field(g, 0.5 * np.exp(-g.xs**2))
     cfg = EvolveConfig(alpha=0.5, dt=0.01, t_final=steps * 0.01, snapshot_stride=stride)
     traj = evolve(u0, cfg)
-    np.testing.assert_allclose(traj.times, 0.01 * np.array(recorded), rtol=0, atol=1e-15)
-    assert traj.times[-1] == pytest.approx(cfg.t_final, abs=1e-15)
+    np.testing.assert_allclose(cfg.snapshot_times, 0.01 * np.array(recorded), rtol=0, atol=1e-15)
+    assert cfg.snapshot_times[-1] == pytest.approx(cfg.t_final, abs=1e-15)
     assert traj.states.shape == (len(recorded), g.n)
     assert np.max(np.abs(traj.states - _full_spectrum_rk4(u0, cfg)[recorded])) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.integers(1, 30), stride=st.none() | st.integers(1, 40),
+       dt=st.sampled_from([0.01, 0.003, 0.1]))
+def test_snapshot_schedule_is_what_evolve_records(steps, stride, dt):
+    # the config's schedule is every stride-th step and the last; evolve
+    # hands its observer the states at those steps (the full-spectrum
+    # reference records every step), and each recorded time's index points
+    # back at its own step
+    g = make_grid(64, 10.0)
+    u0 = Field(g, 0.5 * np.exp(-g.xs**2))
+    cfg = EvolveConfig(alpha=0.5, dt=dt, t_final=steps * dt, snapshot_stride=stride)
+    recorded = [s for s in range(steps + 1) if s % cfg.stride == 0 or s == steps]
+    assert cfg.snapshot_steps.tolist() == recorded
+    assert np.array_equal(cfg.snapshot_times, dt * np.array(recorded))
+    handed = []
+    evolve(u0, cfg, observe=lambda values: handed.append(values.copy()))
+    assert np.max(np.abs(np.array(handed) - _full_spectrum_rk4(u0, cfg)[recorded])) < 1e-12
+    for step in range(steps + 2):
+        index = cfg.snapshot_index(step * dt)
+        assert index == (recorded.index(step) if step in recorded else None)
 
 
 def test_wrong_length_initial_rejected():
