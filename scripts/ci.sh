@@ -49,6 +49,31 @@ for shipped in scripts/configs/*.json; do
   done
 done
 
+# every run directory of both passes holds its manifest and exactly the
+# outputs that manifest lists, each one present, and no temporary
+echo "== run directories match their manifests"
+python3 - "$work/runs-a" "$work/runs-b" <<'EOF' || status=1
+import json, os, sys
+bad = 0
+for base in sys.argv[1:]:
+    for name in sorted(os.listdir(base)):
+        run = os.path.join(base, name)
+        files = set(os.listdir(run))
+        outputs = set()
+        if "manifest.json" in files:
+            with open(os.path.join(run, "manifest.json"), encoding="utf-8") as fh:
+                outputs = set(json.load(fh)["outputs"])
+        problems = [f"{what}: {', '.join(sorted(names))}" for what, names in (
+            ("missing", (outputs | {"manifest.json"}) - files),
+            ("unlisted", files - outputs - {"manifest.json"}),
+            ("temporaries", {f for f in files if f.startswith(".")}),
+        ) if names]
+        bad += bool(problems)
+        label = f"{os.path.basename(base)}/{name}"
+        print(f"{label}: {'; '.join(problems) or f'manifest and {len(outputs)} outputs'}")
+sys.exit(1 if bad else 0)
+EOF
+
 # one sha256 line per table, plot data and summary those runs wrote: byte
 # identity between two checkouts is then a diff of their ci.sh logs
 echo "== output digests"

@@ -29,7 +29,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 import time
 from importlib import resources
 
@@ -462,10 +461,10 @@ def write_summary(path: str, summary: dict, scenario: str) -> None:
 def write_manifest(path: str, manifest: dict) -> None:
     _validator("manifest").validate(manifest)
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".manifest-", suffix=".json")
+    # per process, beside the target; its mode follows the umask, as outputs' do
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".manifest-{os.getpid()}.json")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
         os.replace(tmp, path)
     except BaseException:
@@ -557,6 +556,10 @@ def _run(args) -> int:
         error = f"{type(e).__name__}: {e}"
     wall = time.perf_counter() - t0
 
+    # a rerun overwrites what an earlier manifest lists, so that one goes first
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if os.path.exists(manifest_path):
+        os.unlink(manifest_path)
     outputs = []
     if error is None:
         try:
@@ -587,13 +590,13 @@ def _run(args) -> int:
         "wall_clock_s": wall,
         "error": error,
     }
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+    write_manifest(manifest_path, manifest)
 
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         val = "n/a" if c["value"] is None else f"{c['value']:.6g}"
         print(f"check {c['name']}: {status} ({val} {c['threshold']})")
-    print(f"manifest: {os.path.join(out_dir, 'manifest.json')}")
+    print(f"manifest: {manifest_path}")
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR

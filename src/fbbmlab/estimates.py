@@ -23,7 +23,7 @@ from math import ceil
 
 import numpy as np
 
-from .evolution import EvolveConfig, Trajectory
+from .evolution import EvolveConfig, evolve
 from .spectral import (
     Field,
     SpectralGrid,
@@ -431,8 +431,8 @@ def _snapshot_indices(config: EvolveConfig, t1: float, t2: float) -> tuple[int, 
 
 class UcpSums:
     """Mass and int u^k dx of each state it is called on, in order: an
-    evolve observer, or a reducer over stored states.  The states are the
-    snapshots of config, at config.snapshot_times."""
+    evolve observer, handed the snapshots of config at
+    config.snapshot_times."""
 
     def __init__(self, grid: SpectralGrid, config: EvolveConfig):
         self.dx, self.config = grid.dx, config
@@ -452,18 +452,18 @@ class UcpSums:
         return self.mass[i1] + integral / (times[-1] - times[0])
 
 
-def ucp_residual(traj: Trajectory, t1: float, t2: float) -> float:
-    """Two-time mass identity residual over a recorded trajectory.
+def ucp_residual(initial: Field, config: EvolveConfig, t1: float, t2: float) -> float:
+    """Two-time mass identity residual along the flow of initial under config.
 
     R = u-hat(0, t1) + (1/(t2 - t1)) int_{t1}^{t2} int u^k dx dtau, k the
-    trajectory's power, with the time integral by trapezoid over the
-    recorded snapshots from t1 to t2 (as _snapshot_indices requires them).
-    A solution with critical spatial decay at both ends would force
-    R = 0; for even k and nonnegative initial mean both terms are
+    config's power, with the time integral by trapezoid over the snapshots
+    from t1 to t2 (as _snapshot_indices requires them, checked before the
+    first step).  A solution with critical spatial decay at both ends would
+    force R = 0; for even k and nonnegative initial mean both terms are
     nonnegative, so R = 0 pins the zero solution.  For odd k the sign
     carries no such obstruction and R is reported as-is.
     """
-    sums = UcpSums(traj.grid, traj.config)
-    for values in traj.states:
-        sums(values)
+    _snapshot_indices(config, t1, t2)
+    sums = UcpSums(initial.grid, config)
+    evolve(initial, config, observe=sums)
     return sums.residual(t1, t2)

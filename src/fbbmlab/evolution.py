@@ -276,8 +276,8 @@ class DiagnosticsSeries:
 
 class Diagnostics:
     """Conserved quantities and norms of each state it is called on, in
-    order: an evolve observer, or a reducer over stored states.  The states
-    are the snapshots of config, at config.snapshot_times."""
+    order: an evolve observer, handed the snapshots of config at
+    config.snapshot_times."""
 
     def __init__(self, grid: SpectralGrid, config: EvolveConfig):
         self.grid, self.config = grid, config
@@ -294,9 +294,9 @@ class Diagnostics:
         return DiagnosticsSeries(self.config.snapshot_times, *map(np.array, zip(*self.rows)))
 
 
-def diagnostics_series(traj: Trajectory) -> DiagnosticsSeries:
-    """Conserved quantities and norms along a stored trajectory."""
-    diag = Diagnostics(traj.grid, traj.config)
-    for values in traj.states:
-        diag(values)
+def diagnostics_series(initial: Field, config: EvolveConfig) -> DiagnosticsSeries:
+    """Conserved quantities and norms along the flow of initial under
+    config, each snapshot reduced as evolve makes it."""
+    diag = Diagnostics(initial.grid, config)
+    evolve(initial, config, observe=diag)
     return diag.series()

@@ -24,7 +24,7 @@ from .estimates import (
     make_corpus,
     resample_corpus,
 )
-from .evolution import Diagnostics, evolve
+from .evolution import diagnostics_series, evolve
 from .ground_state import (
     _tail_window,
     fit_tail_exponent,
@@ -112,12 +112,9 @@ def _gaussian(grid: SpectralGrid, amplitude: float, width: float, center: float)
 
 def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
-    grid = make_grid(p["n"], p["L"])
-    phi = _gaussian(grid, p["amplitude"], p["width"], p["center"])
+    phi = _gaussian(make_grid(p["n"], p["L"]), p["amplitude"], p["width"], p["center"])
     econf = _evolve_config(cfg.scenario, p)
-    diagnostics = Diagnostics(grid, econf)
-    evolve(phi, econf, observe=diagnostics)
-    diag = diagnostics.series()
+    diag = diagnostics_series(phi, econf)
 
     drift = {
         "mass": float(np.max(np.abs(diag.mass - diag.mass[0]))),

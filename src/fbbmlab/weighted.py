@@ -203,8 +203,8 @@ def stein_pointwise(
     """Evaluate the squared-difference derivative of a compactly supported
     function at a single probe point.
 
-    gfun must vanish identically outside cutoff_bump's support
-    [-BUMP_OUTER, BUMP_OUTER], as every probe below does; the integral
+    gfun must act elementwise and vanish identically outside cutoff_bump's
+    support [-BUMP_OUTER, BUMP_OUTER], as every probe below does; the integral
     outside that interval is then |g(eta)|^2 * closed form, added exactly.
     Nodes cluster logarithmically around the singular point eta and around
     the origin (probe functions may have kinks or integrable blowup there).
@@ -223,8 +223,10 @@ def stein_pointwise(
     ys = ys[(ys > -Y0) & (ys < Y0)]
     # close the support edges exactly; g vanishes there by assumption
     ys = np.concatenate([[-Y0], ys, [Y0]])
-    ge = float(np.asarray(gfun(np.array([eta])))[0])
-    gy = np.asarray(gfun(ys), dtype=float)
+    h = 1e-7 * max(1.0, abs(eta))
+    # one call at the nodes, at eta and at eta +- h
+    g = np.asarray(gfun(np.append(ys, [eta, eta + h, eta - h])), dtype=float)
+    gy, (ge, g_up, g_down) = g[:-3], g[-3:].tolist()
     dist = np.abs(eta - ys)
     keep = dist > 1e-12 * max(1.0, abs(eta))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -232,11 +234,7 @@ def stein_pointwise(
     total = float(np.trapezoid(integrand, ys[keep]))
     # diagonal cell, local linear model
     delta = 1e-12 * max(1.0, abs(eta))
-    h = 1e-7 * max(1.0, abs(eta))
-    gprime = (
-        float(np.asarray(gfun(np.array([eta + h])))[0])
-        - float(np.asarray(gfun(np.array([eta - h])))[0])
-    ) / (2.0 * h)
+    gprime = (g_up - g_down) / (2.0 * h)
     total += gprime**2 * 2.0 * delta ** (2.0 - 2.0 * theta) / (2.0 - 2.0 * theta)
     # exact contribution of |y| >= Y0, where g vanishes
     if abs(eta) < Y0 and ge != 0.0:

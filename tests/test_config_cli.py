@@ -2,7 +2,6 @@
 keys rejected, deterministic outputs, schema-valid JSON, and exit codes
 that are nonzero exactly when an asserted check fails."""
 
-import functools
 import json
 import math
 import os
@@ -10,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from unittest import mock
 
@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fbbmlab.cli as cli_mod
+import fbbmlab.evolution as evolution_mod
 import fbbmlab.scenarios as scenarios_mod
 
 from fbbmlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_ERROR, EXIT_OK, load_schema, main
@@ -41,7 +42,7 @@ from fbbmlab.estimates import (
     ratio_report,
     ucp_residual,
 )
-from fbbmlab.evolution import MAX_STEPS, EvolveConfig, diagnostics_series, evolve
+from fbbmlab.evolution import MAX_STEPS, Diagnostics, EvolveConfig, evolve
 from fbbmlab.ground_state import fit_tail_exponent, petviashvili, scale_to_speed
 from fbbmlab.scenarios import Check, ScenarioResult, Table, envelope, run_scenario
 from fbbmlab.spectral import Field, group_propagate, make_grid, op_a
@@ -363,11 +364,11 @@ ODD = Field(ODD_GRID, 1.0 / (1.0 + ODD_GRID.xs**2))
 X0, X7 = float(ODD_GRID.xs[140]), float(ODD_GRID.xs[147])
 
 
-@functools.cache
-def ucp_trajectory(stride):
-    # the trajectory run_ucp steps for UCP_OK with this snapshot_stride
+def ucp_flow(stride):
+    # initial data, and the evolve config run_ucp steps for UCP_OK with this
+    # snapshot_stride
     params = {**validate_config(UCP_OK).params, "snapshot_stride": stride}
-    return evolve(Field(G64, np.exp(-(G64.xs**2))), _evolve_config("ucp", params))
+    return Field(G64, np.exp(-(G64.xs**2))), _evolve_config("ucp", params)
 
 
 # rule -> (config holding the value v, the field its violation names, the
@@ -406,17 +407,17 @@ PARITY = {
                          lambda v: EvolveConfig(alpha=0.5, dt=0.01, t_final=v),
                          [0.004, 0.01, 0.5, 0.5 + 5e-10, 0.5 + 2e-9, 0.505]),
     "t1-recorded": (lambda v: {**UCP_OK, "snapshot_stride": 7, "t1": v}, "t1",
-                    lambda v: ucp_residual(ucp_trajectory(7), v, 0.5),
+                    lambda v: ucp_residual(*ucp_flow(7), v, 0.5),
                     [0.0, 0.05, 0.07, 0.07 + 5e-10, 0.07 + 2e-9, 0.49]),
     "t2-recorded": (lambda v: {**UCP_OK, "snapshot_stride": 7, "t2": v}, "t2",
-                    lambda v: ucp_residual(ucp_trajectory(7), 0.0, v), [0.3, 0.35, 0.49, 0.5]),
+                    lambda v: ucp_residual(*ucp_flow(7), 0.0, v), [0.3, 0.35, 0.49, 0.5]),
     "ucp-default-stride": (lambda v: {**UCP_OK, "t1": v}, "t1",
-                           lambda v: ucp_residual(ucp_trajectory(None), v, 0.5),
+                           lambda v: ucp_residual(*ucp_flow(None), v, 0.5),
                            [0.01, 0.013, 0.25]),
     "t1<t2": (lambda v: {**UCP_OK, "t1": v, "t2": 0.3}, "t1",
-              lambda v: ucp_residual(ucp_trajectory(None), v, 0.3), [-0.01, 0.0, 0.29, 0.3, 0.31]),
+              lambda v: ucp_residual(*ucp_flow(None), v, 0.3), [-0.01, 0.0, 0.29, 0.3, 0.31]),
     "t1-t2-distinct-snapshots": (lambda v: {**UCP_OK, "t1": 0.05, "t2": v}, "t2",
-                                 lambda v: ucp_residual(ucp_trajectory(None), 0.05, v),
+                                 lambda v: ucp_residual(*ucp_flow(None), 0.05, v),
                                  [0.0500000001, 0.05 + 5e-10, 0.05 + 2e-9, 0.06]),
     "growth-sample-times": (
         lambda v: {"scenario": "weighted-growth", "n": 256, "L": 50.0, "t_max": v, "t_count": 3,
@@ -956,7 +957,8 @@ def test_each_summary_entry_is_its_report():
 def _streamed_and_stored(obj):
     """Run obj in-process, its evolve handing each snapshot to the runner's
     observer, and evolve the same initial data and config again storing
-    every snapshot; the handed-over snapshots must be the stored ones."""
+    every snapshot; the handed-over snapshots must be the stored ones.
+    Returns the result, the initial data and the stored trajectory."""
     stored = []
 
     def spy(initial, config, observe):
@@ -967,15 +969,17 @@ def _streamed_and_stored(obj):
             observe(values)
 
         streamed = evolve(initial, config, observe=copy_then_observe)
-        stored.append(evolve(initial, config))
+        stored.extend((initial, evolve(initial, config)))
         assert streamed.states.shape == (0, initial.grid.n)
         assert len(handed) == config.snapshot_times.size
-        assert np.array_equal(np.array(handed), stored[0].states)
+        assert np.array_equal(np.array(handed), stored[1].states)
         return streamed
 
-    with mock.patch.object(scenarios_mod, "evolve", spy):
+    # run_evolve steps through diagnostics_series, run_ucp itself
+    with (mock.patch.object(evolution_mod, "evolve", spy),
+          mock.patch.object(scenarios_mod, "evolve", spy)):
         res = run_scenario(validate_config(obj))
-    return res, stored[0]
+    return res, *stored
 
 
 STREAM_CASES = [
@@ -1002,8 +1006,11 @@ def test_streamed_reductions_equal_the_stored_trajectory(case, data):
         del obj["snapshot_stride"]
     if obj["scenario"] == "evolve":
         obj["amplitude"] = data.draw(st.floats(0.1, 2.0), label="amplitude")
-        res, traj = _streamed_and_stored(obj)
-        diag = diagnostics_series(traj)
+        res, _, traj = _streamed_and_stored(obj)
+        diagnostics = Diagnostics(traj.grid, traj.config)
+        for values in traj.states:
+            diagnostics(values)
+        diag = diagnostics.series()
         want = (diag.times, diag.mass, diag.energy, diag.hamiltonian, diag.l2, diag.sup)
         for got, ref in zip(res.tables[0].data, want, strict=True):
             assert np.array_equal(got, ref)
@@ -1014,14 +1021,14 @@ def test_streamed_reductions_equal_the_stored_trajectory(case, data):
     j1 = data.draw(st.integers(0, recorded.size - 2), label="t1 snapshot")
     j2 = data.draw(st.integers(j1 + 1, recorded.size - 1), label="t2 snapshot")
     obj["t1"], obj["t2"] = recorded[j1] * config.dt, recorded[j2] * config.dt
-    res, traj = _streamed_and_stored(obj)
+    res, initial, traj = _streamed_and_stored(obj)
     dx, k = traj.grid.dx, traj.config.power
     times, masses, integrand = res.tables[0].data
     assert np.array_equal(times, config.snapshot_times)
     # the whole-matrix sums the runner took before it streamed
     assert np.array_equal(masses, dx * np.sum(traj.states, axis=1))
     assert np.array_equal(integrand, dx * np.sum(traj.states**k, axis=1))
-    assert res.summary["residual"] == ucp_residual(traj, obj["t1"], obj["t2"])
+    assert res.summary["residual"] == ucp_residual(initial, config, obj["t1"], obj["t2"])
 
 
 @pytest.mark.parametrize("scenario", ["evolve", "ucp"])
@@ -1078,6 +1085,22 @@ def test_snapshot_index_is_constant_memory():
         assert _snapshot_indices(cfg, 0.0, 1.0) == (0, MAX_STEPS)
 
     assert _peak_bytes(lookup) < 1e6
+
+
+def test_ucp_residual_checks_its_times_before_stepping():
+    # t1 off a million-step schedule: the check comes before the first of
+    # the steps (about a minute at n = 16) and builds no schedule
+    cfg = EvolveConfig(0.5, 1e-6, 1.0, snapshot_stride=1)
+    assert cfg.steps == MAX_STEPS
+    g = make_grid(16, 10.0)
+
+    def off_schedule():
+        with pytest.raises(ValueError, match="^t1 must be a recorded snapshot time"):
+            ucp_residual(Field(g, np.exp(-(g.xs**2))), cfg, 0.5e-6, 1.0)
+
+    start = time.perf_counter()
+    assert _peak_bytes(off_schedule) < 1e6
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize(
@@ -1308,6 +1331,36 @@ def test_failed_manifest_write_leaves_no_temporary(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="synthetic rename failure"):
         cli_mod.write_manifest(str(target / "manifest.json"), manifest)
     assert os.listdir(target) == []  # the temporary file went with the failure
+
+
+def test_interrupted_rerun_leaves_no_manifest_listing_its_files(tmp_path, monkeypatch):
+    # the default output directory of a config is the same on every run, so
+    # a rerun overwrites the files the first run's manifest lists
+    obj = {"scenario": "stein", "pairs": [[0.25, 0.75]]}
+    assert run_cli(tmp_path, obj, "m")[0] == EXIT_OK
+
+    def interrupted(path, summary, scenario):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{")  # a partial summary.json
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_mod, "write_summary", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(tmp_path, obj, "m")
+    manifest = tmp_path / "m" / "manifest.json"
+    assert not manifest.exists() or "summary.json" not in json.loads(manifest.read_text())["outputs"]
+
+
+def test_manifest_mode_follows_the_umask(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        code, out = run_cli(tmp_path, {"scenario": "stein", "pairs": [[0.25, 0.75]]}, "m")
+    finally:
+        os.umask(umask)
+    assert code == EXIT_OK
+    modes = {name: os.stat(os.path.join(out, name)).st_mode & 0o777
+             for name in ("manifest.json", "summary.json")}
+    assert modes == {"manifest.json": 0o644, "summary.json": 0o644}
 
 
 # ----------------------------------------------------------------- writers

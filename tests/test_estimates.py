@@ -38,12 +38,16 @@ def corpus():
     return make_corpus(2048, 50.0, 12, seed=SEED)
 
 
-@pytest.fixture(scope="module")
-def mean_half_traj():
+def mean_half():
     # initial integral exactly 0.5
     g = make_grid(1024, 50.0)
     phi = Field(g, (0.5 / np.sqrt(np.pi)) * np.exp(-g.xs**2))
-    return evolve(phi, EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, snapshot_stride=1))
+    return phi, EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, snapshot_stride=1)
+
+
+@pytest.fixture(scope="module")
+def mean_half_traj():
+    return evolve(*mean_half())
 
 
 # ------------------------------------------------------------------- corpus
@@ -325,12 +329,12 @@ def test_growth_validation():
 
 def test_ucp_zero_solution():
     g = make_grid(256, 50.0)
-    traj = evolve(Field(g, np.zeros(g.n)), EvolveConfig(alpha=0.5, dt=0.01, t_final=1.0))
-    assert ucp_residual(traj, 0.0, 1.0) == 0.0
+    zero = Field(g, np.zeros(g.n))
+    assert ucp_residual(zero, EvolveConfig(alpha=0.5, dt=0.01, t_final=1.0), 0.0, 1.0) == 0.0
 
 
 def test_ucp_positive_mean(mean_half_traj):
-    R = ucp_residual(mean_half_traj, 0.0, 5.0)
+    R = ucp_residual(*mean_half(), 0.0, 5.0)
     assert R == pytest.approx(0.6000492460, rel=1e-6)
     # both terms nonnegative for even power, so R dominates the mass
     assert R >= mass(Field(mean_half_traj.grid, mean_half_traj.states[0])) >= 0.5
@@ -348,10 +352,8 @@ def test_ucp_quadrature_stride_halving():
     phi = Field(g, (0.5 / np.sqrt(np.pi)) * np.exp(-g.xs**2))
     R = []
     for stride in (2, 1):
-        traj = evolve(
-            phi, EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, snapshot_stride=stride)
-        )
-        R.append(ucp_residual(traj, 0.0, 5.0))
+        config = EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, snapshot_stride=stride)
+        R.append(ucp_residual(phi, config, 0.0, 5.0))
     assert abs(R[1] - R[0]) / abs(R[1]) < 1e-6
 
 
@@ -359,8 +361,8 @@ def test_ucp_odd_data_strictly_positive():
     g = make_grid(1024, 50.0)
     phi = Field(g, g.xs * np.exp(-g.xs**2))
     assert abs(mass(phi)) < 1e-14
-    traj = evolve(phi, EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, snapshot_stride=1))
-    R = ucp_residual(traj, 0.0, 5.0)
+    config = EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, snapshot_stride=1)
+    R = ucp_residual(phi, config, 0.0, 5.0)
     assert R == pytest.approx(0.3275461976, rel=1e-6)
     assert R > 0
 
@@ -368,35 +370,29 @@ def test_ucp_odd_data_strictly_positive():
 def test_ucp_linear_flow_reindexes(mean_half_traj):
     g = make_grid(1024, 50.0)
     phi = Field(g, (0.5 / np.sqrt(np.pi)) * np.exp(-g.xs**2))
-    traj = evolve(
-        phi,
-        EvolveConfig(
-            alpha=0.5, dt=0.01, t_final=8.0, snapshot_stride=1, linear_only=True
-        ),
-    )
-    Ra = ucp_residual(traj, 0.0, 5.0)
-    Rb = ucp_residual(traj, 2.0, 7.0)
+    config = EvolveConfig(alpha=0.5, dt=0.01, t_final=8.0, snapshot_stride=1, linear_only=True)
+    Ra = ucp_residual(phi, config, 0.0, 5.0)
+    Rb = ucp_residual(phi, config, 2.0, 7.0)
     assert abs(Ra - Rb) / abs(Ra) < 1e-9
 
 
 def test_ucp_odd_power_reports_without_sign():
     g = make_grid(1024, 50.0)
     phi = Field(g, (0.5 / np.sqrt(np.pi)) * np.exp(-g.xs**2))
-    traj = evolve(
-        phi, EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, power=3, snapshot_stride=1)
-    )
-    assert np.isfinite(ucp_residual(traj, 0.0, 5.0))
+    config = EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, power=3, snapshot_stride=1)
+    assert np.isfinite(ucp_residual(phi, config, 0.0, 5.0))
 
 
-def test_ucp_validation(mean_half_traj):
+def test_ucp_validation():
+    phi, config = mean_half()
     with pytest.raises(ValueError, match="t1 < t2"):
-        ucp_residual(mean_half_traj, 2.0, 1.0)
+        ucp_residual(phi, config, 2.0, 1.0)
     with pytest.raises(ValueError, match="t1 < t2"):
-        ucp_residual(mean_half_traj, -1.0, 1.0)
+        ucp_residual(phi, config, -1.0, 1.0)
     with pytest.raises(ValueError, match="snapshot"):
-        ucp_residual(mean_half_traj, 0.005, 5.0)
+        ucp_residual(phi, config, 0.005, 5.0)
     with pytest.raises(ValueError, match="snapshot"):
-        ucp_residual(mean_half_traj, 0.0, 5.7)
+        ucp_residual(phi, config, 0.0, 5.7)
     # the power rule belongs to the trajectory's config
     with pytest.raises(ValueError, match="power"):
         EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, power=1)

@@ -92,9 +92,7 @@ def test_linear_only_matches_free_group():
 def test_linear_only_l2_exactly_flat():
     g = make_grid(512, 30.0)
     u0 = Field(g, np.exp(-(g.xs + 3.0) ** 2))
-    d = diagnostics_series(
-        evolve(u0, EvolveConfig(alpha=0.25, dt=0.1, t_final=10.0, linear_only=True))
-    )
+    d = diagnostics_series(u0, EvolveConfig(alpha=0.25, dt=0.1, t_final=10.0, linear_only=True))
     assert np.max(np.abs(d.l2 - d.l2[0])) < 1e-12 * d.l2[0]
 
 
@@ -113,7 +111,7 @@ def test_mass_mode_frozen_bitwise():
 def test_invariants_drift_small():
     g = make_grid(1024, 50.0)
     u0 = Field(g, 2.0 * np.exp(-g.xs**2))
-    d = diagnostics_series(evolve(u0, EvolveConfig(alpha=0.5, dt=0.01, t_final=4.0)))
+    d = diagnostics_series(u0, EvolveConfig(alpha=0.5, dt=0.01, t_final=4.0))
     assert np.max(np.abs(d.mass - d.mass[0])) < 1e-12
     assert np.max(np.abs(d.energy - d.energy[0])) < 5e-6 * abs(d.energy[0])
     assert np.max(np.abs(d.hamiltonian - d.hamiltonian[0])) < 5e-6 * abs(d.hamiltonian[0])
@@ -126,7 +124,7 @@ def test_invariant_drift_at_least_fourth_order():
     u0 = Field(g, 2.0 * np.exp(-g.xs**2))
     drifts = []
     for dt in (0.04, 0.02):
-        d = diagnostics_series(evolve(u0, EvolveConfig(alpha=0.5, dt=dt, t_final=4.0)))
+        d = diagnostics_series(u0, EvolveConfig(alpha=0.5, dt=dt, t_final=4.0))
         drifts.append(np.max(np.abs(d.energy - d.energy[0])))
     assert drifts[0] / drifts[1] > 12.0
 
@@ -391,8 +389,9 @@ def test_random_band_limited_runs_conserve(seed, alpha):
     amp = (rng.standard_normal(19) + 1j * rng.standard_normal(19)) / (1 + k)
     c[k], c[-k] = amp, np.conj(amp)
     u0 = Field(g, np.fft.ifft(c).real * 3.0)
-    traj = evolve(u0, EvolveConfig(alpha=alpha, dt=0.02, t_final=1.0))
-    d = diagnostics_series(traj)
+    config = EvolveConfig(alpha=alpha, dt=0.02, t_final=1.0)
+    traj = evolve(u0, config)
+    d = diagnostics_series(u0, config)
     assert np.all(np.isfinite(traj.states))
     assert np.max(np.abs(d.mass - d.mass[0])) < 1e-12
     assert np.max(np.abs(d.energy - d.energy[0])) < 1e-6 * max(1e-12, abs(d.energy[0]))
