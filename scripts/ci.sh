@@ -49,10 +49,20 @@ for shipped in scripts/configs/*.json; do
   done
 done
 
-# every run directory of both passes holds its manifest and exactly the
-# outputs that manifest lists, each one present, and no temporary
+# a rerun into a used directory replaces the earlier run: the tail config,
+# which has no speed c, runs over a copy of the oracle's directory, which
+# holds the speed-c wave's table and plot data
+echo "== rerun into a used directory"
+mkdir -p "$work/rerun"
+cp -R "$work/runs-a/groundstate_oracle" "$work/rerun/groundstate_oracle" || status=1
+$FBBMLAB run "$work/configs/groundstate_tail.json" --out "$work/rerun/groundstate_oracle" \
+  || status=1
+
+# every run directory of both passes and of the rerun holds its manifest
+# and exactly the outputs that manifest lists, each one present, and no
+# temporary
 echo "== run directories match their manifests"
-python3 - "$work/runs-a" "$work/runs-b" <<'EOF' || status=1
+python3 - "$work/runs-a" "$work/runs-b" "$work/rerun" <<'EOF' || status=1
 import json, os, sys
 bad = 0
 for base in sys.argv[1:]:

@@ -510,6 +510,27 @@ def _write_outputs(
             write_plotdata(os.path.join(out_dir, name), table, config_hash)
 
 
+def _listed_outputs(manifest_path: str) -> list:
+    """The outputs a manifest lists; none if it cannot be read as one."""
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            outputs = json.load(fh)["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+    return outputs if isinstance(outputs, list) else []
+
+
+def _remove_outputs(out_dir: str, names: list) -> None:
+    """Remove the named files of out_dir: only plain file names, so a name
+    with a directory part, or one that is not a file, is left alone."""
+    for name in names:
+        if not isinstance(name, str) or name != os.path.basename(name):
+            continue
+        path = os.path.join(out_dir, name)
+        if os.path.isfile(path):
+            os.unlink(path)
+
+
 def _load(args) -> ScenarioConfig | None:
     """The config named on the command line, with any --seed override; on
     a file that cannot be read (missing, a directory, not UTF-8) or an
@@ -556,10 +577,11 @@ def _run(args) -> int:
         error = f"{type(e).__name__}: {e}"
     wall = time.perf_counter() - t0
 
-    # a rerun overwrites what an earlier manifest lists, so that one goes first
+    # a rerun replaces an earlier run: the files its manifest lists go
+    # first, then that manifest, so no file of it outlives the list
     manifest_path = os.path.join(out_dir, "manifest.json")
     if os.path.exists(manifest_path):
-        os.unlink(manifest_path)
+        _remove_outputs(out_dir, [*_listed_outputs(manifest_path), "manifest.json"])
     outputs = []
     if error is None:
         try:
@@ -567,10 +589,7 @@ def _run(args) -> int:
         except Exception as e:  # so do writer failures, schema violations included
             error = f"{type(e).__name__}: {e}"
             # the manifest vouches for none of them: remove what this run wrote
-            for name in outputs:
-                path = os.path.join(out_dir, name)
-                if os.path.exists(path):
-                    os.unlink(path)
+            _remove_outputs(out_dir, outputs)
             outputs = []
 
     checks = [dataclasses.asdict(c) for c in result.checks]

@@ -29,7 +29,7 @@ from .spectral import (
     Field,
     SpectralGrid,
     _check_alpha,
-    _half,
+    _finite,
     _half_l2,
     a_symbol_grid,
     field_l2,
@@ -249,7 +249,7 @@ def mass(f: Field) -> float:
 
 def energy(f: Field, alpha: float) -> float:
     """Quadratic invariant: int (D^(alpha/2) u)^2 + u^2 dx."""
-    return _energy(f, _half(frac_deriv_symbol(f.grid, alpha / 2.0), f.grid.n))
+    return _energy(f, _finite(frac_deriv_symbol(f.grid, alpha / 2.0)))
 
 
 def _energy(f: Field, dsym: np.ndarray) -> float:
@@ -281,7 +281,7 @@ class Diagnostics:
 
     def __init__(self, grid: SpectralGrid, config: EvolveConfig):
         self.grid, self.config = grid, config
-        self.dsym = _half(frac_deriv_symbol(grid, config.alpha / 2.0), grid.n)
+        self.dsym = _finite(frac_deriv_symbol(grid, config.alpha / 2.0))
         self.rows: list[tuple] = []
 
     def __call__(self, values: np.ndarray) -> None:

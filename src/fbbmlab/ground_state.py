@@ -28,7 +28,7 @@ from .spectral import (
     _check_alpha,
     _check_L,
     _dct1,
-    _half,
+    _finite,
     _half_l2,
     _parseval,
     field_l2,
@@ -83,7 +83,7 @@ def _residual(v: Field, symbol: np.ndarray, rhs: np.ndarray) -> float:
 def normalized_residual(psi: Field, alpha: float) -> float:
     """|| psi + D^alpha psi - psi^2/2 ||_2 / || psi ||_2."""
     g = psi.grid
-    symbol = 1.0 + _half(frac_deriv_symbol(g, alpha), g.n)
+    symbol = 1.0 + _finite(frac_deriv_symbol(g, alpha))
     return _residual(psi, symbol, np.fft.rfft(0.5 * psi.values**2))
 
 
@@ -136,7 +136,7 @@ def petviashvili(grid: SpectralGrid, alpha: float, tol: float = 1e-10) -> Petvia
         raise ValueError(f"tol must be positive, got {tol}")
 
     n = grid.n
-    symbol = 1.0 + _half(frac_deriv_symbol(grid, alpha), n)
+    symbol = 1.0 + _finite(frac_deriv_symbol(grid, alpha))
     coeffs = _dct1(_even_samples(grid))
     norm0 = size = _half_l2(coeffs, grid)  # nonzero: the guess is 3 at x_{n/2} = 0
     stabs = []
@@ -304,7 +304,7 @@ def scale_to_speed(psi: Field, alpha: float, c: float) -> Field:
 def traveling_wave_residual(q: Field, alpha: float, c: float) -> float:
     """|| c (q + D^alpha q) - q - q^2 ||_2 / || q ||_2 on q's box."""
     g = q.grid
-    symbol = c * (1.0 + _half(frac_deriv_symbol(g, alpha), g.n))
+    symbol = c * (1.0 + _finite(frac_deriv_symbol(g, alpha)))
     return _residual(q, symbol, np.fft.rfft(q.values + q.values**2))
 
 

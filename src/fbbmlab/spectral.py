@@ -3,25 +3,25 @@
 Conventions used throughout the package:
 
 * the box is [-L, L) sampled at n equispaced points, dx = 2L/n;
-* wavenumbers are xi_k = pi*k/L for k in {-n/2, ..., n/2 - 1}, stored in
-  FFT order;
+* the grid's wavenumbers are xi_k = pi*k/L for the np.fft.rfft modes
+  k = 0..n/2, the last one Nyquist;
 * a Field holds exactly n samples; its constructor checks that once.
 
 Every field is real and every symbol here is Hermitian, so the library
 computes on half spectra, the plain np.fft.rfft coefficients k = 0..n/2:
-_half cuts a symbol to them and checks it, _apply applies it to a field,
-and _parseval is the one Parseval sum.  Since x_{n-j} = -x_j, an even
+every symbol is built on them, _finite checks it, _apply applies it to a
+field, and _parseval is the one Parseval sum.  Since x_{n-j} = -x_j, an even
 field is fixed by its samples j = 0..n/2, and _dct1 maps them to its
 (real) half spectrum and back, at half the length of an rfft.
 
-Odd (imaginary) symbols zero the unpaired Nyquist mode -n/2 so that real
+Odd (imaginary) symbols zero the unpaired Nyquist mode n/2 so that real
 fields stay real and skew symmetry is exact on the grid.
 
 The full complex spectrum (forward, inverse, apply_multiplier, Spectrum,
-spectrum_l2) is the public reference format; nothing in the package calls
-it.  It matches the continuum transform: hat(u)(xi_k) is the trapezoid
-approximation of integral(u(x) exp(-i xi_k x) dx), so a unit constant on a
-box of half-length pi has hat(u)(0) = 2*pi, and Parseval reads
+spectrum_l2) is the public reference format, in FFT order; nothing in the
+package calls it.  It matches the continuum transform: hat(u)(xi_k) is the
+trapezoid approximation of integral(u(x) exp(-i xi_k x) dx), so a unit
+constant on a box of half-length pi has hat(u)(0) = 2*pi, and Parseval reads
 ||u||_2^2 = (1/2pi) * sum_k |hat(u)(xi_k)|^2 * (pi/L).  Since x_0 = -L and
 xi_k L = pi k, it is the plain DFT times dx and exp(i xi_k L) = (-1)^k, a
 cached exact sign.
@@ -67,7 +67,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)  # equal on (n, L); a grid is not hashed
 class SpectralGrid:
-    """Uniform periodic grid on [-L, L) with FFT-ordered wavenumbers."""
+    """Uniform periodic grid on [-L, L) with the n/2+1 rfft wavenumbers."""
 
     n: int
     L: float
@@ -113,7 +113,7 @@ def make_grid(n: int, L: float) -> SpectralGrid:
     _check_L(L, n)
     dx = 2.0 * L / n
     xs = -L + dx * np.arange(n)
-    xis = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)  # equals pi*k/L, FFT order
+    xis = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)  # equals pi*k/L, k = 0..n/2
     xs.setflags(write=False)
     xis.setflags(write=False)
     return SpectralGrid(n=n, L=L, xs=xs, xis=xis, dx=dx)
@@ -125,10 +125,12 @@ def _check_n(n: int) -> None:
 
 
 def _check_L(L: float, n: int) -> None:
-    # NaN, infinite, non-positive and overflowing L all leave no usable step
+    # NaN, infinite, non-positive, overflowing and tiny L leave no usable step or
+    # no finite Nyquist wavenumber pi n/2L, here rounded as make_grid rounds it
     dx = 2.0 * L / n
-    if not (np.isfinite(dx) and dx > 0):
-        raise ValueError(f"L must be positive with a finite grid step 2L/n, got L = {L}, n = {n}")
+    if not (np.isfinite(dx) and dx > 0 and np.isfinite(2.0 * np.pi * (n // 2 * (1.0 / (n * dx))))):
+        raise ValueError(f"L must be positive with a finite grid step 2L/n and Nyquist "
+                         f"wavenumber pi n/2L, got L = {L}, n = {n}")
 
 
 def _alpha_admitted(alpha: float) -> bool:
@@ -230,7 +232,7 @@ def inverse(s: Spectrum) -> Field:
 
 
 def apply_multiplier(s: Spectrum, symbol: np.ndarray) -> Spectrum:
-    """Multiply a spectrum by a symbol array sampled on grid.xis."""
+    """Multiply a spectrum by a symbol sampled at 2 pi np.fft.fftfreq(n, dx)."""
     symbol = np.asarray(symbol)
     if symbol.shape != s.coeffs.shape:
         raise ValueError(
@@ -255,18 +257,17 @@ def spectrum_l2(s: Spectrum) -> float:
     return float(np.sqrt(np.sum(np.abs(s.coeffs) ** 2) / (2.0 * g.L)))
 
 
-def _half(symbol: np.ndarray, n: int) -> np.ndarray:
-    """Modes k = 0..n/2 of a Hermitian symbol on grid.xis, checked finite."""
-    half = symbol[: n // 2 + 1]
-    if not np.all(np.isfinite(half)):
+def _finite(symbol: np.ndarray) -> np.ndarray:
+    """symbol, a half symbol on grid.xis, once checked finite."""
+    if not np.all(np.isfinite(symbol)):
         raise ValueError("symbol contains non-finite entries")
-    return half
+    return symbol
 
 
 @functools.lru_cache(maxsize=32)
 def _half_symbol(builder, n: int, L: float, *params) -> np.ndarray:
-    """Read-only copy of _half(builder(make_grid(n, L), *params), n)."""
-    half = _half(builder(make_grid(n, L), *params), n).copy()
+    """_finite(builder(make_grid(n, L), *params)), made read-only."""
+    half = _finite(builder(make_grid(n, L), *params))
     half.setflags(write=False)
     return half
 
@@ -276,11 +277,10 @@ def _apply(f: Field, half: np.ndarray) -> Field:
     return Field(f.grid, np.fft.irfft(half * np.fft.rfft(f.values), f.grid.n))
 
 
-def _nyquist_mask(grid: SpectralGrid) -> np.ndarray:
-    """1 everywhere except the unpaired mode k = -n/2."""
-    mask = np.ones(grid.n)
-    mask[grid.n // 2] = 0.0
-    return mask
+def _zero_nyquist(symbol: np.ndarray) -> np.ndarray:
+    """symbol with its unpaired Nyquist mode k = n/2 zeroed in place."""
+    symbol[-1] = 0.0
+    return symbol
 
 
 def frac_deriv_symbol(grid: SpectralGrid, alpha: float) -> np.ndarray:
@@ -288,7 +288,7 @@ def frac_deriv_symbol(grid: SpectralGrid, alpha: float) -> np.ndarray:
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0:
-        return np.ones(grid.n)
+        return np.ones_like(grid.xis)
     return np.abs(grid.xis) ** alpha
 
 
@@ -299,9 +299,7 @@ def bessel_symbol(grid: SpectralGrid, s: float) -> np.ndarray:
 
 def hilbert_symbol(grid: SpectralGrid) -> np.ndarray:
     """-i*sgn(xi) with sgn(0) = 0; odd, so the Nyquist mode is zeroed."""
-    sym = -1j * np.sign(grid.xis)
-    sym[grid.n // 2] = 0.0
-    return sym
+    return _zero_nyquist(-1j * np.sign(grid.xis))
 
 
 def a_symbol(xi, alpha: float):
@@ -311,12 +309,12 @@ def a_symbol(xi, alpha: float):
 
 
 def a_symbol_grid(grid: SpectralGrid, alpha: float) -> np.ndarray:
-    return a_symbol(grid.xis, alpha) * _nyquist_mask(grid)
+    return _zero_nyquist(a_symbol(grid.xis, alpha))
 
 
 def _deriv_symbol(grid: SpectralGrid, order: int) -> np.ndarray:
     sym = (1j * grid.xis) ** order
-    return sym * _nyquist_mask(grid) if order % 2 == 1 else sym
+    return _zero_nyquist(sym) if order % 2 == 1 else sym
 
 
 def frac_deriv(f: Field, alpha: float) -> Field:
@@ -348,7 +346,7 @@ def _dispersion(xi, alpha: float):
 
 
 def _group_phase(grid: SpectralGrid, alpha: float) -> np.ndarray:
-    return _dispersion(grid.xis, alpha) * _nyquist_mask(grid)
+    return _zero_nyquist(_dispersion(grid.xis, alpha))
 
 
 def a_symbol_prime(xi, alpha: float):
@@ -407,13 +405,12 @@ def group_propagate(f: Field, t: float, alpha: float) -> Field:
     """Apply the free group exp(tA); exactly unitary on the grid."""
     _check_alpha(alpha)
     a = _half_symbol(_group_phase, f.grid.n, f.grid.L, alpha)
-    return _apply(f, _half(np.exp(-1j * t * a), f.grid.n))
+    return _apply(f, _finite(np.exp(-1j * t * a)))
 
 
 def translate(f: Field, shift: float) -> Field:
     """Periodic translation u(x) -> u(x - shift) via the spectral phase."""
-    n = f.grid.n
-    xis = f.grid.xis[: n // 2 + 1]
+    xis = f.grid.xis
     sym = np.exp(-1j * xis * shift)
     sym[-1] = np.cos(xis[-1] * shift)  # keep Nyquist real
-    return _apply(f, _half(sym, n))
+    return _apply(f, _finite(sym))

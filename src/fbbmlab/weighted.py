@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, _check_alpha, _half, _half_l2, bessel_symbol, deriv
+from .spectral import Field, _check_alpha, _finite, _half_l2, bessel_symbol, deriv
 
 __all__ = [
     "WeightSpec",
@@ -410,7 +410,7 @@ def interpolation_ratio(f: Field, s: float, b: float, theta: float) -> float:
     if not np.any(vals):
         raise ValueError("interpolation ratio undefined for the zero field")
     w = weight_values(g.xs, WeightSpec(theta=(1.0 - theta) * b))
-    num = _half_l2(_half(bessel_symbol(g, theta * s), g.n) * np.fft.rfft(w * vals), g)
+    num = _half_l2(_finite(bessel_symbol(g, theta * s)) * np.fft.rfft(w * vals), g)
     den_w = weighted_norm(f, b)
-    den_s = _half_l2(_half(bessel_symbol(g, s), g.n) * np.fft.rfft(vals), g)
+    den_s = _half_l2(_finite(bessel_symbol(g, s)) * np.fft.rfft(vals), g)
     return num / (den_w ** (1.0 - theta) * den_s**theta)

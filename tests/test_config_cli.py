@@ -202,6 +202,9 @@ def test_families_validation():
         # dx = 2L/n overflows
         ({"scenario": "evolve", "alpha": 0.5, "n": 16, "L": 1e308, "dt": 0.01, "T": 0.02},
          "L must be positive with a finite grid step"),
+        # pi n / 2L overflows; the run used to exit 1 on a non-finite symbol
+        ({"scenario": "evolve", "alpha": 0.5, "n": 64, "L": 1e-310, "dt": 0.01, "T": 0.1},
+         "L: .*Nyquist wavenumber pi n/2L, got L = 1e-310"),
         # the corpus' squared samples underflow; the run used to exit 1
         ({"scenario": "commutators", "L": 1e306}, "1e-50 <= L <= 1e50, got L = 1e\\+306"),
         # L is fine, but the speed-c wave's box L / lambda overflows
@@ -228,7 +231,8 @@ def test_families_validation():
     ],
     ids=["stein-theta", "fractional-sum", "hilbert-orders", "hilbert-half-order",
          "generator-alpha", "non-number", "unhashable-family", "groundstate-tol-floor",
-         "groundstate-tol-floor-2^18", "evolve-L-overflow", "commutators-L-box",
+         "groundstate-tol-floor-2^18", "evolve-L-overflow", "evolve-L-wavenumber-overflow",
+         "commutators-L-box",
          "groundstate-c-box-overflow",
          "groundstate-window-samples", "ucp-width-peak-overflow", "evolve-T-dt-overflow",
          "ucp-T-dt-overflow", "evolve-steps-cap", "ucp-steps-cap"],
@@ -390,7 +394,8 @@ PARITY = {
                     lambda v: stein_asymptotics(v, 0.5), [0.0, 2.0, 2.1]),
     "n": (lambda v: {**EVOLVE_OK, "n": v}, "n", lambda v: make_grid(v, 1.0), [8, 15, 16, 24, 32]),
     "L": (lambda v: {**EVOLVE_OK, "L": v}, "L", lambda v: make_grid(EVOLVE_OK["n"], v),
-          [-1.0, 0.0, 1e-3, 8.9e307, 9e307, 1e308]),
+          [-1.0, 0.0, 1e-310, 2.2368882200258943e-306, 2.2368882200258946e-306, 1e-3,
+           8.9e307, 9e307, 1e308]),
     "dt": (lambda v: {**EVOLVE_OK, "dt": v}, "dt",
            lambda v: EvolveConfig(alpha=0.5, dt=v, t_final=0.5), [-0.01, 0.0, 0.01]),
     "T": (lambda v: {**EVOLVE_OK, "T": v}, "T",
@@ -1349,6 +1354,46 @@ def test_interrupted_rerun_leaves_no_manifest_listing_its_files(tmp_path, monkey
         run_cli(tmp_path, obj, "m")
     manifest = tmp_path / "m" / "manifest.json"
     assert not manifest.exists() or "summary.json" not in json.loads(manifest.read_text())["outputs"]
+
+
+@pytest.mark.parametrize(
+    "first, second, code",
+    [
+        # the rerun fails, so it lists no outputs: the first run's table and
+        # summary must not stay beside that empty list
+        ({"scenario": "evolve", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 0.01, "T": 0.5},
+         {"amplitude": 1e5}, EXIT_ERROR),
+        # the rerun has no speed, so it writes no wave table
+        ({"scenario": "groundstate", "alpha": 0.75, "n": 1024, "L": 100.0, "c": 2.0},
+         {"c": None}, EXIT_OK),
+    ],
+    ids=["failed-evolve", "groundstate-without-c"],
+)
+def test_rerun_leaves_only_what_its_manifest_lists(tmp_path, first, second, code):
+    assert run_cli(tmp_path, first, "o")[0] == EXIT_OK
+    obj = {k: v for k, v in {**first, **second}.items() if v is not None}
+    got, out = run_cli(tmp_path, obj, "o")
+    assert got == code
+    outputs = json.load(open(os.path.join(out, "manifest.json")))["outputs"]
+    assert (outputs == []) == (code == EXIT_ERROR)
+    assert sorted(os.listdir(out)) == sorted([*outputs, "manifest.json"])
+
+
+def test_rerun_removes_only_plain_file_names_of_its_directory(tmp_path):
+    # a manifest's outputs are file names; anything else it lists is kept
+    obj = {"scenario": "stein", "pairs": [[0.25, 0.75]]}
+    code, out = run_cli(tmp_path, obj, "o")
+    assert code == EXIT_OK
+    manifest = os.path.join(out, "manifest.json")
+    listed = json.load(open(manifest))
+    (tmp_path / "keep.txt").write_text("x")
+    (tmp_path / "o" / "sub").mkdir()
+    (tmp_path / "o" / "sub" / "keep.txt").write_text("x")
+    listed["outputs"] += ["../keep.txt", "sub/keep.txt", "sub", str(tmp_path / "keep.txt")]
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump(listed, fh)
+    assert run_cli(tmp_path, obj, "o")[0] == EXIT_OK
+    assert (tmp_path / "keep.txt").exists() and (tmp_path / "o" / "sub" / "keep.txt").exists()
 
 
 def test_manifest_mode_follows_the_umask(tmp_path):

@@ -1,10 +1,13 @@
 """Grid, transform, multiplier, and free-group unit tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fft_reference import fft_xis
 from fbbmlab.evolution import energy, hamiltonian, mass
 from fbbmlab.ground_state import normalized_residual, traveling_wave_residual
 from fbbmlab.spectral import (
@@ -47,7 +50,8 @@ from fbbmlab.weighted import interpolation_ratio, weighted_norm
 
 def test_grid_integer_wavenumbers():
     g = make_grid(16, np.pi)
-    np.testing.assert_allclose(np.sort(g.xis), np.arange(-8, 8), atol=1e-13)
+    np.testing.assert_allclose(g.xis, np.arange(0, 9), atol=1e-13)
+    np.testing.assert_allclose(np.sort(fft_xis(g)), np.arange(-8, 8), atol=1e-13)
     assert g.xs[0] == -np.pi
     assert np.all(np.diff(g.xs) > 0)
     assert len(g.xs) == 16
@@ -71,11 +75,51 @@ def test_grid_rejects_bad_L(bad_L):
         make_grid(64, bad_L)
 
 
+def _smallest_admitted_L(n):
+    # bisect the positive doubles, which their bit patterns order: lo is
+    # rejected, hi admitted
+    lo, hi = 1, int(np.float64(1.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            make_grid(n, float(np.int64(mid).view(np.float64)))
+            hi = mid
+        except ValueError:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+def test_grid_rejects_L_whose_wavenumbers_overflow(n):
+    # the smallest admitted box has a finite Nyquist wavenumber, pi n/2L
+    # rounded as make_grid rounds it, and the next double down has none
+    L = _smallest_admitted_L(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = make_grid(n, L)
+    assert np.all(np.isfinite(g.xis)) and g.xis[-1] > 1e308
+    for tiny in (np.nextafter(L, 0.0), 1e-310, 5e-324):
+        with pytest.raises(ValueError, match="Nyquist wavenumber"):
+            make_grid(n, tiny)
+
+
 def test_grid_symmetry_up_to_nyquist():
     g = make_grid(64, 7.5)
-    xis = set(np.round(g.xis, 12).tolist())
+    xis = set(np.round(fft_xis(g), 12).tolist())
     unpaired = [xi for xi in xis if xi != 0 and -xi not in xis]
     assert unpaired == [min(xis)]
+
+
+@pytest.mark.parametrize("n, L", [(16, np.pi), (64, 7.5), (256, 146.28553447080662),
+                                  (4096, 0.3), (2**20, 262144.0)])
+def test_grid_holds_the_rfft_wavenumbers(n, L):
+    # the half wavenumbers are the reference's first n/2 to the bit; only
+    # the Nyquist one differs, by its sign: +pi n/2L against -pi n/2L
+    g = make_grid(n, L)
+    full = fft_xis(g)
+    assert g.xis.shape == (n // 2 + 1,)
+    assert g.xis[:-1].tobytes() == full[: n // 2].tobytes()
+    assert g.xis[-1] == -full[n // 2] > 0
 
 
 # ---------------------------------------------------------------- transform
@@ -84,7 +128,7 @@ def test_grid_symmetry_up_to_nyquist():
 def test_forward_constant():
     g = make_grid(16, np.pi)
     s = forward(Field(g, np.ones(g.n)))
-    k0 = np.argmin(np.abs(g.xis))
+    k0 = np.argmin(np.abs(fft_xis(g)))
     assert abs(s.coeffs[k0] - 2.0 * np.pi) < 1e-12
     others = np.delete(s.coeffs, k0)
     assert np.max(np.abs(others)) < 1e-12
@@ -93,8 +137,9 @@ def test_forward_constant():
 def test_forward_cosine():
     g = make_grid(16, np.pi)
     s = forward(Field(g, np.cos(g.xs)))
-    kp = np.argmin(np.abs(g.xis - 1.0))
-    km = np.argmin(np.abs(g.xis + 1.0))
+    xi = fft_xis(g)
+    kp = np.argmin(np.abs(xi - 1.0))
+    km = np.argmin(np.abs(xi + 1.0))
     assert abs(s.coeffs[kp] - np.pi) < 1e-12
     assert abs(s.coeffs[km] - np.pi) < 1e-12
 
@@ -169,7 +214,7 @@ def test_half_spectrum_layer(seed, log2n, L):
     # the rounded phase exp(i xi L) is off by a few ulps of |xi L| <= pi n/2
     eps = np.finfo(float).eps
     np.testing.assert_allclose(
-        _sign(g.n), np.exp(1j * g.xis * g.L), rtol=0, atol=4 * eps * np.pi * g.n / 2
+        _sign(g.n), np.exp(1j * fft_xis(g) * g.L), rtol=0, atol=4 * eps * np.pi * g.n / 2
     )
 
 
@@ -250,7 +295,7 @@ def test_op_a_matches_composed_operators():
     u = Field(g, rng.standard_normal(g.n))
     alpha = 0.75
     direct = op_a(u, alpha)
-    sym = 1.0 / (1.0 + np.abs(g.xis) ** alpha)
+    sym = 1.0 / (1.0 + np.abs(fft_xis(g)) ** alpha)
     composed = deriv(inverse(apply_multiplier(forward(u), sym)), 1)
     np.testing.assert_allclose(direct.values, -composed.values, atol=1e-11)
 
@@ -287,7 +332,7 @@ def _odd(sym, g):
 def test_half_spectrum_operators_match_full_reference(seed, log2n, L, alpha, s, t, shift, c):
     g = make_grid(2**log2n, L)
     f = Field(g, np.random.default_rng(seed).standard_normal(g.n))
-    xi, nyq = g.xis, g.n // 2
+    xi, nyq = fft_xis(g), g.n // 2
     # phases rounded as the library rounds them: t a(xi) reaches ~1e5 here
     group = np.exp(-1j * t * (xi / (1.0 + np.abs(xi) ** alpha)))
     group[nyq] = 1.0
@@ -324,7 +369,8 @@ def test_half_spectrum_operators_match_full_reference(seed, log2n, L, alpha, s, 
 
 
 def _sliced_full_symbol(f, symbol):
-    """An operator the uncached way: full-length symbol, sliced per call."""
+    """An operator the uncached way: full-length FFT-order symbol, sliced
+    per call."""
     n = f.grid.n
     return np.fft.irfft(symbol[: n // 2 + 1] * np.fft.rfft(f.values), n)
 
@@ -354,16 +400,16 @@ def test_cached_symbols_match_uncached_bytes(grids, alpha, s, ts, seed):
     for log2n, L in grids + grids[::-1]:
         g = make_grid(2**log2n, L)
         f = Field(g, rng.standard_normal(g.n))
-        mask = _odd_mask(g)
-        phase = g.xis / (1.0 + np.abs(g.xis) ** alpha) * mask
+        xi, mask = fft_xis(g), _odd_mask(g)
+        phase = xi / (1.0 + np.abs(xi) ** alpha) * mask
         cases = [
-            (frac_deriv(f, alpha), frac_deriv_symbol(g, alpha)),
-            (bessel(f, s), bessel_symbol(g, s)),
-            (hilbert(f), hilbert_symbol(g)),
-            (op_a(f, alpha), a_symbol_grid(g, alpha)),
-            (deriv(f, 1), (1j * g.xis) ** 1 * mask),
-            (deriv(f, 2), (1j * g.xis) ** 2),
-            (deriv(f, 3), (1j * g.xis) ** 3 * mask),
+            (frac_deriv(f, alpha), np.abs(xi) ** alpha),
+            (bessel(f, s), (1.0 + xi**2) ** (s / 2.0)),
+            (hilbert(f), _odd(-1j * np.sign(xi), g)),
+            (op_a(f, alpha), a_symbol(xi, alpha) * mask),
+            (deriv(f, 1), (1j * xi) ** 1 * mask),
+            (deriv(f, 2), (1j * xi) ** 2),
+            (deriv(f, 3), (1j * xi) ** 3 * mask),
         ] + [(group_propagate(f, t, alpha), np.exp(-1j * t * phase)) for t in ts]
         for i, (out, symbol) in enumerate(cases):
             assert out.values.tobytes() == _sliced_full_symbol(f, symbol).tobytes(), i
@@ -496,7 +542,18 @@ def test_a_symbol_values():
 def test_a_symbol_grid_zeroes_nyquist():
     g = make_grid(32, 2.0)
     sym = a_symbol_grid(g, 0.5)
-    assert sym[g.n // 2] == 0.0
+    assert sym[-1] == 0.0
+
+
+def test_symbol_builders_sample_the_half_grid():
+    # every builder returns one entry per rfft mode; the odd ones zero Nyquist
+    g = make_grid(64, 7.5)
+    even = [frac_deriv_symbol(g, 0.0), frac_deriv_symbol(g, 0.5), bessel_symbol(g, -1.5)]
+    odd = [hilbert_symbol(g), a_symbol_grid(g, 0.5)]
+    for sym in even + odd:
+        assert sym.shape == g.xis.shape == (g.n // 2 + 1,)
+    assert np.all(np.array(even)[:, -1] > 0)
+    assert all(sym[-1] == 0.0 and sym[-2] != 0.0 for sym in odd)
 
 
 def _fd_error_first(xi, t, alpha, h):
