@@ -120,9 +120,11 @@ sys.exit(1 if wrong or not checked else 0)
 EOF
 
 # the line counts the ROADMAP tracks: the Python and the declared output
-# formats, next to the collected test count
+# formats, next to the collected test count; the test modules' counts show
+# code that moves between src and the test helpers
 echo "== source size"
 wc -l src/fbbmlab/*.py || status=1
+wc -l tests/*.py || status=1
 wc -l src/fbbmlab/schemas/*.json || status=1
 python3 -m pytest --collect-only -q > "$work/collected" || status=1
 tail -n 1 "$work/collected"

@@ -157,23 +157,25 @@ class EvolveConfig:
 
 @dataclass
 class Trajectory:
-    grid: SpectralGrid
-    states: np.ndarray  # one row per config.snapshot_times, sample values; (0, n) if observed
-    config: EvolveConfig
+    """What evolve returns: an empty (0, n) states array, the snapshot bytes
+    the benchmark tracer reads.  It goes with ROADMAP item 1, after which
+    evolve returns nothing."""
+
+    states: np.ndarray
 
 
 def evolve(initial: Field, config: EvolveConfig,
-           observe: Callable[[np.ndarray], None] | None = None) -> Trajectory:
-    """March the equation forward, recording snapshots along the way.
+           observe: Callable[[np.ndarray], None]) -> Trajectory:
+    """March the equation forward, handing each snapshot to observe.
 
     Snapshots are the states at config.snapshot_steps, step 0 (the initial
     state) among them; their times are config.snapshot_times.  Each is
     written into one reused n-length buffer and handed to observe(values)
-    as it is made; observe must not keep the buffer.  With an observer the
-    returned states is empty, (0, n), so the run holds O(n) floats whatever
-    the snapshot count; without one every snapshot is copied into states,
-    one row each.  The state is tested for finiteness after every step and
-    against the sup-norm limit at every snapshot, before observe sees it.
+    as it is made, so the run holds O(n) floats whatever the snapshot
+    count; observe must not keep the buffer, and a caller that wants the
+    states copies each one it is handed.  The state is tested for
+    finiteness after every step and against the sup-norm limit at every
+    snapshot, before observe sees it.
     """
     g, n, values = initial.grid, initial.grid.n, initial.values
     if not np.all(np.isfinite(values)):
@@ -195,13 +197,6 @@ def evolve(initial: Field, config: EvolveConfig,
 
     dt = config.dt
     recorded = config.snapshot_steps.tolist()
-    states = np.empty((len(recorded) if observe is None else 0, n))
-    if observe is None:
-        rows = iter(states)
-
-        def observe(snapshot: np.ndarray) -> None:
-            np.copyto(next(rows), snapshot)
-
     buffer = np.empty(n)
     v = np.fft.rfft(values)[:m]
     # the zero mode is frozen, so every state has the input's mass; one
@@ -236,7 +231,7 @@ def evolve(initial: Field, config: EvolveConfig,
                     f"{BLOWUP_FACTOR:.1e} x initial ({sup0:.3e})"
                 )
             observe(buffer)
-    return Trajectory(grid=g, states=states, config=config)
+    return Trajectory(states=np.empty((0, n)))
 
 
 # ----------------------------------------------------------- conserved sums

@@ -321,7 +321,7 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
 def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
-    phi = Field(grid, np.exp(-(grid.xs**2)))
+    phi = _gaussian(grid, 1.0, 1.0, 0.0)
     times = _growth_times(p)
 
     res = ScenarioResult()
@@ -359,7 +359,7 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
     if p["profile"] == "gaussian":
-        phi = Field(grid, _ucp_amplitude(p) * np.exp(-((grid.xs / p["width"]) ** 2)))
+        phi = _gaussian(grid, _ucp_amplitude(p), p["width"], 0.0)
     else:
         # odd data: integral zero up to roundoff; 'mean' is ignored
         phi = Field(grid, grid.xs * np.exp(-((grid.xs / p["width"]) ** 2)))

@@ -287,8 +287,6 @@ def frac_deriv_symbol(grid: SpectralGrid, alpha: float) -> np.ndarray:
     """|xi|^alpha; even symbol, Nyquist kept. alpha = 0 gives the identity."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0:
-        return np.ones_like(grid.xis)
     return np.abs(grid.xis) ** alpha
 
 

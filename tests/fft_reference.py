@@ -1,14 +1,29 @@
-"""Wavenumbers of the full-spectrum reference, for the tests.
+"""References for the tests: the full-spectrum wavenumbers and the stored
+snapshots of a run.
 
 A grid holds only the n/2+1 np.fft.rfft wavenumbers the library computes
 on.  The public reference transforms (forward, inverse, apply_multiplier)
 act on all n coefficients in FFT order, so a reference symbol is sampled
 here.
+
+evolve hands each snapshot to its observer in one reused buffer and
+keeps none, so the tests that compare whole trajectories store them here.
 """
 
 import numpy as np
+
+from fbbmlab.evolution import evolve
 
 
 def fft_xis(grid):
     """2 pi np.fft.fftfreq(n, dx): xi_k = pi k / L for k in FFT order."""
     return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+
+
+def stored_states(initial, config):
+    """The snapshots of evolve(initial, config, observe), one row each, in
+    the order of config.snapshot_times: the observer copies each snapshot
+    it is handed."""
+    states = []
+    evolve(initial, config, observe=lambda values: states.append(values.copy()))
+    return np.array(states)

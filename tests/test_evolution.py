@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbbmlab.evolution as evolution
-from fft_reference import fft_xis
+from fft_reference import fft_xis, stored_states
 from fbbmlab.spectral import (
     Field,
     Spectrum,
@@ -32,10 +32,8 @@ from fbbmlab.spectral import (
 from fbbmlab.evolution import (
     BlowUpError,
     EvolveConfig,
-    Trajectory,
     diagnostics_series,
     energy,
-    evolve,
     hamiltonian,
     mass,
 )
@@ -78,16 +76,17 @@ def test_config_defaults():
 
 def test_zero_data_stays_zero():
     g = make_grid(256, 10.0)
-    traj = evolve(Field(g, np.zeros(g.n)), EvolveConfig(alpha=0.75, dt=0.05, t_final=1.0))
-    assert np.all(traj.states == 0.0)
+    cfg = EvolveConfig(alpha=0.75, dt=0.05, t_final=1.0)
+    states = stored_states(Field(g, np.zeros(g.n)), cfg)
+    assert np.all(states == 0.0)
 
 
 def test_linear_only_matches_free_group():
     g = make_grid(512, 30.0)
     u0 = Field(g, np.exp(-g.xs**2) * np.cos(2 * g.xs))
-    traj = evolve(u0, EvolveConfig(alpha=0.5, dt=0.05, t_final=5.0, linear_only=True))
+    states = stored_states(u0, EvolveConfig(alpha=0.5, dt=0.05, t_final=5.0, linear_only=True))
     exact = group_propagate(u0, 5.0, 0.5)
-    assert np.max(np.abs(traj.states[-1] - exact.values)) < 1e-12
+    assert np.max(np.abs(states[-1] - exact.values)) < 1e-12
 
 
 def test_linear_only_l2_exactly_flat():
@@ -103,9 +102,9 @@ def test_linear_only_l2_exactly_flat():
 def test_mass_mode_frozen_bitwise():
     g = make_grid(1024, 50.0)
     u0 = Field(g, 1.5 * np.exp(-g.xs**2) + 0.2 * np.exp(-((g.xs - 5) ** 2)))
-    traj = evolve(u0, EvolveConfig(alpha=0.5, dt=0.02, t_final=2.0))
-    m0 = forward(Field(g, traj.states[0])).coeffs[0]
-    mT = forward(Field(g, traj.states[-1])).coeffs[0]
+    states = stored_states(u0, EvolveConfig(alpha=0.5, dt=0.02, t_final=2.0))
+    m0 = forward(Field(g, states[0])).coeffs[0]
+    mT = forward(Field(g, states[-1])).coeffs[0]
     assert mT == m0  # the zero mode is untouched by the stepper
 
 
@@ -136,11 +135,11 @@ def test_l2_derivative_matches_quadratic_pairing():
     g = make_grid(1024, 50.0)
     u0 = Field(g, 2.0 * np.exp(-g.xs**2))
     cfg = EvolveConfig(alpha=0.5, dt=0.01, t_final=2.0, snapshot_stride=10)
-    traj = evolve(u0, cfg)
+    states = stored_states(u0, cfg)
     tau = cfg.snapshot_times[1] - cfg.snapshot_times[0]
-    half_l2_sq = 0.5 * np.array([field_l2(Field(g, values)) ** 2 for values in traj.states])
+    half_l2_sq = 0.5 * np.array([field_l2(Field(g, values)) ** 2 for values in states])
     for i in (3, 7, 11):
-        f = Field(g, traj.states[i])
+        f = Field(g, states[i])
         u2 = Field(g, f.values**2)
         pairing = g.dx * np.sum(f.values * op_a(u2, 0.5).values)
         fd = (half_l2_sq[i + 1] - half_l2_sq[i - 1]) / (2 * tau)
@@ -172,8 +171,8 @@ def test_first_step_matches_flow_derivative():
     rhs = op_a(Field(g, u0.values + u0.values**2), 0.75).values
     errs = []
     for dt in (1e-3, 5e-4):
-        traj = evolve(u0, EvolveConfig(alpha=0.75, dt=dt, t_final=dt))
-        fd = (traj.states[-1] - u0.values) / dt
+        states = stored_states(u0, EvolveConfig(alpha=0.75, dt=dt, t_final=dt))
+        fd = (states[-1] - u0.values) / dt
         errs.append(np.max(np.abs(fd - rhs)))
     assert errs[0] < 2e-3
     assert 1.5 < errs[0] / errs[1] < 2.5  # first divided difference: O(dt)
@@ -189,9 +188,9 @@ def test_traveling_wave_translates():
     g = make_grid(4096, 100.0)
     r = petviashvili(g, 0.75, tol=1e-11)
     q = scale_to_speed(r.wave, 0.75, 2.0)
-    traj = evolve(q, EvolveConfig(alpha=0.75, dt=0.01, t_final=2.0))
+    states = stored_states(q, EvolveConfig(alpha=0.75, dt=0.01, t_final=2.0))
     expected = translate(q, 2.0 * 2.0)
-    err = np.max(np.abs(traj.states[-1] - expected.values)) / np.max(np.abs(q.values))
+    err = np.max(np.abs(states[-1] - expected.values)) / np.max(np.abs(q.values))
     assert err < 1e-6
 
 
@@ -203,9 +202,9 @@ def test_traveling_wave_low_dispersion():
     g = make_grid(8192, 25.0)
     r = petviashvili(g, 0.5, tol=1e-11)
     q = scale_to_speed(r.wave, 0.5, 2.0)
-    traj = evolve(q, EvolveConfig(alpha=0.5, dt=0.005, t_final=5.0))
+    states = stored_states(q, EvolveConfig(alpha=0.5, dt=0.005, t_final=5.0))
     expected = translate(q, 2.0 * 5.0)
-    err = np.max(np.abs(traj.states[-1] - expected.values)) / np.max(np.abs(q.values))
+    err = np.max(np.abs(states[-1] - expected.values)) / np.max(np.abs(q.values))
     assert err < 1e-4
 
 
@@ -217,7 +216,7 @@ def test_blowup_abort_triggers(monkeypatch):
     u0 = Field(g, 2.0 * np.exp(-g.xs**2))
     monkeypatch.setattr(evolution, "BLOWUP_FACTOR", 1.0001)
     with pytest.raises(BlowUpError):
-        evolve(u0, EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0))
+        stored_states(u0, EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0))
     # dt = 0.05 is far beyond the stable step for this amplitude: the state
     # is finite at t = 0.4 and overflows in the next step.  The error names
     # that step whatever the snapshot stride.
@@ -225,12 +224,12 @@ def test_blowup_abort_triggers(monkeypatch):
     big = Field(g, 10.0 * np.exp(-g.xs**2))
     monkeypatch.setattr(evolution, "BLOWUP_FACTOR", 1e308)
     with np.errstate(all="ignore"):
-        ok = evolve(big, EvolveConfig(alpha=0.5, dt=0.05, t_final=0.4))
-        assert np.all(np.isfinite(ok.states))
+        ok = stored_states(big, EvolveConfig(alpha=0.5, dt=0.05, t_final=0.4))
+        assert np.all(np.isfinite(ok))
         for stride in (1, 7, 50):
             cfg = EvolveConfig(alpha=0.5, dt=0.05, t_final=5.0, snapshot_stride=stride)
             with pytest.raises(BlowUpError, match=r"at t = 0\.45( |$)"):
-                evolve(big, cfg)
+                stored_states(big, cfg)
 
 
 def test_blowup_raises_without_numpy_warnings(monkeypatch):
@@ -243,7 +242,7 @@ def test_blowup_raises_without_numpy_warnings(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BlowUpError, match=r"at t = 0\.45( |$)"):
-            evolve(big, cfg)
+            stored_states(big, cfg)
 
 
 def test_nonfinite_initial_rejected():
@@ -251,7 +250,7 @@ def test_nonfinite_initial_rejected():
     vals = np.exp(-g.xs**2)
     vals[3] = np.nan
     with pytest.raises(ValueError):
-        evolve(Field(g, vals), EvolveConfig(alpha=0.5, dt=0.01, t_final=1.0))
+        stored_states(Field(g, vals), EvolveConfig(alpha=0.5, dt=0.01, t_final=1.0))
 
 
 # ------------------------------------------------ full-spectrum reference
@@ -290,10 +289,10 @@ def test_half_spectrum_rk4_matches_full_spectrum(power):
     g = make_grid(256, 15.0)
     u0 = Field(g, 2.0 * np.exp(-g.xs**2) + 0.5 * np.exp(-((g.xs - 3.0) ** 2)))
     cfg = EvolveConfig(alpha=0.5, dt=0.02, t_final=0.1, power=power, snapshot_stride=1)
-    traj = evolve(u0, cfg)
+    states = stored_states(u0, cfg)
     ref = _full_spectrum_rk4(u0, cfg)
-    assert traj.states.shape == ref.shape == (6, g.n)
-    assert np.max(np.abs(traj.states - ref)) < 1e-12
+    assert states.shape == ref.shape == (6, g.n)
+    assert np.max(np.abs(states - ref)) < 1e-12
 
 
 # -------------------------------------------------------------- trajectory
@@ -303,9 +302,9 @@ def test_snapshot_stride_and_endpoints():
     g = make_grid(256, 10.0)
     u0 = Field(g, 0.5 * np.exp(-g.xs**2))
     cfg = EvolveConfig(alpha=0.5, dt=0.01, t_final=1.0, snapshot_stride=25)
-    traj = evolve(u0, cfg)
+    states = stored_states(u0, cfg)
     np.testing.assert_allclose(cfg.snapshot_times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
-    assert len(cfg.snapshot_times) == len(traj.states)
+    assert len(cfg.snapshot_times) == len(states)
 
 
 @pytest.mark.parametrize(
@@ -316,11 +315,11 @@ def test_snapshot_stride_uneven(steps, stride, recorded):
     g = make_grid(64, 10.0)
     u0 = Field(g, 0.5 * np.exp(-g.xs**2))
     cfg = EvolveConfig(alpha=0.5, dt=0.01, t_final=steps * 0.01, snapshot_stride=stride)
-    traj = evolve(u0, cfg)
+    states = stored_states(u0, cfg)
     np.testing.assert_allclose(cfg.snapshot_times, 0.01 * np.array(recorded), rtol=0, atol=1e-15)
     assert cfg.snapshot_times[-1] == pytest.approx(cfg.t_final, abs=1e-15)
-    assert traj.states.shape == (len(recorded), g.n)
-    assert np.max(np.abs(traj.states - _full_spectrum_rk4(u0, cfg)[recorded])) < 1e-12
+    assert states.shape == (len(recorded), g.n)
+    assert np.max(np.abs(states - _full_spectrum_rk4(u0, cfg)[recorded])) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -337,9 +336,8 @@ def test_snapshot_schedule_is_what_evolve_records(steps, stride, dt):
     recorded = [s for s in range(steps + 1) if s % cfg.stride == 0 or s == steps]
     assert cfg.snapshot_steps.tolist() == recorded
     assert np.array_equal(cfg.snapshot_times, dt * np.array(recorded))
-    handed = []
-    evolve(u0, cfg, observe=lambda values: handed.append(values.copy()))
-    assert np.max(np.abs(np.array(handed) - _full_spectrum_rk4(u0, cfg)[recorded])) < 1e-12
+    handed = stored_states(u0, cfg)
+    assert np.max(np.abs(handed - _full_spectrum_rk4(u0, cfg)[recorded])) < 1e-12
     for step in range(steps + 2):
         index = cfg.snapshot_index(step * dt)
         assert index == (recorded.index(step) if step in recorded else None)
@@ -350,7 +348,7 @@ def test_wrong_length_initial_rejected():
     cfg = EvolveConfig(alpha=0.5, dt=0.01, t_final=0.1)
     for vals in (np.zeros(g.n + 1), np.zeros(g.n - 1), np.zeros((2, g.n // 2))):
         with pytest.raises(ValueError, match=r"expected \(64,\)"):
-            evolve(Field(g, vals), cfg)
+            stored_states(Field(g, vals), cfg)
 
 
 # ------------------------------------------------------- functional oracles
@@ -391,8 +389,8 @@ def test_random_band_limited_runs_conserve(seed, alpha):
     c[k], c[-k] = amp, np.conj(amp)
     u0 = Field(g, np.fft.ifft(c).real * 3.0)
     config = EvolveConfig(alpha=alpha, dt=0.02, t_final=1.0)
-    traj = evolve(u0, config)
+    states = stored_states(u0, config)
     d = diagnostics_series(u0, config)
-    assert np.all(np.isfinite(traj.states))
+    assert np.all(np.isfinite(states))
     assert np.max(np.abs(d.mass - d.mass[0])) < 1e-12
     assert np.max(np.abs(d.energy - d.energy[0])) < 1e-6 * max(1e-12, abs(d.energy[0]))

@@ -404,6 +404,7 @@ def test_cached_symbols_match_uncached_bytes(grids, alpha, s, ts, seed):
         phase = xi / (1.0 + np.abs(xi) ** alpha) * mask
         cases = [
             (frac_deriv(f, alpha), np.abs(xi) ** alpha),
+            (frac_deriv(f, 0), np.ones_like(xi)),  # alpha = 0 is the identity
             (bessel(f, s), (1.0 + xi**2) ** (s / 2.0)),
             (hilbert(f), _odd(-1j * np.sign(xi), g)),
             (op_a(f, alpha), a_symbol(xi, alpha) * mask),
