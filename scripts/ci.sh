@@ -119,6 +119,44 @@ for line in wrong[:20]:
 sys.exit(1 if wrong or not checked else 0)
 EOF
 
+# every plot data file of both passes must hold, row for row, the two
+# columns of its table that its "# X vs Y" header names, spelled as the
+# table spells them, under the table's config-hash line
+echo "== plot data matches its table"
+python3 - "$work/runs-a" "$work/runs-b" <<'EOF' || status=1
+import glob, os, sys
+files, rows, wrong = 0, 0, []
+for base in sys.argv[1:]:
+    for dat in sorted(glob.glob(os.path.join(base, "*", "*.dat"))):
+        files += 1
+        csv = dat[:-4] + ".csv"
+        if not os.path.exists(csv):
+            wrong.append(f"{dat}: no {os.path.basename(csv)} beside it")
+            continue
+        with open(dat, encoding="utf-8") as fh:
+            plot = fh.read().split("\n")
+        with open(csv, encoding="utf-8") as fh:
+            table = fh.read().split("\n")
+        header = table[1].split(",")
+        names = plot[1].removeprefix("# ").split(" vs ")
+        if (plot[0] != table[0] or len(names) != 2 or not set(names) <= set(header)
+                or len(plot) != len(table)):
+            wrong.append(f"{dat}: its hash line, header or length is not its table's")
+            continue
+        xi, yi = (header.index(name) for name in names)
+        for number, (line, row) in enumerate(zip(plot[2:], table[2:]), 3):
+            cells = row.split(",")
+            want = f"{cells[xi]} {cells[yi]}" if row else ""
+            if line != want:
+                wrong.append(f"{dat}:{number}: {line!r} is not {want!r}")
+                break
+        rows += len(plot) - 3
+print(f"{files} plot data files, {rows} rows, {len(wrong)} not their table's")
+for line in wrong[:20]:
+    print(line)
+sys.exit(1 if wrong or not files else 0)
+EOF
+
 # the line counts the ROADMAP tracks: the Python and the declared output
 # formats, next to the collected test count; the test modules' counts show
 # code that moves between src and the test helpers

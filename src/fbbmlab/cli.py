@@ -10,15 +10,15 @@ chunk becomes a NUL-padded (rows, width) uint8 matrix with a mask of the
 bytes to keep; one hstack puts a chunk's matrices between separator and
 newline columns, and one boolean compress makes the bytes of one write.
 Floats are written as repr spells them, and no float64 cell goes through
-repr: a strictly increasing column of values k/2^s with at most 15
-significant digits (a dyadic grid) from int64 digit arithmetic, since that
-exact decimal is the only string as short that reads back as the value
-(_dyadic), and any other float64 value by a vectorised shortest-digit
-search (Schubfach, _shortest), exact by construction and checked against
-repr by the tests.  A column that repeats values formats each distinct
-value once into a (distinct, 24) byte table.  While rows are written, the
-memory held beyond the columns is that table, one index per row, one
-chunk's matrices and the formatter's temporaries for 8,192 values.
+repr: values k/2^s with at most 15 significant digits (a dyadic grid)
+from int64 digit arithmetic, since that exact decimal is the only string
+as short that reads back as the value (_dyadic), and any other float64
+value by a vectorised shortest-digit search (Schubfach, _shortest), exact
+by construction and checked against repr by the tests.  A column mirrored
+on the grid, col[j] and col[n - j] the same double as in an even profile,
+formats its first n/2 + 1 values once into an (n/2 + 1, 24) byte table.
+While rows are written, the memory held beyond the columns is that table,
+one chunk's matrices and the formatter's temporaries for 8,192 values.
 """
 
 from __future__ import annotations
@@ -382,15 +382,14 @@ def _column(col):
     """cells(a, b): rows a..b-1 of one column as a (rows, width) uint8
     matrix and the mask of its bytes to write.
 
-    A strictly increasing float64 column cannot repeat a value (nor hold
-    both 0.0 and -0.0).  Its chunks are written by _dyadic where it can, as
-    on a grid with a dyadic step, unless its first 64 values fail, and by
-    _shortest where it cannot.  Another float64 column's distinct values,
-    told apart by bit pattern so that 0.0 and -0.0 and NaN payloads stay
-    apart, are formatted once, CHUNK_ROWS at a time, into a (distinct, 24)
-    byte table that the rows gather from: a mirrored profile holds most
-    values twice.  Any other column is _fmt per cell, masked by length: a
-    label may hold a NUL.
+    A float64 column mirrored on the grid (an even profile: col[j] and
+    col[n - j] the same bit pattern, so -0.0 and NaN payloads keep their
+    spelling) formats rows 0..n/2 once, CHUNK_ROWS at a time, into an
+    (n/2 + 1, 24) byte table; row j gathers from min(j, n - j).  Another
+    float64 column's chunks are written by _dyadic where it can, as on a
+    grid with a dyadic step, unless its first 64 values fail, and by
+    _shortest where it cannot.  Any other column is _fmt per cell, masked
+    by length: a label may hold a NUL.
     """
     if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
         def cells(a, b):
@@ -400,24 +399,23 @@ def _column(col):
             size = np.fromiter(map(len, text), np.intp, len(text))
             return m, np.arange(m.shape[1]) < size[:, None]
         return cells
-    if np.all(col[1:] > col[:-1]):
-        if col.size and _dyadic(col[:64]) is not None:
-            def cells(a, b):
-                dyadic = _dyadic(col[a:b])
-                return dyadic if dyadic is not None else _shortest(col[a:b])
-            return cells
-    else:
-        distinct, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-        if distinct.size < col.size:
-            values = distinct.view(np.float64)
-            table = np.empty((values.size, 24), np.uint8)
-            for a in range(0, values.size, CHUNK_ROWS):
-                table[a : a + CHUNK_ROWS] = _shortest(values[a : a + CHUNK_ROWS])[0]
+    n, bits = col.size, col.view(np.uint64)
+    if n and np.array_equal(bits[1 : (n + 1) // 2], bits[: n // 2 : -1]):
+        values = col[: n // 2 + 1]
+        table = np.empty((values.size, 24), np.uint8)
+        for a in range(0, values.size, CHUNK_ROWS):
+            table[a : a + CHUNK_ROWS] = _shortest(values[a : a + CHUNK_ROWS])[0]
 
-            def cells(a, b):
-                m = table[inverse[a:b]]
-                return m, m != 0
-            return cells
+        def cells(a, b):
+            j = np.arange(a, b)
+            m = table[np.minimum(j, n - j)]
+            return m, m != 0
+        return cells
+    if n and _dyadic(col[:64]) is not None:
+        def cells(a, b):
+            dyadic = _dyadic(col[a:b])
+            return dyadic if dyadic is not None else _shortest(col[a:b])
+        return cells
     return lambda a, b: _shortest(col[a:b])
 
 

@@ -26,6 +26,7 @@ from .estimates import (
 )
 from .evolution import diagnostics_series, evolve
 from .ground_state import (
+    _tail_samples,
     _tail_window,
     fit_tail_exponent,
     petviashvili,
@@ -163,9 +164,14 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
     target = 1.0 + p["alpha"]
     # the algebraic x^-(1+alpha) tail exists only for fractional dispersion;
     # at alpha = 2 the profile is exponentially localized and the window
-    # holds roundoff, so there is nothing to fit
-    tail = None
+    # holds roundoff, so there is nothing to fit.  An under-resolved tail
+    # dips to or below 0 in the window, where the log-log fit cannot go:
+    # the run then counts those samples in a failing check
+    tail, nonpositive = None, 0
     if p["alpha"] < 2.0:
+        in_window = sol.wave.values[_tail_samples(window, grid.n, grid.L)]
+        nonpositive = int(np.count_nonzero(in_window <= 0.0))
+    if p["alpha"] < 2.0 and not nonpositive:
         exponent, r2, samples = fit_tail_exponent(sol.wave, window=window)
         tail = {
             "exponent": float(exponent),
@@ -212,7 +218,9 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
         )
         res.checks.append(_at_most("tw_residual", float(tw), TW_RESIDUAL_TOL))
 
-    if p["assert_tail"] and tail is None:
+    if nonpositive:
+        res.checks.append(_at_most("tail_nonpositive_samples", nonpositive, 0))
+    elif p["assert_tail"] and tail is None:
         missing = "no algebraic tail at alpha = 2; drop assert_tail"
         res.checks.append(_between("tail_exponent", None, missing))
     elif p["assert_tail"]:

@@ -7,7 +7,8 @@ act on all n coefficients in FFT order, so a reference symbol is sampled
 here.
 
 evolve hands each snapshot to its observer in one reused buffer and
-keeps none, so the tests that compare whole trajectories store them here.
+keeps none, so the tests that compare whole trajectories store them here,
+and those that read only the end of a run keep its last snapshot.
 """
 
 import numpy as np
@@ -27,3 +28,11 @@ def stored_states(initial, config):
     states = []
     evolve(initial, config, observe=lambda values: states.append(values.copy()))
     return np.array(states)
+
+
+def last_state(initial, config):
+    """The last snapshot of evolve(initial, config, observe): the observer
+    copies each snapshot it is handed over the one before."""
+    last = np.empty_like(initial.values)
+    evolve(initial, config, observe=lambda values: np.copyto(last, values))
+    return last

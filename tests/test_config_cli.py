@@ -777,6 +777,34 @@ def test_validated_tol_just_above_returned_residual_passes(tmp_path):
     assert summary["residual"] < obj["tol"]
 
 
+@pytest.mark.parametrize("assert_tail", [False, True])
+def test_nonpositive_tail_samples_fail_a_check(tmp_path, assert_tail):
+    # a converged solve whose tail window holds samples at or below 0 has
+    # no log-log fit: the run counts them in a failing check, writes its
+    # table and a summary with no tail, and exits 3, not 1; the library
+    # fit still raises for its own callers
+    n, L = 64, 146.28553447080662
+    obj = {"scenario": "groundstate", "alpha": 1.6047496432423727, "n": n, "L": L,
+           "tol": 1e-10, "assert_tail": assert_tail}
+    assert main(["validate", write_cfg(tmp_path, obj)]) == EXIT_OK
+    code, out = run_cli(tmp_path, obj, "gs")
+    assert code == EXIT_CHECK_FAILED
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["error"] is None
+    assert manifest["outputs"] == ["profile.csv", "summary.json"]
+    assert json.load(open(os.path.join(out, "summary.json")))["tail"] is None
+    xs, psi = np.loadtxt(os.path.join(out, "profile.csv"), delimiter=",", skiprows=2).T
+    window = psi[(xs >= 0.15 * L) & (xs <= 0.6 * L)]
+    assert np.count_nonzero(window <= 0) == 7
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert checks["residual_within_tol"]["passed"]
+    assert checks["tail_nonpositive_samples"] == {
+        "name": "tail_nonpositive_samples", "passed": False, "value": 7.0, "threshold": "<= 0"}
+    assert len(checks) == 2
+    with pytest.raises(ValueError, match="tail samples must be positive"):
+        fit_tail_exponent(Field(make_grid(n, L), psi))
+
+
 def test_failed_check_exits_nonzero(tmp_path):
     # alpha = 2 has no algebraic tail, so asserting on it must fail the run
     code, out = run_cli(
@@ -1478,9 +1506,23 @@ NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
 
 
 def _mirrored(v):
-    # v + v[::-1] holds each value twice, as a mirrored profile does
+    # v + v[::-1] holds each value twice, but mirrored about its middle,
+    # not about row 0 as a profile on the grid is
     with np.errstate(all="ignore"):
         return np.array(v) + np.array(v)[::-1]
+
+
+def _grid_mirror(half, n):
+    # n rows of an even profile on the grid: row j is half[min(j, n - j)],
+    # so half holds rows 0..n/2
+    j = np.arange(n)
+    return np.asarray(half)[np.minimum(j, n - j)]
+
+
+# signed zeros, subnormals and NaN payloads as bit patterns, which a
+# grid-mirrored column must spell row by row as repr does
+MIRROR_BITS = [0x0, 0x8000000000000000, 0x1, 0x8000000000000001, 0x000FFFFFFFFFFFFF,
+               0x800FFFFFFFFFFFFF, *NAN_BITS]
 
 
 # grid lengths whose step 2L/n is dyadic (integers and k/2^m) or not
@@ -1523,6 +1565,10 @@ KINDS = {
     "increasing": lambda n: st.lists(st.floats(allow_nan=False, width=64), min_size=n,
                                      max_size=n, unique=True).map(sorted).map(np.array),
     "grid": _grid_rows,
+    "grid-mirrored": lambda n: st.lists(
+        st.one_of(st.sampled_from(MIRROR_BITS), st.integers(0, 2**64 - 1)),
+        min_size=n // 2 + 1, max_size=n // 2 + 1,
+    ).map(lambda v: _grid_mirror(np.array(v, dtype=np.uint64), n).view(np.float64)),
 }
 
 
@@ -1563,6 +1609,16 @@ _DYADIC_EDGES = Table(
 _DYADIC_THEN_NOT = Table(
     "tail", ("x [u]",), (np.append(np.arange(-50.0, 50.0), 123456789012345.5),), (0, 0),
 )
+
+
+def _grid_mirrored_table(n):
+    # even profiles on the grid whose halves hold signed zeros, subnormals
+    # and NaN payloads
+    halves = (MIRROR_BITS[:6], MIRROR_BITS[4:10])
+    return Table("even", ("a [u]", "b [u]"), tuple(
+        _grid_mirror(np.array(h, dtype=np.uint64).view(np.float64), n) for h in halves), (1, 0))
+
+
 _REPEAT_NANS = Table(
     "nans", ("v [model units]",),
     (np.array(NAN_BITS * 2, dtype=np.uint64).view(np.float64),), (0, 0),
@@ -1579,6 +1635,8 @@ _REPEAT_NANS = Table(
 @example(table=Table("empty", ("x [model units]",), (np.array([]),), (0, 0)), chunk=2)
 @example(table=_REPEATS, chunk=4)
 @example(table=_REPEAT_NANS, chunk=4)
+@example(table=_grid_mirrored_table(10), chunk=4)
+@example(table=_grid_mirrored_table(11), chunk=4)
 @example(table=_DYADIC_EDGES, chunk=1)
 @example(table=_DYADIC_EDGES, chunk=cli_mod.CHUNK_ROWS)
 @example(table=Table("negzero", ("z [u]",), (np.array([-0.0]),), (0, 0)), chunk=1)
@@ -1626,32 +1684,56 @@ def _rows_formatted(counted):
     return sum(call.args[0].size for call in counted.call_args_list)
 
 
-def test_writer_formats_each_distinct_float_once(tmp_path):
-    # a mirrored column of 1001 rows holds 501 distinct values
-    col = _mirrored(np.random.default_rng(1).standard_normal(1001))
-    table = Table("mirror", ("psi [model units]",), (col,), (0, 0))
-    distinct = np.unique(col.view(np.uint64)).size
-    assert distinct == 501
-    got, want = tmp_path / "got", tmp_path / "want"
-    with mock.patch.object(cli_mod, "CHUNK_ROWS", 64), \
-            mock.patch.object(cli_mod, "_shortest", side_effect=cli_mod._shortest) as counted:
-        cli_mod.write_csv(str(got), table, "f00d")
-    assert 0 < _rows_formatted(counted) <= distinct
-    _reference_write(str(want), table, "f00d", False)
-    assert got.read_bytes() == want.read_bytes()
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_writer_formats_a_grid_mirrored_column_from_its_first_half(tmp_path, n):
+    # an even profile on the grid hands the shortest-digit writer its rows
+    # 0..n/2 only; a palindrome, mirrored about its middle, holds as many
+    # repeats but is not that profile, so every one of its rows is formatted
+    rng = np.random.default_rng(1)
+    for col, rows in ((_grid_mirror(rng.standard_normal(n // 2 + 1), n), n // 2 + 1),
+                      (_mirrored(rng.standard_normal(n)), n)):
+        table = Table("mirror", ("psi [model units]",), (col,), (0, 0))
+        got, want = tmp_path / "got", tmp_path / "want"
+        with mock.patch.object(cli_mod, "CHUNK_ROWS", 64), \
+                mock.patch.object(cli_mod, "_shortest", side_effect=cli_mod._shortest) as counted:
+            cli_mod.write_csv(str(got), table, "f00d")
+        assert _rows_formatted(counted) == rows
+        _reference_write(str(want), table, "f00d", False)
+        assert got.read_bytes() == want.read_bytes()
 
 
-def test_writer_skips_repeat_search_on_increasing_column(tmp_path):
-    # a grid column cannot repeat a value, so no np.unique runs on it
+def test_writer_never_searches_for_repeats(tmp_path):
+    # no column, increasing, decreasing, grid-mirrored or repeating, is
+    # sorted in search of repeats
     xs = make_grid(256, 10.0).xs
     table = Table("grid", ("x [model units]", "i [index]"), (xs, range(xs.size)), (0, 1))
+    others = Table("others", ("flip", "even", "palindrome"),
+                   (xs[::-1], _grid_mirror(xs[:129] ** 2, 256), _mirrored(xs)))
     with mock.patch.object(np, "unique", side_effect=np.unique) as unique:
         cli_mod.write_csv(str(tmp_path / "got"), table, "f00d")
-        assert unique.call_count == 0
-        cli_mod.write_csv(str(tmp_path / "flipped"), Table("flip", ("x",), (xs[::-1],)), "f00d")
-        assert unique.call_count == 1
-    _reference_write(str(tmp_path / "want"), table, "f00d", False)
-    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+        cli_mod.write_csv(str(tmp_path / "others"), others, "f00d")
+    assert unique.call_count == 0
+    for name, written in (("got", table), ("others", others)):
+        _reference_write(str(tmp_path / "want"), written, "f00d", False)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "want").read_bytes()
+
+
+def test_profile_write_memory_in_n_length_arrays(tmp_path):
+    # an (x, psi) profile of 2^16 rows, psi mirrored from its n/2 + 1 head
+    # as petviashvili returns it: the writer holds an (n/2 + 1, 24) byte
+    # table (1.5 n-length arrays), one chunk and the formatter's
+    # temporaries, measured 3.43 arrays; sorting psi for its repeats held
+    # 5.63, with an n-length index beside the table
+    n = 1 << 16
+    xs = make_grid(n, 1600.0).xs
+    half = 1.0 / (1.0 + xs[: n // 2 + 1] ** 2)
+    psi = np.concatenate((half, half[-2:0:-1]))
+    table = Table("profile", ("x [model units]", "psi [model units]"), (xs, psi), (0, 1))
+    with mock.patch.object(cli_mod, "CHUNK_ROWS", 4096):
+        cli_mod.write_csv(str(tmp_path / "warm"), table, "f00d")  # the formatter's tables
+        peak = _peak_bytes(lambda: cli_mod.write_csv(str(tmp_path / "got"), table, "f00d"))
+    assert peak < 4.5 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "warm").read_bytes()
 
 
 def test_writer_spells_dyadic_grid_from_digits(tmp_path):
