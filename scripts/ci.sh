@@ -157,6 +157,41 @@ for line in wrong[:20]:
 sys.exit(1 if wrong or not files else 0)
 EOF
 
+# every groundstate run's returned residual, re-checked at full length:
+# the wave is rebuilt from its profile.csv, whose cells are repr and so
+# exact, and normalized_residual takes numpy's rfft of all n samples; it
+# may exceed the config's tol, or differ from the summary's residual, by
+# at most 0.25 eps s, s = 1 + (pi n / 2L)^alpha (the Tier-1 test
+# test_returned_residual_agrees_with_full_length_check measured 0.12)
+echo "== groundstate residuals at full length"
+python3 - "$work/runs-a" <<'EOF' || status=1
+import glob, json, os, sys
+import numpy as np
+from fbbmlab.ground_state import normalized_residual
+from fbbmlab.spectral import Field, make_grid
+runs, wrong = 0, []
+for manifest in sorted(glob.glob(os.path.join(sys.argv[1], "*", "manifest.json"))):
+    run = os.path.dirname(manifest)
+    with open(manifest, encoding="utf-8") as fh:
+        params = json.load(fh)["config"]["params"]
+    with open(os.path.join(run, "summary.json"), encoding="utf-8") as fh:
+        summary = json.load(fh)
+    if summary["scenario"] != "groundstate":
+        continue
+    runs += 1
+    alpha, n, L, tol = params["alpha"], params["n"], params["L"], params["tol"]
+    psi = np.loadtxt(os.path.join(run, "profile.csv"), delimiter=",", skiprows=2, usecols=1)
+    full = normalized_residual(Field(make_grid(n, L), psi), alpha)
+    eps_s = np.finfo(float).eps * (1.0 + (np.pi * n / (2.0 * L)) ** alpha)
+    diff = abs(full - summary["residual"])
+    print(f"{os.path.basename(run)}: full length {full:.6g}, returned {summary['residual']:.6g}, "
+          f"tol {tol:g}, apart by {diff / eps_s:.3g} eps s")
+    if full > tol + 0.25 * eps_s or diff > 0.25 * eps_s:
+        wrong.append(os.path.basename(run))
+print(f"{runs} groundstate runs, {len(wrong)} off: {', '.join(wrong) or 'none'}")
+sys.exit(1 if wrong or not runs else 0)
+EOF
+
 # the line counts the ROADMAP tracks: the Python and the declared output
 # formats, next to the collected test count; the test modules' counts show
 # code that moves between src and the test helpers

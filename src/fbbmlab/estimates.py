@@ -76,7 +76,14 @@ class QuadratureInconsistencyError(RuntimeError):
 
 
 class BoundaryContaminationError(RuntimeError):
-    """A propagated field carried measurable mass to the box edge."""
+    """A propagated field carried measurable mass to the box edge: at time
+    t, the fraction of its L2 mass beyond EDGE_FRACTION * L exceeded
+    TAIL_TOL."""
+
+    def __init__(self, t: float, fraction: float):
+        super().__init__(f"t={t:g}: mass fraction {fraction:.2e} beyond "
+                         f"{EDGE_FRACTION:g} L exceeds {TAIL_TOL:.0e}")
+        self.t, self.fraction = t, fraction
 
 
 # ----------------------------------------------------------------- corpus
@@ -390,10 +397,7 @@ def group_weighted_growth(
         total = float(np.sum(vals**2))
         leaked = float(np.sum(vals[edge] ** 2))
         if total > 0 and leaked > TAIL_TOL * total:
-            raise BoundaryContaminationError(
-                f"t={t:g}: mass fraction {leaked / total:.2e} beyond "
-                f"{EDGE_FRACTION:g} L exceeds {TAIL_TOL:.0e}"
-            )
+            raise BoundaryContaminationError(float(t), leaked / total)
         norms[j] = weighted_norm(u, r)
     pos = ts > 0
     slope = _loglog_fit(ts[pos], norms[pos])[0] if np.count_nonzero(pos) >= 2 else 0.0

@@ -119,17 +119,22 @@ def petviashvili(grid: SpectralGrid, alpha: float, tol: float = 1e-10) -> Petvia
     The stopping residual's roundoff floor does not grow with the grid:
     tol 1e-15 was reached at n = 2^14 (alpha 0.75, L 800), 2^16 and 2^18
     (alpha 0.5, L 800), 2^20 (alpha 0.25, L 262144) and 2^22 (alpha 0.25,
-    L 524288 and 1048576).  The returned residual is normalized_residual
-    of the returned wave, which transforms the samples afresh, so their
-    rounding enters it multiplied by the symbol 1 + |xi|^alpha: it floors
-    at 3.07e-15, 3.13e-15, 6.35e-15, 1.42e-15, 1.05e-15 and 1.00e-15 on
-    those solves, at most 2.3 eps s on every grid measured, s = 1 + (pi n /
-    2L)^alpha.  It can exceed the stopping residual by up to about 0.6 eps
-    s, so at a tol no lower than _tol_floor the iteration stops only once
-    both are under tol; below that floor, which no config reaches, it
-    stops on the stopping test alone.  A tight tol costs iterations: at
-    alpha = 0.5, n = 2^16, L = 800, tol 1e-10 takes 71 of them, 1e-13
-    takes 81 and 1e-15 takes 87 (246, 321 and 379 unmixed).
+    L 524288 and 1048576).  The returned residual is the equation residual
+    of the returned wave: its samples are transformed afresh by _dct1,
+    which is the rfft of the mirrored wave, so no transform is of length
+    n.  Their rounding enters it multiplied by the symbol 1 + |xi|^alpha:
+    it floors at 2.81e-15, 3.04e-15, 6.29e-15, 1.42e-15, 1.06e-15 and
+    1.01e-15 on those solves (48, 87, 131, 16, 19 and 16 iterations), at
+    most 1.8 eps s on every grid measured, s = 1 + (pi n / 2L)^alpha.  It
+    differs from normalized_residual, the full-length check, by at most
+    0.12 eps s on the 2^14 to 2^18 solves at tol 1e-10, 1e-13 and 1e-15,
+    and by 0.02 eps s on the 2^22 ones.  It can exceed the stopping
+    residual by up to about 0.8 eps s, so at a tol no lower than _tol_floor
+    the iteration stops only once both are under tol; below that floor,
+    which no config reaches, it stops on the stopping test alone.  A tight
+    tol costs iterations: at alpha = 0.5, n = 2^16, L = 800, tol 1e-10
+    takes 71 of them, 1e-13 takes 81 and 1e-15 takes 87 (246, 321 and 379
+    unmixed).
     """
     _check_alpha(alpha)
     if not tol > 0:
@@ -158,16 +163,22 @@ def petviashvili(grid: SpectralGrid, alpha: float, tol: float = 1e-10) -> Petvia
         del lin  # as psi below: freed before the next step's transforms
         if resid < tol:
             mixer.clear()  # the confirmation needs the memory more
-            psi = Field(grid, np.concatenate((psi, psi[-2:0:-1])))  # mirrored
-            returned = normalized_residual(psi, alpha)
+            wave = Field(grid, np.concatenate((psi, psi[-2:0:-1])))  # mirrored
+            # the returned wave's own residual: _dct1(psi) is its rfft, and
+            # quad that of its psi^2/2
+            confirm = symbol * _dct1(psi)
+            confirm -= quad
+            returned = _half_l2(confirm, grid) / field_l2(wave)
+            del confirm
             if returned < tol or tol < floor:
                 return PetviashviliResult(
-                    wave=psi,
+                    wave=wave,
                     iterations=it,
                     residual=returned,
                     stabilizers=np.array(stabs),
                     mixed_from=mixed_from,
                 )
+            del wave
         del psi
         if den <= 0 or not np.isfinite(den):
             raise StabilizerDegenerateError(
@@ -255,7 +266,7 @@ def _even_samples(grid: SpectralGrid) -> np.ndarray:
 def _tol_floor(alpha: float, n: int, L: float) -> float:
     """10 eps s, s = 1 + (pi n / 2L)^alpha the largest symbol value on the
     grid: the least tol a solve's returned residual can be held to.  That
-    residual floors at up to 2.3 eps s (petviashvili), measured at alpha
+    residual floors at up to 1.8 eps s (petviashvili), measured at alpha
     0.25..2, n 2^10..2^22."""
     with np.errstate(over="ignore"):
         return 10.0 * np.finfo(float).eps * (1.0 + np.float64(math.pi * n / (2.0 * L)) ** alpha)

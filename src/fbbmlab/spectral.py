@@ -67,13 +67,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)  # equal on (n, L); a grid is not hashed
 class SpectralGrid:
-    """Uniform periodic grid on [-L, L) with the n/2+1 rfft wavenumbers."""
+    """Uniform periodic grid on [-L, L) with the n/2+1 rfft wavenumbers.
+
+    It holds no n-length array: xs is built on each read."""
 
     n: int
     L: float
-    xs: np.ndarray
     xis: np.ndarray
     dx: float
+
+    @property
+    def xs(self) -> np.ndarray:
+        """The n sample points x_j = -L + j dx, read-only."""
+        xs = -self.L + self.dx * np.arange(self.n)
+        xs.setflags(write=False)
+        return xs
 
     def __eq__(self, other):
         if not isinstance(other, SpectralGrid):
@@ -112,11 +120,9 @@ def make_grid(n: int, L: float) -> SpectralGrid:
     L = float(L)
     _check_L(L, n)
     dx = 2.0 * L / n
-    xs = -L + dx * np.arange(n)
     xis = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)  # equals pi*k/L, k = 0..n/2
-    xs.setflags(write=False)
     xis.setflags(write=False)
-    return SpectralGrid(n=n, L=L, xs=xs, xis=xis, dx=dx)
+    return SpectralGrid(n=n, L=L, xis=xis, dx=dx)
 
 
 def _check_n(n: int) -> None:

@@ -36,6 +36,8 @@ from fbbmlab.config import (
     validate_config,
 )
 from fbbmlab.estimates import (
+    TAIL_TOL,
+    BoundaryContaminationError,
     _check_sample_times,
     _snapshot_indices,
     commutator_a_ratio,
@@ -805,6 +807,31 @@ def test_nonpositive_tail_samples_fail_a_check(tmp_path, assert_tail):
         fit_tail_exponent(Field(make_grid(n, L), psi))
 
 
+def test_boundary_contamination_fails_a_check(tmp_path):
+    # mass reaches 0.8 L by t = 5: the pair has no slope to fit, so the run
+    # records the measured mass fraction in a failing check, writes a
+    # summary and a table without the pair's rows, and exits 3, not 1; the
+    # library still raises for its own callers
+    obj = {"scenario": "weighted-growth", "n": 1024, "L": 50.0, "t_max": 5.0, "t_count": 2,
+           "pairs": [[0.5, 0.5]]}
+    assert main(["validate", write_cfg(tmp_path, obj)]) == EXIT_OK
+    code, out = run_cli(tmp_path, obj, "wg")
+    assert code == EXIT_CHECK_FAILED
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["error"] is None
+    assert manifest["outputs"] == ["growth.csv", "summary.json"]
+    grid = make_grid(1024, 50.0)
+    with pytest.raises(BoundaryContaminationError, match="mass fraction 1.20e-07") as raised:
+        group_weighted_growth(Field(grid, np.exp(-(grid.xs**2))), 0.5, 0.5, [1.0, 5.0])
+    fraction = raised.value.fraction
+    assert manifest["checks"] == [{"name": "edge_mass_fraction(0.5,0.5)", "passed": False,
+                                   "value": fraction, "threshold": f"<= {TAIL_TOL:g}"}]
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["pairs"] == [{"contaminated_at": 5.0, "edge_mass_fraction": fraction}]
+    with open(os.path.join(out, "growth.csv"), encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) == 2  # the hash and header lines
+
+
 def test_failed_check_exits_nonzero(tmp_path):
     # alpha = 2 has no algebraic tail, so asserting on it must fail the run
     code, out = run_cli(
@@ -1084,6 +1111,25 @@ def test_run_memory_does_not_grow_with_snapshots(scenario):
         tracemalloc.stop()
     assert len(res.tables[0].data[0]) == 401
     assert peak < 32 * 8 * n, f"peak {peak / (8 * n):.1f} n-length arrays"
+
+
+def test_groundstate_run_memory_in_n_length_arrays():
+    # the whole run: the guess's n samples, the half-length solve and its
+    # confirmation, the returned wave and the tail fit; measured 6.07
+    # n-length arrays with caches warm, and 7.51 when the grid held its n
+    # points and the confirmation made full-length rffts
+    n = 2**16
+    cfg = validate_config({"scenario": "groundstate", "alpha": 0.25, "n": n, "L": 16384.0,
+                           "tol": 1e-9})
+    want = run_scenario(cfg)  # fills the _dct1 twiddle cache
+    tracemalloc.start()
+    try:
+        res = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.summary == want.summary
+    assert peak < 6.8 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
 
 
 def _peak_bytes(call) -> int:

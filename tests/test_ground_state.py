@@ -77,9 +77,10 @@ def test_returned_wave_is_the_converged_iterate():
 
 
 def test_petviashvili_memory_in_n_length_arrays():
-    # the grid (n samples, n/2+1 wavenumbers), the half-length iterates,
-    # their mixing history and the returned wave: measured 8.18 n-length
-    # arrays, and 8.68 when the grid held n wavenumbers
+    # the guess's n samples, the half-length iterates, their mixing history
+    # and the returned wave: measured 6.74 n-length arrays; 8.18 with the
+    # grid's n points stored and a full-length confirmation, and 8.68 when
+    # the grid also held n wavenumbers
     n = 2**16
     _dct1_twiddle.cache_clear()  # so the twiddles count on every run
     tracemalloc.start()
@@ -89,6 +90,48 @@ def test_petviashvili_memory_in_n_length_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 8.43 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
+
+
+def test_petviashvili_transforms_are_at_most_quarter_length(monkeypatch):
+    # the solve and its confirmation run on the n/2+1 samples through
+    # _dct1, whose transforms are at most n/4 long; a full-length
+    # confirmation made an rfft of length n
+    size, lengths = 2**16, []
+    for name in ("rfft", "irfft"):
+        def record(a, n=None, *args, _fft=getattr(np.fft, name), **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return _fft(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, record)
+    r = petviashvili(make_grid(size, 1600.0), 0.5, tol=1e-10)
+    monkeypatch.undo()
+    assert r.residual < 1e-10
+    assert lengths and max(lengths) <= size // 4, f"transform of length {max(lengths)}"
+
+
+# iterations of the docstring's solves at tol 1e-10, 1e-13 and 1e-15
+_DOCSTRING_SOLVES = {
+    (0.75, 2**14): (31, 39, 48),
+    (0.5, 2**16): (71, 81, 87),
+    (0.5, 2**18): (69, 81, 131),
+}
+
+
+@pytest.mark.parametrize("alpha, n", list(_DOCSTRING_SOLVES))
+def test_returned_residual_agrees_with_full_length_check(alpha, n):
+    # the returned residual comes from the n/2+1 samples; the full-length
+    # normalized_residual of the returned wave agrees with it to 0.12 eps s
+    # at most when measured, s = 1 + (pi n / 2L)^alpha, and holds the
+    # wave under every tol a config may take
+    L = 800.0
+    g = make_grid(n, L)
+    eps_s = np.finfo(float).eps * (1.0 + (np.pi * n / (2.0 * L)) ** alpha)
+    for tol, iterations in zip((1e-10, 1e-13, 1e-15), _DOCSTRING_SOLVES[alpha, n]):
+        r = petviashvili(g, alpha, tol=tol)
+        full = normalized_residual(r.wave, alpha)
+        assert abs(r.residual - full) <= 0.25 * eps_s, (tol, r.residual, full)
+        assert r.iterations == iterations, tol
+        if tol >= ground_state._tol_floor(alpha, n, L):
+            assert full < tol
 
 
 def _full_length_petviashvili(grid, alpha, tol):
@@ -193,7 +236,7 @@ def test_tight_tolerance_reached_on_large_grid():
 
 def test_returned_residual_floor():
     # the stop test reaches tol 1e-15, but the returned residual recomputes
-    # the equation from the wave's samples and floors higher (3.1e-15 when
+    # the equation from the wave's samples and floors higher (2.8e-15 when
     # measured), so a tol 1e-15 run fails residual_within_tol; the rule a
     # config's tol obeys (3.2e-14 on this grid) sits 4x to 20x above it
     r = petviashvili(make_grid(2**14, 800.0), 0.75, tol=1e-15)

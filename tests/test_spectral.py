@@ -57,6 +57,19 @@ def test_grid_integer_wavenumbers():
     assert len(g.xs) == 16
 
 
+@pytest.mark.parametrize("n, L", [(16, np.pi), (2**12, 100.0), (2**16, 16384.0), (64, 1e-3)])
+def test_grid_holds_no_n_length_array(n, L):
+    # a grid holds its n/2+1 wavenumbers; its n points are built on each
+    # read, read-only, bit for bit the expression make_grid stored before
+    g = make_grid(n, L)
+    held = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+    assert held and all(v.size <= n // 2 + 1 for v in held)
+    xs = g.xs
+    assert not xs.flags.writeable
+    assert np.array_equal(xs.view(np.uint64), (-g.L + g.dx * np.arange(n)).view(np.uint64))
+    assert g.dx == 2.0 * g.L / n
+
+
 def test_grid_wavenumber_step():
     g = make_grid(16, 4.0)
     assert np.isclose(np.diff(np.sort(g.xis))[0], np.pi / 4.0)
