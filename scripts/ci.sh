@@ -192,6 +192,41 @@ print(f"{runs} groundstate runs, {len(wrong)} off: {', '.join(wrong) or 'none'}"
 sys.exit(1 if wrong or not runs else 0)
 EOF
 
+# configs that validate but whose run fails a named check: a flow that
+# blows up (evolve, ucp), mass at the box edge (weighted-growth) and
+# nonpositive tail samples (groundstate).  Each once made a run exit 1 with
+# a runner error; each must validate, then run to exit 3 with a manifest
+# that records no error and lists a summary.json that is there
+echo "== validated configs that fail a check exit 3"
+mkdir -p "$work/fails"
+for entry in \
+  'evolve_blow_up|{"scenario":"evolve","alpha":1.0,"n":64,"L":1.0,"dt":0.01,"T":0.1,"k":4,"amplitude":10.0,"width":10000.0}' \
+  'ucp_blow_up|{"scenario":"ucp","alpha":1.0,"n":64,"L":1.0,"dt":0.01,"T":0.1,"k":4,"mean":10.0}' \
+  'growth_edge_mass|{"scenario":"weighted-growth","n":1024,"L":50.0,"t_max":5.0,"t_count":2,"pairs":[[0.5,0.5]]}' \
+  'groundstate_nonpositive_tail|{"scenario":"groundstate","alpha":1.6047496432423727,"n":64,"L":146.28553447080662,"tol":1e-10}'
+do
+  name=${entry%%|*}
+  cfg="$work/fails/$name.json"
+  printf '%s\n' "${entry#*|}" > "$cfg"
+  $FBBMLAB validate "$cfg" || status=1
+  $FBBMLAB run "$cfg" --out "$work/fails/$name"
+  code=$?
+  python3 - "$work/fails/$name" "$code" <<'EOF' || status=1
+import json, os, sys
+run, code = sys.argv[1], int(sys.argv[2])
+with open(os.path.join(run, "manifest.json"), encoding="utf-8") as fh:
+    manifest = json.load(fh)
+problems = [what for what, bad in (
+    (f"exit {code}, not 3", code != 3),
+    (f"error {manifest['error']!r}", manifest["error"] is not None),
+    ("summary.json not listed", "summary.json" not in manifest["outputs"]),
+    ("summary.json missing", not os.path.isfile(os.path.join(run, "summary.json"))),
+) if bad]
+print(f"{os.path.basename(run)}: {'; '.join(problems) or 'exit 3, summary.json listed'}")
+sys.exit(1 if problems else 0)
+EOF
+done
+
 # the line counts the ROADMAP tracks: the Python and the declared output
 # formats, next to the collected test count; the test modules' counts show
 # code that moves between src and the test helpers

@@ -16,9 +16,10 @@ as short that reads back as the value (_dyadic), and any other float64
 value by a vectorised shortest-digit search (Schubfach, _shortest), exact
 by construction and checked against repr by the tests.  A column mirrored
 on the grid, col[j] and col[n - j] the same double as in an even profile,
-formats its first n/2 + 1 values once into an (n/2 + 1, 24) byte table.
-While rows are written, the memory held beyond the columns is that table,
-one chunk's matrices and the formatter's temporaries for 8,192 values.
+formats its first n/2 + 1 values once into 24-byte cells, held as the
+formatter made them, CHUNK_ROWS rows a block.  While rows are written, the
+memory held beyond the columns is those cells, one chunk's matrices and
+the formatter's temporaries for 8,192 values.
 """
 
 from __future__ import annotations
@@ -123,7 +124,14 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-CHUNK_ROWS = 1 << 16  # table rows formatted and written per write call
+# Table rows formatted and written per write call.  A chunk's cell
+# matrices, masks and stacked rows are what the write holds beyond its
+# columns and the mirrored cells: at 2^15 rows the 2^20-row `wide` profile
+# write peaks 19.4 MB above its start (tracemalloc), against 26.3 MB at
+# 2^16, and so stays under the solve before it; it is no slower (medians
+# of 8 writes alternated in one process, 2^15 against 2^16: 0.395 against
+# 0.404 s and 0.275 against 0.283 s of process time)
+CHUNK_ROWS = 1 << 15
 
 # The shortest-digit writer, Schubfach (R. Giulietti, "The Schubfach way to
 # render doubles", 2020), in uint64 arrays.  A double v = c 2^q reads back
@@ -384,8 +392,10 @@ def _column(col):
 
     A float64 column mirrored on the grid (an even profile: col[j] and
     col[n - j] the same bit pattern, so -0.0 and NaN payloads keep their
-    spelling) formats rows 0..n/2 once, CHUNK_ROWS at a time, into an
-    (n/2 + 1, 24) byte table; row j gathers from min(j, n - j).  Another
+    spelling) formats rows 0..n/2 once, CHUNK_ROWS at a time, into blocks
+    of (CHUNK_ROWS, 24) bytes, kept apart: no (n/2 + 1, 24) array is made,
+    which at 2^20 rows is 12.6 MB that the heap a solve leaves behind has
+    no free span for.  Row j gathers from min(j, n - j).  Another
     float64 column's chunks are written by _dyadic where it can, as on a
     grid with a dyadic step, unless its first 64 values fail, and by
     _shortest where it cannot.  Any other column is _fmt per cell, masked
@@ -401,14 +411,15 @@ def _column(col):
         return cells
     n, bits = col.size, col.view(np.uint64)
     if n and np.array_equal(bits[1 : (n + 1) // 2], bits[: n // 2 : -1]):
-        values = col[: n // 2 + 1]
-        table = np.empty((values.size, 24), np.uint8)
-        for a in range(0, values.size, CHUNK_ROWS):
-            table[a : a + CHUNK_ROWS] = _shortest(values[a : a + CHUNK_ROWS])[0]
+        size = CHUNK_ROWS
+        blocks = [_shortest(col[a : min(a + size, n // 2 + 1)])[0]
+                  for a in range(0, n // 2 + 1, size)]
 
         def cells(a, b):
             j = np.arange(a, b)
-            m = table[np.minimum(j, n - j)]
+            rows = np.minimum(j, n - j)
+            first = rows.min() // size
+            m = np.concatenate(blocks[first : rows.max() // size + 1])[rows - first * size]
             return m, m != 0
         return cells
     if n and _dyadic(col[:64]) is not None:

@@ -6,7 +6,9 @@ decay.  The inequalities carry implicit constants, so each family is
 tested as ratio stability: draw a reproducible corpus of band-limited
 fields and smooth weights, evaluate left side over right side per
 instance, and require the corpus maximum to be finite and stable under
-grid refinement.
+grid refinement.  The corpus holds series coefficients only; each
+instance is synthesized on the grid as it is evaluated, so a sweep holds
+one instance's samples at a time.
 
 Corpus fields live in the lower third of the spectrum and weights in a
 handful of low modes, so every pointwise product stays strictly below
@@ -102,27 +104,25 @@ def _synthesize(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TestCorpus:
-    """Reproducible batch of band-limited fields and smooth weights.
+    """Reproducible batch of band-limited fields and smooth weights, held
+    as their series coefficients, one row per instance.
 
-    fields are unit L2.  The series coefficients are kept so the corpus
-    can be re-sampled on a finer grid as the same continuum functions.
+    Instance i's weight and field are synthesized from its rows when it is
+    read (instance), so the corpus holds no samples and can be re-sampled
+    on a finer grid as the same continuum functions.  Fields are unit L2.
     """
 
     grid: SpectralGrid
     field_coeffs: np.ndarray
     weight_coeffs: np.ndarray
-    fields: np.ndarray
-    weights: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.field_coeffs)
 
-def _build(grid, field_coeffs, weight_coeffs) -> TestCorpus:
-    return TestCorpus(
-        grid=grid,
-        field_coeffs=field_coeffs,
-        weight_coeffs=weight_coeffs,
-        fields=_synthesize(field_coeffs, grid),
-        weights=_synthesize(weight_coeffs, grid),
-    )
+    def instance(self, i: int) -> tuple[Field, Field]:
+        """The weight and the field of instance i on the corpus grid."""
+        return (Field(self.grid, _synthesize(self.weight_coeffs[i], self.grid)),
+                Field(self.grid, _synthesize(self.field_coeffs[i], self.grid)))
 
 
 def _check_size(size: int) -> None:
@@ -141,9 +141,9 @@ def make_corpus(n: int, L: float, size: int, seed: int) -> TestCorpus:
     """Draw `size` random (field, weight) pairs on an n-point box.
 
     Fields get standard-normal coefficients on modes 0..n//6 and are
-    normalized to unit L2.  Weights use 1/(1+k)-damped coefficients on
-    modes 0..WEIGHT_BAND.  Regeneration from the same seed is
-    bit-identical.
+    normalized to unit L2, one row at a time.  Weights use 1/(1+k)-damped
+    coefficients on modes 0..WEIGHT_BAND.  Only the coefficients are kept
+    (TestCorpus).  Regeneration from the same seed is bit-identical.
     """
     _check_box(L)
     grid = make_grid(n, L)
@@ -156,16 +156,16 @@ def make_corpus(n: int, L: float, size: int, seed: int) -> TestCorpus:
     wc /= 1.0 + np.arange(WEIGHT_BAND + 1)
     # normalize fields through the synthesized values; quadrature is exact
     # for band-limited data so the norm carries to any finer grid
-    fc /= np.array([[field_l2(Field(grid, v))] for v in _synthesize(fc, grid)])
-    return _build(grid, fc, wc)
+    for row in fc:
+        row /= field_l2(Field(grid, _synthesize(row, grid)))
+    return TestCorpus(grid, fc, wc)
 
 
 def resample_corpus(corpus: TestCorpus, n: int) -> TestCorpus:
     """Same continuum corpus on an n-point grid (band must still fit)."""
     if n // 6 < corpus.field_coeffs.shape[-1] - 1:
         raise ValueError("target grid does not resolve the corpus band")
-    grid = make_grid(n, corpus.grid.L)
-    return _build(grid, corpus.field_coeffs, corpus.weight_coeffs)
+    return TestCorpus(make_grid(n, corpus.grid.L), corpus.field_coeffs, corpus.weight_coeffs)
 
 
 # ------------------------------------------------------------ ratio kernels
@@ -296,12 +296,11 @@ def _check_orders(family: str, **params) -> None:
 
 
 def corpus_ratios(corpus: TestCorpus, family: str, **params) -> np.ndarray:
-    """Per-instance ratios over the corpus, in corpus order."""
+    """Per-instance ratios over the corpus, in corpus order, each instance
+    synthesized as it is evaluated."""
     _check_orders(family, **params)
-    grid = corpus.grid
-    pairs = zip(corpus.weights, corpus.fields)
-    return np.array([_family_ratio(family, Field(grid, w), Field(grid, f), **params)
-                     for w, f in pairs])
+    return np.array([_family_ratio(family, *corpus.instance(i), **params)
+                     for i in range(len(corpus))])
 
 
 @dataclass(frozen=True)

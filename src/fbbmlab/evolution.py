@@ -62,7 +62,12 @@ MAX_STEPS = 1_000_000
 
 
 class BlowUpError(RuntimeError):
-    """Sup norm exceeded the abort threshold or became non-finite."""
+    """At time t the state became non-finite (sup is nan), or its sup norm
+    sup exceeded BLOWUP_FACTOR times the initial one."""
+
+    def __init__(self, message: str, t: float, sup: float):
+        super().__init__(message)
+        self.t, self.sup = t, sup
 
 
 def _check_power(k: int) -> None:
@@ -221,14 +226,15 @@ def evolve(initial: Field, config: EvolveConfig,
                 v = E2v + dt6 * (E2 * n1 + two_E * (n2 + n3) + n4)
                 u = None
                 if not np.isfinite(np.sum(v)):
-                    raise BlowUpError(f"state not finite at t = {step * dt:.6g}")
+                    raise BlowUpError(f"state not finite at t = {step * dt:.6g}", step * dt,
+                                      math.nan)
             u = np.fft.irfft(v, n)
             np.add(u, shift, out=buffer)
             sup = float(np.max(np.abs(buffer)))
             if not np.isfinite(sup) or sup > limit:
                 raise BlowUpError(
                     f"sup norm {sup:.3e} at t = {record * dt:.6g} exceeded "
-                    f"{BLOWUP_FACTOR:.1e} x initial ({sup0:.3e})"
+                    f"{BLOWUP_FACTOR:.1e} x initial ({sup0:.3e})", record * dt, sup
                 )
             observe(buffer)
     return Trajectory(states=np.empty((0, n)))

@@ -152,24 +152,34 @@ def petviashvili(grid: SpectralGrid, alpha: float, tol: float = 1e-10) -> Petvia
     # |M - 1| is quadratically small in the error (Rayleigh stationarity),
     # so the stopping test uses the equation residual itself
     for it in range(1, MAX_ITER + 1):
-        psi = _dct1(coeffs)
-        psi /= n
-        quad = _dct1(0.5 * psi**2)
+        # psi^2/2 in the samples' own buffer, dropped once transformed: the
+        # samples are made again, the same bits, only for a step that stops
+        sq = _dct1(coeffs)
+        sq /= n
+        np.square(sq, out=sq)
+        sq *= 0.5
+        quad = _dct1(sq)
+        del sq
         lin = symbol * coeffs
         num = _parseval(coeffs, lin, grid)
         den = _parseval(coeffs, quad, grid)
         lin -= quad
         resid = _half_l2(lin, grid) / size
-        del lin  # as psi below: freed before the next step's transforms
+        del lin  # freed before the next step's transforms
         if resid < tol:
             mixer.clear()  # the confirmation needs the memory more
-            wave = Field(grid, np.concatenate((psi, psi[-2:0:-1])))  # mirrored
+            psi = _dct1(coeffs)
+            psi /= n
             # the returned wave's own residual: _dct1(psi) is its rfft, and
-            # quad that of its psi^2/2
+            # quad that of its psi^2/2; the wave is mirrored once that
+            # transform's scratch is freed, so the two never coexist
             confirm = symbol * _dct1(psi)
             confirm -= quad
-            returned = _half_l2(confirm, grid) / field_l2(wave)
+            returned = _half_l2(confirm, grid)
             del confirm
+            wave = Field(grid, np.concatenate((psi, psi[-2:0:-1])))  # mirrored
+            del psi
+            returned /= field_l2(wave)
             if returned < tol or tol < floor:
                 return PetviashviliResult(
                     wave=wave,
@@ -179,7 +189,6 @@ def petviashvili(grid: SpectralGrid, alpha: float, tol: float = 1e-10) -> Petvia
                     mixed_from=mixed_from,
                 )
             del wave
-        del psi
         if den <= 0 or not np.isfinite(den):
             raise StabilizerDegenerateError(
                 f"stabilizer denominator {den:.3e} at iteration {it}; "
@@ -255,12 +264,14 @@ def _even_samples(grid: SpectralGrid) -> np.ndarray:
     """Samples j = 0..n/2 of the even part of the guess 3 exp(-x^2).
 
     x_{n-j} = -x_j, so an even field is fixed by these n/2+1 samples and its
-    half spectrum is their real DCT-I; v[-j] = v[n-j] is the sample at the
-    mirror point, and averaging the pairs projects onto the even sector.
+    half spectrum is their real DCT-I.  Each point j and its mirror
+    (n - j) mod n is built as grid.xs builds it, -L + dx k from the integer
+    k, so the guess at it is grid.xs's bit for bit; averaging the pairs
+    projects onto the even sector, and no n-length array is made.
     """
-    v = 3.0 * np.exp(-(grid.xs**2))
     j = np.arange(grid.n // 2 + 1)
-    return 0.5 * (v[j] + v[-j])
+    at, mirror = (3.0 * np.exp(-((-grid.L + grid.dx * k) ** 2)) for k in (j, (grid.n - j) % grid.n))
+    return 0.5 * (at + mirror)
 
 
 def _tol_floor(alpha: float, n: int, L: float) -> float:

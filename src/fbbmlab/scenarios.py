@@ -26,7 +26,7 @@ from .estimates import (
     make_corpus,
     resample_corpus,
 )
-from .evolution import diagnostics_series, evolve
+from .evolution import BLOWUP_FACTOR, BlowUpError, diagnostics_series, evolve
 from .ground_state import (
     _tail_samples,
     _tail_window,
@@ -113,11 +113,23 @@ def _gaussian(grid: SpectralGrid, amplitude: float, width: float, center: float)
     return Field(grid, amplitude * np.exp(-(((grid.xs - center) / width) ** 2)))
 
 
+def _blown_up(e: BlowUpError) -> ScenarioResult:
+    """An evolve or ucp run whose flow blew up (no config rule foresees it):
+    no tables, the failing check blow_up with the measured sup, null when
+    not finite, at the time it was found, and a summary of the two."""
+    check = Check("blow_up", False, e.sup,
+                  f"finite and <= {BLOWUP_FACTOR:g} x initial sup, at t = {e.t:.6g}")
+    return ScenarioResult(checks=[check], summary={"blow_up": {"t": e.t, "sup": check.value}})
+
+
 def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     phi = _gaussian(make_grid(p["n"], p["L"]), p["amplitude"], p["width"], p["center"])
     econf = _evolve_config(cfg.scenario, p)
-    diag = diagnostics_series(phi, econf)
+    try:
+        diag = diagnostics_series(phi, econf)
+    except BlowUpError as e:
+        return _blown_up(e)
 
     drift = {
         "mass": float(np.max(np.abs(diag.mass - diag.mass[0]))),
@@ -289,7 +301,7 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
     fine = resample_corpus(corpus, 2 * p["n"])
     # against a constant weight every family's ratio is exactly 0 or raises
     const = Field(corpus.grid, np.full(p["n"], 1.5))
-    probe_field = Field(corpus.grid, corpus.fields[0])
+    probe_field = corpus.instance(0)[1]
 
     res = ScenarioResult()
     families, tags, instances, ratios = [], [], [], []
@@ -382,7 +394,10 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
         phi = Field(grid, grid.xs * np.exp(-((grid.xs / p["width"]) ** 2)))
     econf = _evolve_config(cfg.scenario, p)
     sums = UcpSums(grid, econf)
-    evolve(phi, econf, observe=sums)
+    try:
+        evolve(phi, econf, observe=sums)
+    except BlowUpError as e:
+        return _blown_up(e)
     R = sums.residual(p["t1"], p["t2"])
 
     masses, integrand = np.array(sums.mass), np.array(sums.integrand)

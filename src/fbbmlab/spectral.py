@@ -5,6 +5,8 @@ Conventions used throughout the package:
 * the box is [-L, L) sampled at n equispaced points, dx = 2L/n;
 * the grid's wavenumbers are xi_k = pi*k/L for the np.fft.rfft modes
   k = 0..n/2, the last one Nyquist;
+* a grid holds only n, L and dx: its points xs and wavenumbers xis are
+  built on each read, and the cached half symbols below are what persists;
 * a Field holds exactly n samples; its constructor checks that once.
 
 Every field is real and every symbol here is Hermitian, so the library
@@ -67,14 +69,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)  # equal on (n, L); a grid is not hashed
 class SpectralGrid:
-    """Uniform periodic grid on [-L, L) with the n/2+1 rfft wavenumbers.
+    """Uniform periodic grid on [-L, L): n, L and the step dx.
 
-    It holds no n-length array: xs is built on each read."""
+    It holds no array: xs and xis are built on each read, so a caller that
+    needs one reads it once."""
 
     n: int
     L: float
-    xis: np.ndarray
     dx: float
+
+    @property
+    def xis(self) -> np.ndarray:
+        """The n/2+1 rfft wavenumbers xi_k = pi k / L, k = 0..n/2, read-only."""
+        xis = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
+        xis.setflags(write=False)
+        return xis
 
     @property
     def xs(self) -> np.ndarray:
@@ -119,10 +128,7 @@ def make_grid(n: int, L: float) -> SpectralGrid:
     _check_n(n)
     L = float(L)
     _check_L(L, n)
-    dx = 2.0 * L / n
-    xis = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)  # equals pi*k/L, k = 0..n/2
-    xis.setflags(write=False)
-    return SpectralGrid(n=n, L=L, xis=xis, dx=dx)
+    return SpectralGrid(n=n, L=L, dx=2.0 * L / n)
 
 
 def _check_n(n: int) -> None:
@@ -132,7 +138,7 @@ def _check_n(n: int) -> None:
 
 def _check_L(L: float, n: int) -> None:
     # NaN, infinite, non-positive, overflowing and tiny L leave no usable step or
-    # no finite Nyquist wavenumber pi n/2L, here rounded as make_grid rounds it
+    # no finite Nyquist wavenumber pi n/2L, here rounded as grid.xis rounds it
     dx = 2.0 * L / n
     if not (np.isfinite(dx) and dx > 0 and np.isfinite(2.0 * np.pi * (n // 2 * (1.0 / (n * dx))))):
         raise ValueError(f"L must be positive with a finite grid step 2L/n and Nyquist "

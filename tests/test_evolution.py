@@ -232,6 +232,22 @@ def test_blowup_abort_triggers(monkeypatch):
                 stored_states(big, cfg)
 
 
+def test_blowup_error_carries_time_and_sup(monkeypatch):
+    # past the sup limit at a snapshot: the measured sup, finite; a state
+    # that overflows between snapshots: the step's time and a sup that is
+    # not finite
+    g = make_grid(256, 10.0)
+    big = Field(g, 10.0 * np.exp(-g.xs**2))
+    monkeypatch.setattr(evolution, "BLOWUP_FACTOR", 1.0001)
+    with pytest.raises(BlowUpError) as raised:
+        stored_states(big, EvolveConfig(alpha=0.5, dt=0.01, t_final=5.0, snapshot_stride=1))
+    assert raised.value.t == 0.01 and 10.001 < raised.value.sup < np.inf
+    monkeypatch.setattr(evolution, "BLOWUP_FACTOR", 1e308)
+    with pytest.raises(BlowUpError) as raised:
+        stored_states(big, EvolveConfig(alpha=0.5, dt=0.05, t_final=5.0))
+    assert raised.value.t == 0.45 and not np.isfinite(raised.value.sup)
+
+
 def test_blowup_raises_without_numpy_warnings(monkeypatch):
     # the overflow is reported once, by BlowUpError; numpy's
     # RuntimeWarnings on the way there would be noise beside it
