@@ -84,11 +84,28 @@ for base in sys.argv[1:]:
 sys.exit(1 if bad else 0)
 EOF
 
-# one sha256 line per table, plot data and summary those runs wrote: byte
-# identity between two checkouts is then a diff of their ci.sh logs
+# one sha256 line per table, plot data and summary those runs wrote,
+# compared with the golden digests in scripts/digests.sha256.  Its first
+# line names the numpy and machine it was made with; FFT roundoff may
+# differ on another, so there a difference is printed but not a failure.
+# A change that moves an output rewrites the file in the same commit.
 echo "== output digests"
 (cd "$work/runs-a" && find . -type f \( -name '*.csv' -o -name '*.dat' -o -name summary.json \) \
-  | LC_ALL=C sort | xargs sha256sum) || status=1
+  | LC_ALL=C sort | xargs sha256sum) > "$work/digests" || status=1
+cat "$work/digests"
+golden=scripts/digests.sha256
+made=$(sed -n 1p "$golden")
+here=$(python3 -c 'import platform, numpy; print(f"# numpy {numpy.__version__} on {platform.machine()}")')
+differ=$(grep -v '^#' "$golden" | diff - "$work/digests" | sed -n 's/^[<>] [0-9a-f]*  //p' | LC_ALL=C sort -u)
+if [ -z "$differ" ]; then
+  echo "all $(wc -l < "$work/digests") digests match $golden"
+elif [ "$made" = "$here" ]; then
+  printf 'digests differ from %s:\n%s\n' "$golden" "$differ"
+  status=1
+else
+  printf 'digests differ from %s; comparison skipped: it was made with %s, this is %s:\n%s\n' \
+    "$golden" "${made#\# }" "${here#\# }" "$differ"
+fi
 
 # every float cell those runs wrote must be repr's spelling of its value:
 # the writer checked against repr on real outputs, apart from its tests

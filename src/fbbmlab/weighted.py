@@ -1,13 +1,11 @@
 """Weights, weighted norms, and pointwise-difference fractional derivatives.
 
-Two flavors of fractional derivative live here:
-
-* ``stein_derivative`` acts on grid fields by composite quadrature of the
-  squared-difference singular integral over the box;
-* ``stein_pointwise`` evaluates the same integral for an analytically
-  known, compactly supported function at arbitrary probe points, with
-  log-graded nodes around the singularity and an exact closed-form tail
-  outside the support.
+The weight is <x>^theta = (1 + x^2)^(theta/2), untruncated: on the periodic
+box it is already bounded.  The fractional derivative is Stein's
+squared-difference integral, which ``stein_pointwise`` evaluates for an
+analytically known, compactly supported function at arbitrary probe points,
+with log-graded nodes around the singularity and an exact closed-form tail
+outside the support.
 
 The probe machinery backs the symbol asymptotics: for g = |xi|^alpha psi
 the probe value has a plateau c1 plus a power correction at small eta and
@@ -25,13 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, _check_alpha, _finite, _half_l2, bessel_symbol, deriv
+from .spectral import Field, _check_alpha, _finite, _half_l2, bessel_symbol
 
 __all__ = [
-    "WeightSpec",
     "weight_values",
     "weighted_norm",
-    "stein_derivative",
     "stein_pointwise",
     "SteinAsymptotics",
     "stein_asymptotics",
@@ -51,106 +47,17 @@ def _check_r(r: float) -> None:
         raise ValueError(f"decay order r must be >= 0, got {r}")
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Polynomial weight <x>^theta, optionally truncated at level N.
-
-    Truncated mode: equals <x>^theta for |x| <= N, the constant (2N)^theta
-    for |x| >= 3N, and a quintic Hermite blend in between (value, slope and
-    curvature matched at |x| = N, flat to second order at |x| = 3N).  The
-    blend is monotone nondecreasing for N >= 2 (measured: monotonicity can
-    fail by ~1e-7 at N = 1), hence the floor on N.
-    """
-
-    theta: float
-    N: float | None = None
-
-    def __post_init__(self):
-        _check_r(self.theta)
-        if self.N is not None and self.N < 2:
-            raise ValueError(f"truncation level N must be >= 2, got {self.N}")
+def weight_values(xs, theta: float) -> np.ndarray:
+    """Sample the weight <x>^theta on the given abscissas."""
+    _check_r(theta)
+    ax = np.abs(np.asarray(xs, dtype=float))
+    return (1.0 + ax * ax) ** (theta / 2.0)
 
 
-def _bracket_pow(x, theta):
-    return (1.0 + x * x) ** (theta / 2.0)
-
-
-def _bracket_pow_d1(x, theta):
-    # d/dx <x>^theta = theta x <x>^(theta-2)
-    return theta * x * (1.0 + x * x) ** (theta / 2.0 - 1.0)
-
-
-def _bracket_pow_d2(x, theta):
-    b2 = 1.0 + x * x
-    return theta * b2 ** (theta / 2.0 - 1.0) + theta * (theta - 2.0) * x * x * b2 ** (
-        theta / 2.0 - 2.0
-    )
-
-
-def weight_values(xs, spec: WeightSpec) -> np.ndarray:
-    """Sample the weight on the given abscissas."""
-    xs = np.asarray(xs, dtype=float)
-    ax = np.abs(xs)
-    if spec.N is None:
-        return _bracket_pow(ax, spec.theta)
-    N, theta = float(spec.N), spec.theta
-    out = np.empty_like(ax)
-    inner = ax <= N
-    plateau = ax >= 3.0 * N
-    blend = ~inner & ~plateau
-    out[inner] = _bracket_pow(ax[inner], theta)
-    out[plateau] = (2.0 * N) ** theta
-    if np.any(blend):
-        h = 2.0 * N
-        t = (ax[blend] - N) / h
-        y0 = _bracket_pow(N, theta)
-        d0 = _bracket_pow_d1(N, theta) * h
-        c0 = _bracket_pow_d2(N, theta) * h * h
-        y1 = (2.0 * N) ** theta
-        t2, t3, t4, t5 = t * t, t**3, t**4, t**5
-        h00 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-        h10 = t - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-        h20 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
-        h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-        out[blend] = y0 * h00 + d0 * h10 + c0 * h20 + y1 * h01
-    return out
-
-
-def weighted_norm(f: Field, r: float, N: float | None = None) -> float:
-    """||w f||_2 with w = <x>^r (or its N-truncation)."""
-    w = weight_values(f.grid.xs, WeightSpec(theta=r, N=N))
+def weighted_norm(f: Field, r: float) -> float:
+    """||w f||_2 with w = <x>^r."""
+    w = weight_values(f.grid.xs, r)
     return float(np.sqrt(f.grid.dx * np.sum((w * f.values) ** 2)))
-
-
-# ----------------------------------------------- field-level Stein derivative
-
-
-def stein_derivative(f: Field, b: float) -> Field:
-    """Squared-difference fractional derivative on the grid, order b in (0,1).
-
-    Composite quadrature over the box; the diagonal cell uses a local
-    linear model, contributing |f'(x)|^2 (dx/2)^(2-2b) / (1-b) in total.
-    """
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"b must lie in (0, 1), got {b}")
-    g = f.grid
-    vals = f.values
-    xs = g.xs
-    dfdx = deriv(f, 1).values
-    half = 0.5 * g.dx
-    diag = dfdx**2 * 2.0 * half ** (2.0 - 2.0 * b) / (2.0 - 2.0 * b)
-    out = np.empty(g.n)
-    block = 256  # rows of the pairwise-difference matrix formed at once
-    for start in range(0, g.n, block):
-        stop = min(start + block, g.n)
-        dx_mat = np.abs(xs[start:stop, None] - xs[None, :])
-        df_mat = (vals[start:stop, None] - vals[None, :]) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = df_mat / dx_mat ** (1.0 + 2.0 * b)
-        idx = np.arange(start, stop)
-        integrand[idx - start, idx] = 0.0
-        out[start:stop] = integrand.sum(axis=1) * g.dx
-    return Field(g, np.sqrt(out + diag))
 
 
 # ------------------------------------------------------------ smooth cutoffs
@@ -409,7 +316,7 @@ def interpolation_ratio(f: Field, s: float, b: float, theta: float) -> float:
     g, vals = f.grid, f.values
     if not np.any(vals):
         raise ValueError("interpolation ratio undefined for the zero field")
-    w = weight_values(g.xs, WeightSpec(theta=(1.0 - theta) * b))
+    w = weight_values(g.xs, (1.0 - theta) * b)
     num = _half_l2(_finite(bessel_symbol(g, theta * s)) * np.fft.rfft(w * vals), g)
     den_w = weighted_norm(f, b)
     den_s = _half_l2(_finite(bessel_symbol(g, s)) * np.fft.rfft(vals), g)

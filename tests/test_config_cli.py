@@ -1285,6 +1285,27 @@ def test_shipped_config_outputs_match_resolved_schemas(tmp_path):
                 jsonschema.validate(bad, manifest_schema)
 
 
+def test_golden_digests_name_the_shipped_outputs(tmp_path):
+    # scripts/ci.sh runs each shipped config with emit.plotdata on and
+    # compares the sha256 of every output with scripts/digests.sha256
+    cfg_dir = os.path.join(REPO, "scripts", "configs")
+    listed = []
+    for name in sorted(os.listdir(cfg_dir)):
+        with open(os.path.join(cfg_dir, name), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj.setdefault("emit", {})["plotdata"] = True
+        stem = name.removesuffix(".json")
+        code, out = run_cli(tmp_path, obj, stem)
+        assert code == EXIT_OK, name
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        listed += [f"./{stem}/{output}" for output in manifest["outputs"]]
+    with open(os.path.join(REPO, "scripts", "digests.sha256"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0].startswith("# numpy ")
+    named = [line.split("  ", 1)[1] for line in lines[1:]]
+    assert named == sorted(listed)
+
+
 def test_schema_violating_summary_lands_in_manifest(tmp_path, monkeypatch):
     # the cached validator still rejects a summary its schema forbids
     bad = ScenarioResult(checks=[Check("x", True, 1.0, "<= 2")])
