@@ -7,8 +7,10 @@ derivative.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fbbmlab.spectral import Field, make_grid
+from fbbmlab.spectral import Field, field_l2, make_grid
 from fbbmlab.weighted import (
     bbm_symbol_stein_bound,
     cutoff_bump,
@@ -30,6 +32,32 @@ def test_plain_weight_matches_formula():
     np.testing.assert_allclose(w, (1 + xs**2) ** 0.35, rtol=1e-14)
 
 
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(min_value=0.05, max_value=2.5), X=st.floats(min_value=2.0, max_value=400.0))
+def test_plain_weight_even_and_monotone(theta, X):
+    xs = np.linspace(0, X, 4001)
+    w = weight_values(xs, theta)
+    assert w[0] == 1.0
+    assert np.all(np.diff(w) >= 0)
+    np.testing.assert_array_equal(weight_values(-xs, theta), w)
+
+
+def test_plain_weight_slope():
+    # d/dx <x>^theta = theta x <x>^(theta - 2), the slope the truncation capped
+    theta = 1.1
+    xs = np.linspace(10.0, 30.0, 8001)
+    dw = np.gradient(weight_values(xs, theta), xs)
+    ref = theta * xs * (1 + xs**2) ** (theta / 2 - 1)
+    np.testing.assert_allclose(dw[1:-1], ref[1:-1], rtol=1e-6)
+
+
+def test_weight_of_order_zero_is_plain_l2():
+    g = make_grid(512, 20.0)
+    f = Field(g, np.exp(-g.xs**2 / 8) * np.cos(g.xs))
+    np.testing.assert_array_equal(weight_values(g.xs, 0.0), 1.0)
+    assert weighted_norm(f, 0.0) == pytest.approx(field_l2(f), rel=1e-15)
+
+
 @pytest.mark.parametrize(
     "probe",
     [
@@ -49,6 +77,21 @@ def test_weighted_norm_gaussian_moment():
     g = make_grid(4096, 40.0)
     f = Field(g, np.exp(-g.xs**2 / 2))
     assert weighted_norm(f, 1.0) == pytest.approx(np.sqrt(1.5 * np.sqrt(np.pi)), rel=1e-10)
+
+
+def test_weighted_norm_increases_with_order():
+    g = make_grid(2048, 60.0)
+    f = Field(g, np.exp(-g.xs**2 / 8))
+    norms = [weighted_norm(f, r) for r in (0.0, 0.5, 1.0, 1.4, 2.0)]
+    assert np.all(np.diff(norms) > 0)
+
+
+def test_weighted_norm_bounded_on_the_box():
+    # on [-L, L) the weight never exceeds <L>^r, so no truncation is needed
+    g = make_grid(1024, 30.0)
+    f = Field(g, np.ones(g.n))
+    for r in (0.5, 1.4, 3.0):
+        assert weighted_norm(f, r) <= (1 + g.L**2) ** (r / 2) * field_l2(f)
 
 
 # ------------------------------------------------------------ smooth cutoffs
@@ -134,6 +177,55 @@ def test_stein_pointwise_quadrature_refinement():
 def test_stein_pointwise_rejects_bad_theta():
     with pytest.raises(ValueError):
         stein_pointwise(lambda x: cutoff_bump(x), 0.5, 1.2)
+
+
+def test_stein_pointwise_rejects_orders_outside_unit_interval():
+    for theta in (0.0, 1.0, -0.2, 1.7):
+        with pytest.raises(ValueError, match="must lie in"):
+            stein_pointwise(cutoff_bump, 0.5, theta)
+
+
+def test_stein_pointwise_homogeneous():
+    def g(x):
+        return np.abs(x) ** 0.5 * cutoff_bump(x)
+
+    for eta in (0.05, 0.8, 7.0):
+        base = stein_pointwise(g, eta, 0.4)
+        scaled = stein_pointwise(lambda x: -3.0 * g(x), eta, 0.4)
+        assert scaled == pytest.approx(3.0 * base, rel=1e-12)
+
+
+def test_stein_pointwise_even_function_symmetric():
+    def g(x):
+        return np.abs(x) ** 0.25 * cutoff_bump(x) * np.cos(2 * x)
+
+    for eta in (0.03, 0.6, 1.5, 4.0):
+        assert stein_pointwise(g, -eta, 0.55) == pytest.approx(
+            stein_pointwise(g, eta, 0.55), rel=1e-6
+        )
+
+
+def test_stein_pointwise_product_rule():
+    # D(fh)(eta) <= |f(eta)| D h(eta) + sup|h| D f(eta), Minkowski split of
+    # f(eta) h(eta) - f(y) h(y) = f(eta) (h(eta) - h(y)) + h(y) (f(eta) - f(y))
+    rng = np.random.default_rng(5)
+    ys = np.linspace(-2.0, 2.0, 40001)
+    for _ in range(6):
+        a, b = rng.standard_normal(2), rng.uniform(1.0, 6.0, 2)
+
+        def f(x, a=a, b=b):
+            return cutoff_bump(x) * np.cos(b[0] * x + a[0])
+
+        def h(x, a=a, b=b):
+            return cutoff_bump(x) * (1.5 + np.sin(b[1] * x + a[1]))
+
+        sup_h = np.max(np.abs(h(ys)))
+        for eta in (0.1, 0.9, 1.6, 3.0):
+            lhs = stein_pointwise(lambda x: f(x) * h(x), eta, 0.35)
+            rhs = abs(f(np.array([eta]))[0]) * stein_pointwise(h, eta, 0.35) + (
+                sup_h * stein_pointwise(f, eta, 0.35)
+            )
+            assert lhs <= rhs * (1 + 1e-9) + 1e-12
 
 
 # --------------------------------------------------------- symbol asymptotics
