@@ -7,8 +7,8 @@ tested as ratio stability: draw a reproducible corpus of band-limited
 fields and smooth weights, evaluate left side over right side per
 instance, and require the corpus maximum to be finite and stable under
 grid refinement.  The corpus holds series coefficients only; each
-instance is synthesized on the grid as it is evaluated, so a sweep holds
-one instance's samples at a time.
+instance is synthesized on the grid once, as every family is evaluated on
+it, so a sweep holds one instance's samples at a time.
 
 Corpus fields live in the lower third of the spectrum and weights in a
 handful of low modes, so every pointwise product stays strictly below
@@ -30,16 +30,16 @@ from .spectral import (
     Field,
     SpectralGrid,
     _alpha_admitted,
+    _group,
     deriv,
     field_l2,
     field_linf,
     frac_deriv,
-    group_propagate,
     hilbert,
     make_grid,
     op_a,
 )
-from .weighted import _loglog_fit, weighted_norm
+from .weighted import _loglog_fit, _weighted_l2, weight_values, weighted_norm
 
 __all__ = [
     "TestCorpus",
@@ -180,9 +180,11 @@ def _constant_tol(grid: SpectralGrid, family: str, **params) -> float:
     return max(CONSTANT_COMMUTATOR_TOL, 10.0 * np.finfo(float).eps * max(1.0, xi_max) ** order)
 
 
-def _family_ratio(family: str, psi: Field, f: Field, **params) -> float:
-    """||[op, psi] f||_2 / (||psi^(order)||_inf ||f||_2) for one family of
-    RATIO_FAMILIES, its orders unchecked (order 0 divides by ||psi||_inf).
+def _instance_ratios(psi: Field, f: Field, families) -> list[float]:
+    """||[op, psi] f||_2 / (||psi^(order)||_inf ||f||_2) of one instance for
+    each (family, params) of families (RATIO_FAMILIES), orders unchecked
+    (order 0 divides by ||psi||_inf).  What the families share, ||f||_2,
+    ||psi||_inf and one derivative sup per order, is computed once.
 
     A weight with ||psi^(order)||_inf <= 10 eps ||psi||_inf (pi n / 2L)^order
     is constant for the family: the commutator must vanish and the ratio is 0
@@ -197,18 +199,29 @@ def _family_ratio(family: str, psi: Field, f: Field, **params) -> float:
         raise ValueError("weight and field live on different grids")
     if (fnorm := field_l2(f)) == 0.0:
         raise ValueError("ratio undefined for the zero field")
-    commutator, order_of = RATIO_FAMILIES[family][:2]
-    num = field_l2(commutator(psi, f, **params))
-    scale, order = field_linf(psi), order_of(**params)
-    dsup = field_linf(deriv(psi, order)) if order else scale
+    sups = {0: field_linf(psi)}
     xi_max = np.pi * f.grid.n / (2.0 * f.grid.L)
-    if dsup <= 10.0 * np.finfo(float).eps * scale * xi_max**order:
+    ratios = []
+    for family, params in families:
+        commutator, order_of = RATIO_FAMILIES[family][:2]
+        num = field_l2(commutator(psi, f, **params))
+        if (order := order_of(**params)) not in sups:
+            sups[order] = field_linf(deriv(psi, order))
+        if sups[order] > 10.0 * np.finfo(float).eps * sups[0] * xi_max**order:
+            ratios.append(num / (sups[order] * fnorm))
+            continue
         tol = _constant_tol(f.grid, family, **params)
         if num > tol * fnorm:
             raise QuadratureInconsistencyError(f"constant weight but commutator norm {num:.3e} "
                                                f"exceeds {tol:.3e} * ||f||")
-        return 0.0
-    return num / (dsup * fnorm)
+        ratios.append(0.0)
+    return ratios
+
+
+def _family_ratio(family: str, psi: Field, f: Field, **params) -> float:
+    """_instance_ratios of one family, its orders checked."""
+    _check_orders(family, **params)
+    return _instance_ratios(psi, f, [(family, params)])[0]
 
 
 def _bracket(op, psi: Field, v: Field) -> Field:
@@ -235,7 +248,6 @@ def commutator_a_ratio(weight: Field, f: Field, alpha: float) -> float:
     constant independent of f and g; the ratio is that constant's
     per-instance lower estimate.
     """
-    _check_orders("generator", alpha=alpha)
     return _family_ratio("generator", weight, f, alpha=alpha)
 
 
@@ -245,7 +257,6 @@ def hilbert_commutator_ratio(psi: Field, f: Field, l: int, m: int) -> float:
     Calderon-type smoothing: the commutator with the Hilbert transform
     absorbs l+m derivatives into the weight, one order per slot.
     """
-    _check_orders("hilbert", l=l, m=m)
     return _family_ratio("hilbert", psi, f, l=l, m=m)
 
 
@@ -256,7 +267,6 @@ def frac_commutator_ratio(psi: Field, f: Field, alpha: float, beta: float) -> fl
     derivative the weight gives up.  Requires a in [0,1), b in (0,1),
     a + b <= 1 + 1e-12; the third order 1 - a - b, which may round below 0, clamps at 0.
     """
-    _check_orders("fractional", alpha=alpha, beta=beta)
     return _family_ratio("fractional", psi, f, alpha=alpha, beta=beta)
 
 
@@ -265,7 +275,7 @@ def frac_commutator_ratio(psi: Field, f: Field, alpha: float, beta: float) -> fl
 
 # family -> (commutator [op, psi] f, the order of the weight derivative it
 # absorbs, its parameter names, the orders it accepts and their statement):
-# the one table of commutator families, read by _family_ratio.
+# the one table of commutator families, read by _instance_ratios.
 RATIO_FAMILIES = {
     "generator": (lambda psi, f, alpha: _bracket(lambda u: op_a(u, alpha), psi, f),
                   lambda alpha: 1, ("alpha",), _alpha_admitted, "alpha in (0, 2]"),
@@ -295,12 +305,19 @@ def _check_orders(family: str, **params) -> None:
         raise ValueError(f"{family} orders must satisfy {statement}, got {params}")
 
 
+def _sweep(corpus: TestCorpus, families) -> np.ndarray:
+    """Ratios of each (family, params) of families over the corpus, one row
+    per family in corpus order; each instance is synthesized once and every
+    family is evaluated on it."""
+    for family, params in families:
+        _check_orders(family, **params)
+    return np.array([_instance_ratios(*corpus.instance(i), families)
+                     for i in range(len(corpus))]).T
+
+
 def corpus_ratios(corpus: TestCorpus, family: str, **params) -> np.ndarray:
-    """Per-instance ratios over the corpus, in corpus order, each instance
-    synthesized as it is evaluated."""
-    _check_orders(family, **params)
-    return np.array([_family_ratio(family, *corpus.instance(i), **params)
-                     for i in range(len(corpus))])
+    """Per-instance ratios over the corpus, in corpus order."""
+    return _sweep(corpus, [(family, params)])[0]
 
 
 @dataclass(frozen=True)
@@ -327,21 +344,24 @@ def ratio_report(
 ) -> RatioReport:
     """Evaluate one family over a fresh corpus at n and at 2n."""
     corpus = make_corpus(n, L, size, seed)
-    return _report(family, corpus, resample_corpus(corpus, 2 * n), **params)
+    return _reports(corpus, resample_corpus(corpus, 2 * n), [(family, params)])[0]
 
 
-def _report(family: str, corpus: TestCorpus, fine: TestCorpus, **params) -> RatioReport:
-    """ratio_report on a given corpus and its resampling on the doubled grid."""
-    ratios = corpus_ratios(corpus, family, **params)
-    fine_max = float(np.max(corpus_ratios(fine, family, **params)))
-    base_max = float(np.max(ratios))
-    factor = fine_max / base_max if base_max > 0 else 1.0
-    return RatioReport(
-        ratios=tuple(float(r) for r in ratios),
-        corpus_max=base_max,
-        refined_max=fine_max,
-        refinement_factor=factor,
-    )
+def _reports(corpus: TestCorpus, fine: TestCorpus, families) -> list[RatioReport]:
+    """ratio_report of each (family, params) of families on a given corpus
+    and its resampling on the doubled grid, from one sweep of each."""
+    reports = []
+    for ratios, fine_ratios in zip(_sweep(corpus, families), _sweep(fine, families)):
+        fine_max = float(np.max(fine_ratios))
+        base_max = float(np.max(ratios))
+        factor = fine_max / base_max if base_max > 0 else 1.0
+        reports.append(RatioReport(
+            ratios=tuple(float(r) for r in ratios),
+            corpus_max=base_max,
+            refined_max=fine_max,
+            refinement_factor=factor,
+        ))
+    return reports
 
 
 # -------------------------------------------------------- weighted growth
@@ -386,18 +406,19 @@ def group_weighted_growth(
     """
     ts = np.asarray(times, dtype=float)
     _check_sample_times(ts)
-    grid = phi.grid
-    edge = np.abs(grid.xs) > EDGE_FRACTION * grid.L
+    grid, xs = phi.grid, phi.grid.xs
+    edge = np.abs(xs) > EDGE_FRACTION * grid.L
     base = weighted_norm(phi, r)
+    # phi's transform and the weight, once for every sample time
+    half, w = np.fft.rfft(phi.values), weight_values(xs, r)
     norms = np.empty(ts.size)
     for j, t in enumerate(ts):
-        u = group_propagate(phi, float(t), alpha)
-        vals = u.values
+        vals = np.fft.irfft(_group(grid, float(t), alpha, half), grid.n)
         total = float(np.sum(vals**2))
         leaked = float(np.sum(vals[edge] ** 2))
         if total > 0 and leaked > TAIL_TOL * total:
             raise BoundaryContaminationError(float(t), leaked / total)
-        norms[j] = weighted_norm(u, r)
+        norms[j] = _weighted_l2(w, vals, grid.dx)
     pos = ts > 0
     slope = _loglog_fit(ts[pos], norms[pos])[0] if np.count_nonzero(pos) >= 2 else 0.0
     bound = ceil(r) + 0.2

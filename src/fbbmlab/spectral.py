@@ -411,11 +411,16 @@ def group_symbol_dxi2(xi, t: float, alpha: float):
     return quad + sing
 
 
+def _group(grid: SpectralGrid, t: float, alpha: float, half: np.ndarray) -> np.ndarray:
+    """The free group exp(tA) on half, the rfft of a field on grid."""
+    _check_alpha(alpha)
+    a = _half_symbol(_group_phase, grid.n, grid.L, alpha)
+    return _finite(np.exp(-1j * t * a)) * half
+
+
 def group_propagate(f: Field, t: float, alpha: float) -> Field:
     """Apply the free group exp(tA); exactly unitary on the grid."""
-    _check_alpha(alpha)
-    a = _half_symbol(_group_phase, f.grid.n, f.grid.L, alpha)
-    return _apply(f, _finite(np.exp(-1j * t * a)))
+    return Field(f.grid, np.fft.irfft(_group(f.grid, t, alpha, np.fft.rfft(f.values)), f.grid.n))
 
 
 def translate(f: Field, shift: float) -> Field:

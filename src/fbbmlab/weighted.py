@@ -19,6 +19,7 @@ callers asserting exponents quantitatively should use alpha < theta pairs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,10 +55,14 @@ def weight_values(xs, theta: float) -> np.ndarray:
     return (1.0 + ax * ax) ** (theta / 2.0)
 
 
+def _weighted_l2(w: np.ndarray, values: np.ndarray, dx: float) -> float:
+    """||w f||_2 of the samples values of f on a grid of step dx."""
+    return float(np.sqrt(dx * np.sum((w * values) ** 2)))
+
+
 def weighted_norm(f: Field, r: float) -> float:
     """||w f||_2 with w = <x>^r."""
-    w = weight_values(f.grid.xs, r)
-    return float(np.sqrt(f.grid.dx * np.sum((w * f.values) ** 2)))
+    return _weighted_l2(weight_values(f.grid.xs, r), f.values, f.grid.dx)
 
 
 # ------------------------------------------------------------ smooth cutoffs
@@ -67,23 +72,18 @@ BUMP_INNER = 1.0
 BUMP_OUTER = 2.0
 
 
-def _ramp(t):
-    # exp(-1/t) ramp: 0 for t <= 0, approaches 1, infinitely flat at 0
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
 def cutoff_bump(x):
     """Even C-infinity bump built from exp(-1/t) ramps: 1 on
-    [-BUMP_INNER, BUMP_INNER], 0 outside [-BUMP_OUTER, BUMP_OUTER]."""
-    x = np.asarray(x, dtype=float)
-    s = (np.abs(x) - BUMP_INNER) / (BUMP_OUTER - BUMP_INNER)
-    a = _ramp(1.0 - s)
-    b = _ramp(s)
-    return a / (a + b)
+    [-BUMP_INNER, BUMP_INNER], 0 outside (-BUMP_OUTER, BUMP_OUTER), and
+    a / (a + b) between, with a = exp(-1/(1 - s)), b = exp(-1/s) and s the
+    scaled distance |x| - BUMP_INNER; only there are the exps taken."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    out = (ax <= BUMP_INNER).astype(float)
+    ramp = (ax > BUMP_INNER) & (ax < BUMP_OUTER)
+    s = (ax[ramp] - BUMP_INNER) / (BUMP_OUTER - BUMP_INNER)
+    a, b = np.exp(-1.0 / (1.0 - s)), np.exp(-1.0 / s)
+    out[ramp] = a / (a + b)
+    return out
 
 
 def _power_bump(alpha: float):
@@ -99,6 +99,15 @@ def _log_cluster(center: float, span: float, per_decade: int) -> np.ndarray:
     count = max(int(per_decade * (hi - lo)), 8)
     t = np.logspace(lo, hi, count)
     return np.concatenate([center - t[::-1], [center], center + t])
+
+
+@functools.lru_cache(maxsize=4)
+def _origin_cluster(per_decade: int) -> np.ndarray:
+    """_log_cluster(0, BUMP_OUTER + 1, per_decade), the nodes every probe
+    places around the origin, made read-only."""
+    nodes = _log_cluster(0.0, BUMP_OUTER + 1.0, per_decade)
+    nodes.setflags(write=False)
+    return nodes
 
 
 def stein_pointwise(
@@ -120,14 +129,11 @@ def stein_pointwise(
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     eta = float(eta)
     Y0 = BUMP_OUTER
-    ys = np.concatenate(
-        [
-            _log_cluster(eta, Y0 + abs(eta) + 1.0, points_per_decade),
-            _log_cluster(0.0, Y0 + 1.0, points_per_decade),
-        ]
-    )
-    ys = np.unique(ys)
-    ys = ys[(ys > -Y0) & (ys < Y0)]
+    ys = np.concatenate([_log_cluster(eta, Y0 + abs(eta) + 1.0, points_per_decade),
+                         _origin_cluster(points_per_decade)])
+    # np.unique's sorted distinct nodes, without the numpy.ma import it makes
+    ys.sort()
+    ys = ys[np.append(True, ys[1:] != ys[:-1]) & (ys > -Y0) & (ys < Y0)]
     # close the support edges exactly; g vanishes there by assumption
     ys = np.concatenate([[-Y0], ys, [Y0]])
     h = 1e-7 * max(1.0, abs(eta))

@@ -37,8 +37,10 @@ from fbbmlab.config import (
     validate_config,
 )
 from fbbmlab.estimates import (
+    RATIO_FAMILIES,
     TAIL_TOL,
     BoundaryContaminationError,
+    QuadratureInconsistencyError,
     _check_sample_times,
     _snapshot_indices,
     commutator_a_ratio,
@@ -831,6 +833,32 @@ def test_boundary_contamination_fails_a_check(tmp_path):
     assert summary["pairs"] == [{"contaminated_at": 5.0, "edge_mass_fraction": fraction}]
     with open(os.path.join(out, "growth.csv"), encoding="utf-8") as fh:
         assert len(fh.read().splitlines()) == 2  # the hash and header lines
+
+
+def test_constant_weight_commutator_fails_a_check(tmp_path, monkeypatch):
+    # a generator commutator that returns f does not vanish against the
+    # constant weight 1.5: its measured norm over ||f||_2, 1, fails the run's
+    # constant_zero check, and the run exits 3 with a valid summary, not 1;
+    # the library still raises for its own callers
+    broken = (lambda psi, f, alpha: f, *RATIO_FAMILIES["generator"][1:])
+    monkeypatch.setitem(RATIO_FAMILIES, "generator", broken)
+    obj = {"scenario": "commutators", "n": 256, "size": 3,
+           "families": [{"family": "generator", "alpha": 0.5}]}
+    code, out = run_cli(tmp_path, obj, "const")
+    assert code == EXIT_CHECK_FAILED
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["error"] is None
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert checks["constant_zero(generator alpha=0.5)"] == {
+        "name": "constant_zero(generator alpha=0.5)", "passed": False, "value": 1.0,
+        "threshold": "<= 1e-11"}
+    assert checks["refinement(generator alpha=0.5)"]["passed"]
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    jsonschema.validate(summary, load_schema("commutators"))
+    assert summary["families"][0]["constant_weight_ratio"] == 1.0
+    grid = make_grid(256, 50.0)
+    with pytest.raises(QuadratureInconsistencyError):
+        commutator_a_ratio(Field(grid, np.full(256, 1.5)), Field(grid, np.sin(grid.xs)), 0.5)
 
 
 @pytest.mark.parametrize("obj, t", [

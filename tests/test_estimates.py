@@ -13,7 +13,7 @@ import pytest
 
 import fbbmlab.estimates as estimates_mod
 from fft_reference import stored_states
-from fbbmlab.config import validate_config
+from fbbmlab.config import _growth_times, validate_config
 from fbbmlab.estimates import (
     BoundaryContaminationError,
     QuadratureInconsistencyError,
@@ -31,7 +31,8 @@ from fbbmlab.estimates import (
 )
 from fbbmlab.evolution import EvolveConfig, mass
 from fbbmlab.scenarios import run_commutators, run_scenario
-from fbbmlab.spectral import Field, field_l2, make_grid
+from fbbmlab.spectral import Field, field_l2, group_propagate, make_grid
+from fbbmlab.weighted import weighted_norm
 
 SEED = 7001
 
@@ -262,6 +263,26 @@ def test_commutators_share_one_corpus_pair(monkeypatch):
         assert (out["corpus_max"], out["refined_max"]) == (rep.corpus_max, rep.refined_max)
 
 
+def test_commutators_synthesize_each_instance_once(monkeypatch):
+    # one sweep per grid evaluates every family on an instance: its weight
+    # and field are synthesized once, not once per family; the base grid
+    # adds make_corpus' normalizations and the constant-weight probe field
+    calls = []
+    real = estimates_mod._synthesize
+
+    def counting(coeffs, grid):
+        calls.append(grid.n)
+        return real(coeffs, grid)
+
+    monkeypatch.setattr(estimates_mod, "_synthesize", counting)
+    size = 6
+    cfg = validate_config({"scenario": "commutators", "n": 256, "size": size, "seed": SEED})
+    assert len(cfg.params["families"]) == 4
+    run_commutators(cfg)
+    assert calls.count(512) == 2 * size
+    assert calls.count(256) == size + 2 * size + 2
+
+
 def test_commutators_run_memory_does_not_grow_with_the_corpus():
     # the corpus holds coefficient rows and synthesizes each instance as it
     # is evaluated: the peak at 50 instances less that at 10 measured
@@ -317,6 +338,21 @@ def test_growth_slope_within_ceiling(alpha, r, L, pinned_slope):
     rep = group_weighted_growth(phi, alpha, r, np.arange(1.0, 41.0))
     assert rep.within_bound and rep.slope <= np.ceil(r) + 0.2
     assert rep.slope == pytest.approx(pinned_slope, abs=0.02)
+
+
+def test_growth_norms_are_weighted_norms_of_propagated_fields():
+    # the loop transforms phi and builds the weight once per pair; each norm
+    # stays the library's weighted norm of the propagated field, bit for bit
+    cfg = validate_config({"scenario": "weighted-growth"})
+    p = cfg.params
+    g = make_grid(p["n"], p["L"])
+    phi = Field(g, np.exp(-g.xs**2))
+    times = _growth_times(p)
+    for alpha, r in p["pairs"]:
+        rep = group_weighted_growth(phi, alpha, r, times)
+        want = [weighted_norm(group_propagate(phi, float(t), alpha), r) for t in times]
+        assert list(rep.norms) == want
+        assert rep.base_norm == weighted_norm(phi, r)
 
 
 def test_growth_unweighted_is_unitary():

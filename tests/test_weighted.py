@@ -5,6 +5,10 @@ moments and brute-force uniform-grid quadrature for the pointwise
 derivative.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +113,24 @@ def test_cutoff_plateau_and_support():
     assert np.all(np.diff(mid) < 0)
 
 
+def _two_ramp_bump(x):
+    # the bump as a / (a + b) of exp(-1/t) ramps taken on the whole line
+    s = (np.abs(x) - 1.0) / (2.0 - 1.0)
+    a, b = np.zeros_like(s), np.zeros_like(s)
+    a[1.0 - s > 0] = np.exp(-1.0 / (1.0 - s[1.0 - s > 0]))
+    b[s > 0] = np.exp(-1.0 / s[s > 0])
+    return a / (a + b)
+
+
+def test_cutoff_matches_two_ramp_formula():
+    # the exps are taken only where 1 < |x| < 2; elsewhere the formula reads
+    # exactly a / a = 1 or 0 / b = 0, so every sample agrees bit for bit
+    edges = np.array([-2.0, -1.0, 1.0, 2.0])
+    xs = np.concatenate([np.linspace(-3.0, 3.0, 600001), edges,
+                         np.nextafter(edges, 0.0), np.nextafter(edges, np.sign(edges) * 3.0)])
+    assert cutoff_bump(xs).tobytes() == _two_ramp_bump(xs).tobytes()
+
+
 def test_cutoff_smooth_at_junction():
     # infinitely flat: a few one-sided derivatives vanish numerically
     h = 1e-3
@@ -120,6 +142,20 @@ def test_cutoff_smooth_at_junction():
 
 
 # -------------------------------------------- pointwise probe quadrature
+
+
+def test_stein_probes_leave_numpy_ma_unimported():
+    # the probes' nodes are deduplicated without np.unique, whose import of
+    # numpy.ma cost 13 ms of a cold run
+    code = ("import sys\n"
+            "from fbbmlab.weighted import stein_asymptotics\n"
+            "stein_asymptotics(0.25, 0.5)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _brute_force_pointwise(gfun, eta, theta, n=4_000_001, cell=1e-3):
