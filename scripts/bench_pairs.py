@@ -47,7 +47,7 @@ def summarize(parent: list[float], change: list[float]) -> dict:
     than the parent's interquartile range."""
 
     def spread(values):
-        q1, median, q3 = statistics.quantiles(values, n=4)
+        q1, _, q3 = statistics.quantiles(values, n=4)
         return {"median": statistics.median(values), "q1": q1, "q3": q3,
                 "min": min(values), "max": max(values)}
 
