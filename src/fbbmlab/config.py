@@ -22,8 +22,8 @@ from .estimates import (_check_box, _check_family, _check_orders, _check_sample_
                         _check_size, _snapshot_indices)
 from .evolution import EvolveConfig, _check_dt, _check_power, _check_stride, _check_T
 from .ground_state import _check_speed, _check_tol, _speed_box, _tail_samples
-from .spectral import _check_L, _check_alpha, _check_n
-from .weighted import _check_r, _stein_range
+from .spectral import _check_L, _check_alpha, _check_n, _group_phase, make_grid
+from .weighted import _check_r, _stein_range, weight_values
 
 SCENARIOS = ("evolve", "groundstate", "stein", "commutators", "weighted-growth", "ucp")
 
@@ -267,8 +267,18 @@ def _growth_times(p) -> np.ndarray:
 
 
 def _cross_growth(p, bad):
-    if msg := _violation("t_max", _check_sample_times, _growth_times(p)):
+    if msg := _violation("t_max", _check_sample_times, times := _growth_times(p)):
         bad.append(msg)
+    # the weight peaks at the box edge |x| = L, the phase t a(xi) at the last time
+    grid = make_grid(p["n"], p["L"])
+    for i, (alpha, r) in enumerate(p["pairs"]):
+        with np.errstate(over="ignore"):
+            if not np.isfinite(weight_values(p["L"], r)):
+                bad.append(f"pairs[{i}]: the weight <x>^r overflows at the box edge |x| = L")
+            # exp(-i t a) is finite where t a is; the phase is not cached here: a
+            # symbol cached before the run made glibc trim the heap under later runs
+            if not math.isfinite(float(times[-1]) * float(_group_phase(grid, alpha).max())):
+                bad.append(f"t_max: phase t a(xi) of pairs[{i}] overflows at t = {times[-1]:g}")
 
 
 _CROSS = {

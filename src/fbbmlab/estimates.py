@@ -305,7 +305,7 @@ def _check_orders(family: str, **params) -> None:
         raise ValueError(f"{family} orders must satisfy {statement}, got {params}")
 
 
-def _sweep(corpus: TestCorpus, families) -> np.ndarray:
+def corpus_ratios(corpus: TestCorpus, families) -> np.ndarray:
     """Ratios of each (family, params) of families over the corpus, one row
     per family in corpus order; each instance is synthesized once and every
     family is evaluated on it."""
@@ -313,11 +313,6 @@ def _sweep(corpus: TestCorpus, families) -> np.ndarray:
         _check_orders(family, **params)
     return np.array([_instance_ratios(*corpus.instance(i), families)
                      for i in range(len(corpus))]).T
-
-
-def corpus_ratios(corpus: TestCorpus, family: str, **params) -> np.ndarray:
-    """Per-instance ratios over the corpus, in corpus order."""
-    return _sweep(corpus, [(family, params)])[0]
 
 
 @dataclass(frozen=True)
@@ -334,24 +329,13 @@ class RatioReport:
     refinement_factor: float
 
 
-def ratio_report(
-    family: str,
-    n: int,
-    L: float,
-    size: int,
-    seed: int,
-    **params,
-) -> RatioReport:
-    """Evaluate one family over a fresh corpus at n and at 2n."""
-    corpus = make_corpus(n, L, size, seed)
-    return _reports(corpus, resample_corpus(corpus, 2 * n), [(family, params)])[0]
-
-
-def _reports(corpus: TestCorpus, fine: TestCorpus, families) -> list[RatioReport]:
-    """ratio_report of each (family, params) of families on a given corpus
-    and its resampling on the doubled grid, from one sweep of each."""
+def ratio_report(corpus: TestCorpus, families) -> list[RatioReport]:
+    """A RatioReport for each (family, params) of families, from one sweep
+    of the corpus and one of its resampling on the doubled grid."""
+    fine = resample_corpus(corpus, 2 * corpus.grid.n)
     reports = []
-    for ratios, fine_ratios in zip(_sweep(corpus, families), _sweep(fine, families)):
+    for ratios, fine_ratios in zip(corpus_ratios(corpus, families),
+                                   corpus_ratios(fine, families)):
         fine_max = float(np.max(fine_ratios))
         base_max = float(np.max(ratios))
         factor = fine_max / base_max if base_max > 0 else 1.0

@@ -22,10 +22,9 @@ from .estimates import (
     UcpSums,
     _constant_tol,
     _instance_ratios,
-    _reports,
     group_weighted_growth,
     make_corpus,
-    resample_corpus,
+    ratio_report,
 )
 from .evolution import BLOWUP_FACTOR, BlowUpError, diagnostics_series, evolve
 from .ground_state import (
@@ -101,9 +100,10 @@ def _within(name: str, value: float, target: float, tol: float) -> Check:
 
 
 def _scalars(report) -> dict:
-    """A library report's None, bool, int and float fields, which open its
-    per-entry summary; its arrays and tuples go to the tables."""
-    return {f.name: v for f in fields(report)
+    """A library report's None, bool, int and float fields, a non-finite float as None,
+    which open its per-entry summary; its arrays and tuples go to the tables."""
+    return {f.name: None if isinstance(v, float) and not math.isfinite(v) else v
+            for f in fields(report)
             if isinstance(v := getattr(report, f.name), (type(None), int, float))}
 
 
@@ -299,7 +299,6 @@ def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
 def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     corpus = make_corpus(p["n"], p["L"], p["size"], seed=cfg.seed)
-    fine = resample_corpus(corpus, 2 * p["n"])
     # against a constant weight every commutator vanishes: its measured norm
     # over ||f||_2 is roundoff, which _constant_tol bounds
     const = Field(corpus.grid, np.full(p["n"], 1.5))
@@ -310,7 +309,7 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
     families, tags, instances, ratios = [], [], [], []
     fams_out = []
     entries = [(e["family"], {k: v for k, v in e.items() if k != "family"}) for e in p["families"]]
-    for (family, fparams), rep in zip(entries, _reports(corpus, fine, entries)):
+    for (family, fparams), rep in zip(entries, ratio_report(corpus, entries)):
         measured = field_l2(RATIO_FAMILIES[family][0](const, probe_field, **fparams)) / probe_norm
         tag = ";".join(f"{k}={v:g}" for k, v in sorted(fparams.items()))
         constant = _at_most(f"constant_zero({family} {tag})", measured,

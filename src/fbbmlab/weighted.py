@@ -20,6 +20,7 @@ callers asserting exponents quantitatively should use alpha < theta pairs.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +102,12 @@ def _log_cluster(center: float, span: float, per_decade: int) -> np.ndarray:
     return np.concatenate([center - t[::-1], [center], center + t])
 
 
+def _check_theta(theta: float) -> None:
+    """theta in (0, 1) and normal: the closed-form tail's 1/(2 theta) overflows below."""
+    if not sys.float_info.min <= theta < 1.0:
+        raise ValueError(f"theta must lie in (0, 1), at least {sys.float_info.min!r}, got {theta}")
+
+
 @functools.lru_cache(maxsize=4)
 def _origin_cluster(per_decade: int) -> np.ndarray:
     """_log_cluster(0, BUMP_OUTER + 1, per_decade), the nodes every probe
@@ -125,8 +132,7 @@ def stein_pointwise(
     Nodes cluster logarithmically around the singular point eta and around
     the origin (probe functions may have kinks or integrable blowup there).
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    _check_theta(theta)
     eta = float(eta)
     Y0 = BUMP_OUTER
     ys = np.concatenate([_log_cluster(eta, Y0 + abs(eta) + 1.0, points_per_decade),
@@ -160,14 +166,14 @@ def stein_pointwise(
 
 
 def _loglog_fit(xs, ys):
-    """Least-squares slope of log ys against log xs, and its R^2."""
+    """Least-squares slope of log ys against log xs and its R^2, NaN where a ys is 0 or inf."""
     lx, ly = np.log(xs), np.log(ys)
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     pred = A @ coef
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     ss_res = float(np.sum((ly - pred) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    r2 = 1.0 - ss_res / ss_tot if ss_tot != 0 else 1.0
     return float(coef[0]), r2
 
 
@@ -193,8 +199,7 @@ class SteinAsymptotics:
 def _stein_range(alpha, theta):
     """Raise ValueError unless stein_asymptotics accepts (alpha, theta); config uses it too."""
     _check_alpha(alpha)
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    _check_theta(theta)
     if alpha == theta:
         raise ValueError("theta must differ from alpha (equal orders have no power law)")
 
@@ -236,8 +241,8 @@ def stein_asymptotics(alpha: float, theta: float) -> SteinAsymptotics:
         r2_large=r2_large,
         plateau=plateau,
         subtracted=subtracted,
-        inconclusive_small=r2_small < 0.98,
-        inconclusive_large=r2_large < 0.98,
+        inconclusive_small=not r2_small >= 0.98,
+        inconclusive_large=not r2_large >= 0.98,
         etas_small=etas_small,
         values_small=vals_small,
         etas_large=etas_large,

@@ -383,7 +383,7 @@ def test_criterion_10_commutator_corpus():
         ("hilbert", dict(l=1, m=1)),
         ("fractional", dict(alpha=0.25, beta=0.5)),
     ):
-        rep = ratio_report(family, n=2048, L=50.0, size=50, seed=7001, **params)
+        rep = ratio_report(make_corpus(2048, 50.0, 50, seed=7001), [(family, params)])[0]
         good = (
             np.isfinite(rep.corpus_max)
             and rep.corpus_max > 0

@@ -53,7 +53,7 @@ from fbbmlab.evolution import MAX_STEPS, Diagnostics, EvolveConfig, evolve
 from fbbmlab.ground_state import fit_tail_exponent, petviashvili, scale_to_speed
 from fbbmlab.scenarios import Check, ScenarioResult, Table, envelope, run_scenario
 from fbbmlab.spectral import Field, group_propagate, make_grid, op_a
-from fbbmlab.weighted import stein_asymptotics, weighted_norm
+from fbbmlab.weighted import cutoff_bump, stein_asymptotics, stein_pointwise, weighted_norm
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -235,6 +235,17 @@ def test_families_validation():
          "T: T / dt = .* steps; at most MAX_STEPS = 1000000"),
         ({"scenario": "ucp", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 1e-300, "T": 1e-10},
          "T: T / dt = .* steps; at most MAX_STEPS = 1000000"),
+        # the Stein tail's 1 / (2 theta) overflows; the run used to exit 1 on
+        # a NaN exponent
+        ({"scenario": "stein", "pairs": [[0.5, 5e-324]]},
+         "pairs\\[0\\]: theta must lie in \\(0, 1\\), at least 2.2250738585072014e-308"),
+        # the weight's x^2 overflows beyond L ~ 1.34e154; the run used to
+        # exit 1 on a NaN slope
+        ({"scenario": "weighted-growth", "n": 16, "L": 1e155, "t_max": 10.0, "t_count": 2,
+          "pairs": [[0.5, 1.0]]}, "pairs\\[0\\]: the weight <x>\\^r overflows at the box edge"),
+        # t_max a(xi) overflows; the run used to exit 1 on a non-finite symbol
+        ({"scenario": "weighted-growth", "n": 256, "L": 50.0, "t_max": 1e308, "t_count": 2,
+          "pairs": [[0.5, 0.5]]}, "t_max: phase t a\\(xi\\) of pairs\\[0\\] overflows"),
     ],
     ids=["stein-theta", "fractional-sum", "hilbert-orders", "hilbert-half-order",
          "generator-alpha", "non-number", "unhashable-family", "groundstate-tol-floor",
@@ -242,7 +253,8 @@ def test_families_validation():
          "commutators-L-box",
          "groundstate-c-box-overflow",
          "groundstate-window-samples", "ucp-width-peak-overflow", "evolve-T-dt-overflow",
-         "ucp-T-dt-overflow", "evolve-steps-cap", "ucp-steps-cap"],
+         "ucp-T-dt-overflow", "evolve-steps-cap", "ucp-steps-cap", "stein-theta-subnormal",
+         "growth-weight-overflow", "growth-phase-overflow"],
 )
 def test_kernel_ranges_are_config_errors(tmp_path, capsys, obj, message):
     # the ranges the kernels enforce, caught before anything runs
@@ -349,6 +361,10 @@ def commutators_configs(draw):
 @example(cfg={"scenario": "commutators", "n": 4096, "L": 0.1, "size": 3,
               "families": [{"family": "fractional", "alpha": 0.99, "beta": 0.01}]})
 def test_validated_commutators_config_runs(cfg):
+    assert_validated_config_runs(cfg)
+
+
+def assert_validated_config_runs(cfg):
     # the contract: a config that validates runs to exit 0 or 3, never 1
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -358,6 +374,49 @@ def test_validated_commutators_config_runs(cfg):
             return
         assert main(["run", path, "--out", os.path.join(tmp, "out")]) in (
             EXIT_OK, EXIT_CHECK_FAILED)
+
+
+@st.composite
+def stein_configs(draw):
+    alpha = draw(st.floats(0.0, 2.0) | _around(0.0, 1.0, 2.0))
+    # theta's range ends, the smallest normal double, and alpha itself
+    theta = draw(st.floats(0.0, 1.0) | _around(0.0, sys.float_info.min, 1.0, 2.0, alpha))
+    return {"scenario": "stein", "pairs": [[alpha, theta]]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=stein_configs())
+@example(cfg={"scenario": "stein", "pairs": [[0.5, 5e-324]]})
+@example(cfg={"scenario": "stein", "pairs": [[1e-300, sys.float_info.min]]})
+def test_validated_stein_config_runs(cfg):
+    assert_validated_config_runs(cfg)
+
+
+@st.composite
+def growth_configs(draw):
+    alpha = draw(st.floats(0.0, 2.0) | _around(0.0, 2.0))
+    r = draw(st.floats(0.0, 3.5) | _around(0.0, 1.5 + alpha))
+    # the whole double range, the square root of the largest double, where
+    # the weight's x^2 overflows, and its ends
+    edges = _around(0.0, math.sqrt(sys.float_info.max), sys.float_info.max)
+    L = draw(st.floats(-310.0, 308.25).map(lambda e: 10.0**e) | edges)
+    # the sample-time rules, and times whose phase t a(xi) overflows
+    t_max = draw(st.integers(-2, 8).map(lambda m: 1.0 + m * 2.0**-52) | st.floats(1e-3, 3.0)
+                 | st.floats(0.0, 308.25).map(lambda e: 10.0**e))
+    return {"scenario": "weighted-growth", "n": draw(st.sampled_from([16, 64, 256, 15])),
+            "L": L, "t_max": t_max, "t_count": draw(st.integers(1, 6)), "pairs": [[alpha, r]]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=growth_configs())
+@example(cfg={"scenario": "weighted-growth", "n": 16, "L": 1e155, "t_max": 10.0, "t_count": 2,
+              "pairs": [[0.5, 1.0]]})
+@example(cfg={"scenario": "weighted-growth", "n": 16, "L": 1e77, "t_max": 2.0, "t_count": 2,
+              "pairs": [[2.0, 3.4]]})
+@example(cfg={"scenario": "weighted-growth", "n": 256, "L": 50.0, "t_max": sys.float_info.max,
+              "t_count": 2, "pairs": [[0.5, 0.5]]})
+def test_validated_growth_config_runs(cfg):
+    assert_validated_config_runs(cfg)
 
 
 # ------------------------------------------------------------ rule parity
@@ -399,6 +458,10 @@ PARITY = {
         "families", lambda v: commutator_a_ratio(F64, F64, v), [0.0, 0.5, 2.0, 2.1]),
     "alpha-stein": (lambda v: {"scenario": "stein", "pairs": [[v, 0.5]]}, "pairs",
                     lambda v: stein_asymptotics(v, 0.5), [0.0, 2.0, 2.1]),
+    "theta-stein": (lambda v: {"scenario": "stein", "pairs": [[0.5, v]]}, "pairs",
+                    lambda v: stein_pointwise(cutoff_bump, 0.5, v),
+                    [0.0, 5e-324, math.nextafter(sys.float_info.min, 0.0), sys.float_info.min,
+                     0.25, math.nextafter(1.0, 0.0), 1.0]),
     "n": (lambda v: {**EVOLVE_OK, "n": v}, "n", lambda v: make_grid(v, 1.0), [8, 15, 16, 24, 32]),
     "L": (lambda v: {**EVOLVE_OK, "L": v}, "L", lambda v: make_grid(EVOLVE_OK["n"], v),
           [-1.0, 0.0, 1e-310, 2.2368882200258943e-306, 2.2368882200258946e-306, 1e-3,
@@ -436,6 +499,10 @@ PARITY = {
                    "pairs": [[0.5, 0.7]]}, "t_max",
         lambda v: group_weighted_growth(WIDE, 0.5, 0.7, np.linspace(1.0, v, 3)),
         [0.5, 1.0, 1.0000000000000002, 1.0000000000000004, 1.5]),
+    "growth-phase": (
+        lambda v: {"scenario": "weighted-growth", "n": 1024, "L": 50.0, "t_max": v, "t_count": 2,
+                   "pairs": [[0.5, 0.7]]}, "t_max",
+        lambda v: group_propagate(WIDE, v, 0.5), [2.0, 1e300, 1e308, sys.float_info.max]),
     "window": (lambda v: {**GROUNDSTATE, "window": list(v)}, "window",
                lambda v: fit_tail_exponent(TAIL, v),
                [(0.0, 10.0), (20.0, 10.0), (30.0, 140.0), (30.0, 140.001), (30.0, 30.5),
@@ -1050,7 +1117,8 @@ def test_each_summary_entry_is_its_report():
     comm = run_scenario(cfg).summary
     for fam, entry in zip(p["families"], comm["families"], strict=True):
         fparams = {k: v for k, v in fam.items() if k != "family"}
-        rep = ratio_report(fam["family"], p["n"], p["L"], p["size"], cfg.seed, **fparams)
+        corpus = make_corpus(p["n"], p["L"], p["size"], cfg.seed)
+        rep = ratio_report(corpus, [(fam["family"], fparams)])[0]
         assert _is_report(entry, rep, constant_weight_ratio=entry["constant_weight_ratio"])
         assert isinstance(entry["constant_weight_ratio"], float)
 
@@ -1253,6 +1321,34 @@ def test_traced_names_are_library_callables():
     args = (Field(g, np.exp(-(g.xs**2))), EvolveConfig(alpha=0.5, dt=0.01, t_final=0.1))
     sizes = tracing.SIZES["evolve"](args, evolve(*args, observe=lambda values: None))
     assert sizes == {"steps": 10, "snapshot_bytes": 0}
+
+
+def test_tracer_books_the_commutator_sweep_under_the_corpus():
+    # the runner reaches the sweep through a traced name, so its operator
+    # calls nest under an estimates.corpus span, not the runner's own
+    tracing = _bench_tracing()
+    size = 3
+    families = [{"family": "generator", "alpha": 0.5}, {"family": "hilbert", "l": 0, "m": 1}]
+    cfg = validate_config({"scenario": "commutators", "n": 32, "size": size, "families": families})
+    modules = [m for k, m in sys.modules.items() if k == "fbbmlab" or k.startswith("fbbmlab.")]
+    modules.append(jsonschema)
+    saved = [(m, dict(vars(m))) for m in modules]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        scenarios_mod.run_scenario(cfg)
+    finally:
+        for module, attrs in saved:
+            for name, value in attrs.items():
+                if getattr(module, name) is not value:
+                    setattr(module, name, value)
+    assert scenarios_mod.run_scenario is run_scenario  # every patch undone
+    groups, spans = tracer.groups, tracer.spans
+    parents = [groups[spans[s[3]][0]] for s in spans
+               if groups[s[0]] == "spectral.operator" and s[3] >= 0]
+    # each family takes at least one operator call per instance on each grid
+    assert parents.count("estimates.corpus") >= 2 * size * len(families)
+    assert parents.count("estimates.corpus") > parents.count("scenarios.runner")
 
 
 def test_ucp_residual_checks_its_times_before_stepping():

@@ -182,9 +182,9 @@ def test_grid_mismatch_and_zero_field(corpus):
 
 def test_corpus_ratio_parameter_validation(corpus):
     with pytest.raises(ValueError, match="unknown family"):
-        corpus_ratios(corpus, "laplace", alpha=0.5)
+        corpus_ratios(corpus, [("laplace", dict(alpha=0.5))])
     with pytest.raises(ValueError, match="takes parameters"):
-        corpus_ratios(corpus, "generator", beta=0.5)
+        corpus_ratios(corpus, [("generator", dict(beta=0.5))])
     assert set(RATIO_FAMILIES) == {"generator", "hilbert", "fractional"}
 
 
@@ -198,7 +198,7 @@ def test_corpus_ratio_parameter_validation(corpus):
 )
 def test_corpus_ratios_match_registry(corpus, family, kernel, params):
     want = [kernel(*corpus.instance(i), **params) for i in range(len(corpus))]
-    got = corpus_ratios(corpus, family, **params)
+    got = corpus_ratios(corpus, [(family, params)])[0]
     assert got.tolist() == want  # bit for bit, in corpus order
 
 
@@ -231,7 +231,7 @@ def _pinned(i, L, pinned_max=None):
     + [_pinned(0, 1e14, 0.599191)],
 )
 def test_ratio_report_pinned(family, params, L, pinned_max):
-    rep = ratio_report(family, 2048, L, 50, seed=SEED, **params)
+    rep = ratio_report(make_corpus(2048, L, 50, seed=SEED), [(family, params)])[0]
     assert rep.corpus_max == pytest.approx(pinned_max, abs=2e-6)
     assert 0.5 <= rep.refinement_factor <= 2.0
     # same continuum corpus on both grids: factor is 1 up to roundoff
@@ -256,7 +256,7 @@ def test_commutators_share_one_corpus_pair(monkeypatch):
     monkeypatch.setattr(estimates_mod, "TestCorpus", real_corpus)
     for k, entry in enumerate(cfg.params["families"]):
         params = {key: v for key, v in entry.items() if key != "family"}
-        rep = ratio_report(entry["family"], 256, 50.0, 6, seed=SEED, **params)
+        rep = ratio_report(make_corpus(256, 50.0, 6, seed=SEED), [(entry["family"], params)])[0]
         assert list(ratios[6 * k : 6 * (k + 1)]) == list(rep.ratios)  # bit for bit
         assert set(families[6 * k : 6 * (k + 1)]) == {entry["family"]}
         out = res.summary["families"][k]
@@ -304,8 +304,9 @@ def test_commutators_run_memory_does_not_grow_with_the_corpus():
 
 
 def test_corpus_size_doubling_stable():
-    r50 = corpus_ratios(make_corpus(2048, 50.0, 50, seed=SEED), "generator", alpha=0.5)
-    r100 = corpus_ratios(make_corpus(2048, 50.0, 100, seed=SEED), "generator", alpha=0.5)
+    generator = [("generator", dict(alpha=0.5))]
+    r50 = corpus_ratios(make_corpus(2048, 50.0, 50, seed=SEED), generator)[0]
+    r100 = corpus_ratios(make_corpus(2048, 50.0, 100, seed=SEED), generator)[0]
     assert 0.5 <= r100.max() / r50.max() <= 2.0
 
 
