@@ -210,9 +210,10 @@ sys.exit(1 if wrong or not runs else 0)
 EOF
 
 # configs that validate but whose run fails a named check: a flow that
-# blows up (evolve, ucp), mass at the box edge and a weighted norm whose
-# squared samples overflow (weighted-growth), and nonpositive tail samples
-# (groundstate).  Each once made a run exit 1 with a runner or writer
+# blows up (evolve, ucp), a ucp integral int u^2 dx that overflows, mass at
+# the box edge and a weighted norm whose squared samples overflow
+# (weighted-growth), nonpositive tail samples and a solve that stalls above
+# tol (groundstate).  Each once made a run exit 1 with a runner or writer
 # error; each must validate, then run to exit 3 with a manifest
 # that records no error and lists a summary.json that is there
 echo "== validated configs that fail a check exit 3"
@@ -220,9 +221,11 @@ mkdir -p "$work/fails"
 for entry in \
   'evolve_blow_up|{"scenario":"evolve","alpha":1.0,"n":64,"L":1.0,"dt":0.01,"T":0.1,"k":4,"amplitude":10.0,"width":10000.0}' \
   'ucp_blow_up|{"scenario":"ucp","alpha":1.0,"n":64,"L":1.0,"dt":0.01,"T":0.1,"k":4,"mean":10.0}' \
+  'ucp_integral_overflow|{"scenario":"ucp","alpha":1.0,"n":16,"L":1e304,"dt":1.0,"T":1.0,"mean":1000.0,"width":1.0}' \
   'growth_edge_mass|{"scenario":"weighted-growth","n":1024,"L":50.0,"t_max":5.0,"t_count":2,"pairs":[[0.5,0.5]]}' \
   'growth_norm_overflow|{"scenario":"weighted-growth","n":16,"L":1e77,"t_max":2.0,"t_count":2,"pairs":[[2.0,3.4]]}' \
-  'groundstate_nonpositive_tail|{"scenario":"groundstate","alpha":1.6047496432423727,"n":64,"L":146.28553447080662,"tol":1e-10}'
+  'groundstate_nonpositive_tail|{"scenario":"groundstate","alpha":1.6047496432423727,"n":64,"L":146.28553447080662,"tol":1e-10}' \
+  'groundstate_unconverged|{"scenario":"groundstate","alpha":0.1,"n":64,"L":1.0}'
 do
   name=${entry%%|*}
   cfg="$work/fails/$name.json"
@@ -249,13 +252,17 @@ done
 # configs whose run once exited 1 on a NaN in its summary or a non-finite
 # symbol, and which the config rules now refuse: a stein theta below the
 # smallest normal double, a weighted-growth weight that overflows at the
-# box edge, a growth phase t a(xi) that overflows.  Each must exit 2 from
-# validate and from run, never 1
+# box edge, a growth phase t a(xi) that overflows, a groundstate default
+# tail window with fewer than 8 samples; and a growth t_count one past
+# MAX_SAMPLE_TIMES, whose sample times validation would otherwise build.
+# Each must exit 2 from validate and from run, never 1
 echo "== configs the rules refuse exit 2"
 for entry in \
   'stein_subnormal_theta|{"scenario":"stein","pairs":[[0.5,5e-324]]}' \
   'growth_weight_overflow|{"scenario":"weighted-growth","n":16,"L":1e155,"t_max":10.0,"t_count":2,"pairs":[[0.5,1.0]]}' \
-  'growth_phase_overflow|{"scenario":"weighted-growth","n":256,"L":50.0,"t_max":1e308,"t_count":2,"pairs":[[0.5,0.5]]}'
+  'growth_phase_overflow|{"scenario":"weighted-growth","n":256,"L":50.0,"t_max":1e308,"t_count":2,"pairs":[[0.5,0.5]]}' \
+  'groundstate_default_window|{"scenario":"groundstate","alpha":0.75,"n":16,"L":200.0}' \
+  'growth_t_count_cap|{"scenario":"weighted-growth","t_count":10001}'
 do
   name=${entry%%|*}
   cfg="$work/fails/$name.json"

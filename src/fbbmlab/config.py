@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import (_check_box, _check_family, _check_orders, _check_sample_times,
-                        _check_size, _snapshot_indices)
+                        _check_size, _check_t_count, _snapshot_indices)
 from .evolution import EvolveConfig, _check_dt, _check_power, _check_stride, _check_T
-from .ground_state import _check_speed, _check_tol, _speed_box, _tail_samples
+from .ground_state import _check_speed, _check_tol, _speed_box, _tail_samples, _tail_window
 from .spectral import _check_L, _check_alpha, _check_n, _group_phase, make_grid
 from .weighted import _check_r, _stein_range, weight_values
 
@@ -184,7 +184,7 @@ _TABLES = {
         "n": ("int", 16384, _check_n),
         "L": ("number", 1500.0, _check_L),
         "t_max": ("number", 40.0, _positive("t_max")),
-        "t_count": ("int", 40, _positive("t_count")),
+        "t_count": ("int", 40, _check_t_count),
         "pairs": (
             "list",
             [[0.5, 0.7], [0.5, 1.2], [0.75, 1.8]],
@@ -253,10 +253,12 @@ def _cross_groundstate(p, bad):
             _speed_box(p["L"], p["alpha"], p["c"], p["n"])
         except ValueError as e:
             bad.append(f"c: {e}")
-    # the runner fits the tail, the one reader of the window, below alpha = 2
-    if p["window"] is not None and p["alpha"] < 2.0:
+    # the runner fits the tail below alpha = 2, on the window or by default
+    # on _tail_window's, which holds too few samples on the smallest grids
+    if p["alpha"] < 2.0:
+        window = _tail_window(p["L"]) if p["window"] is None else p["window"]
         try:
-            _tail_samples(p["window"], p["n"], p["L"])
+            _tail_samples(window, make_grid(p["n"], p["L"]))
         except ValueError as e:
             bad.append(f"window: {e}")
 

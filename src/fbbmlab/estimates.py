@@ -191,7 +191,7 @@ def _instance_ratios(psi: Field, f: Field, families) -> list[float]:
     by convention; a numerator above _constant_tol ||f||_2 there is a
     quadrature bug.  The test scales with the box, so a smooth weight on a
     large box is never taken for a constant.  The derivative of a constant
-    weight is exactly 0 (constants 1.5, 1.7, 0.1, 1/3, 1e10; n 16-4096;
+    weight is exactly 0 (constants 1.5, 1.7, 0.1, 1/3, 1e10; n 16-16384;
     L 1e-50-1e50; orders 1, 2); with every sample moved by up to one ulp it
     measured at most 3.44 eps ||psi||_inf (pi n / 2L)^order.
     """
@@ -366,6 +366,18 @@ class GrowthReport:
     slope: float
     bound: float
     within_bound: bool
+
+
+# a growth run propagates once per sample time, 0.40 ms a time at the default
+# n 16384 (best of 3, process time, 2-vCPU KVM host): this cap, 250 times the
+# 40 of the default and of every shipped config and workload, is about 4 s a
+# pair; past it a count is a config error, checked before the times are built
+MAX_SAMPLE_TIMES = 10_000
+
+
+def _check_t_count(t_count: int) -> None:
+    if not 1 <= t_count <= MAX_SAMPLE_TIMES:
+        raise ValueError(f"must lie in 1..MAX_SAMPLE_TIMES = {MAX_SAMPLE_TIMES}, got {t_count}")
 
 
 def _check_sample_times(ts: np.ndarray) -> None:

@@ -54,7 +54,13 @@ class StabilizerDegenerateError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Iteration exhausted its budget before reaching the tolerance."""
+    """Iteration exhausted its budget before reaching the tolerance: after
+    iterations steps the iterate's residual was residual; mixed_from is as
+    in PetviashviliResult."""
+
+    def __init__(self, message: str, iterations: int, residual: float, mixed_from: int | None):
+        super().__init__(message)
+        self.iterations, self.residual, self.mixed_from = iterations, residual, mixed_from
 
 
 @dataclass
@@ -211,7 +217,7 @@ def petviashvili(grid: SpectralGrid, alpha: float, tol: float = 1e-10) -> Petvia
             )
     raise NonConvergenceError(
         f"no convergence to tol={tol:.1e} in {MAX_ITER} iterations "
-        f"(last residual {resid:.3e})"
+        f"(last residual {resid:.3e})", MAX_ITER, resid, mixed_from
     )
 
 
@@ -335,17 +341,18 @@ def _tail_window(L: float) -> tuple[float, float]:
     return (0.15 * L, 0.6 * L)
 
 
-def _tail_samples(window: tuple[float, float], n: int, L: float) -> slice:
+def _tail_samples(window: tuple[float, float], grid: SpectralGrid) -> slice:
     """The grid points x_j = -L + j dx in [lo, hi] that fit_tail_exponent
-    fits on, found without building the grid.  Raises ValueError unless
+    fits on, found without building grid.xs.  Raises ValueError unless
     0 < lo < hi <= 0.7 L (beyond, the periodic image dominates the tail)
     and the window holds at least 8 of them."""
     lo, hi = window
+    L, dx = grid.L, grid.dx
     if not 0.0 < lo < hi <= 0.7 * L:
         raise ValueError(
             f"window must satisfy 0 < lo < hi <= 0.7 L = {0.7 * L:.6g}, got {window}"
         )
-    dx = 2.0 * L / n  # step in from a step or two beyond each rounded bound
+    # step in from a step or two beyond each rounded bound
     first = next(j for j in itertools.count(math.ceil((lo + L) / dx) - 2) if -L + dx * j >= lo)
     last = next(j for j in itertools.count(math.floor((hi + L) / dx) + 2, -1) if -L + dx * j <= hi)
     if last - first + 1 < 8:
@@ -364,7 +371,7 @@ def fit_tail_exponent(
     windows it takes.
     """
     g = psi.grid
-    samples = _tail_samples(_tail_window(g.L) if window is None else window, g.n, g.L)
+    samples = _tail_samples(_tail_window(g.L) if window is None else window, g)
     xs, vals = g.xs[samples], psi.values[samples]
     if np.any(vals <= 0):
         raise ValueError(

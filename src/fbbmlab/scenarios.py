@@ -21,13 +21,13 @@ from .estimates import (
     BoundaryContaminationError,
     UcpSums,
     _constant_tol,
-    _instance_ratios,
     group_weighted_growth,
     make_corpus,
     ratio_report,
 )
 from .evolution import BLOWUP_FACTOR, BlowUpError, diagnostics_series, evolve
 from .ground_state import (
+    NonConvergenceError,
     _tail_samples,
     _tail_window,
     fit_tail_exponent,
@@ -99,10 +99,16 @@ def _within(name: str, value: float, target: float, tol: float) -> Check:
     return Check(name, abs(value - target) <= tol, value, f"within {tol} of {target}")
 
 
+def _json_float(value) -> float | None:
+    """value as a float, or None where it is not finite: strict JSON has no NaN."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _scalars(report) -> dict:
     """A library report's None, bool, int and float fields, a non-finite float as None,
     which open its per-entry summary; its arrays and tuples go to the tables."""
-    return {f.name: None if isinstance(v, float) and not math.isfinite(v) else v
+    return {f.name: _json_float(v) if isinstance(v, float) else v
             for f in fields(report)
             if isinstance(v := getattr(report, f.name), (type(None), int, float))}
 
@@ -132,12 +138,11 @@ def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
     except BlowUpError as e:
         return _blown_up(e)
 
-    drift = {
-        "mass": float(np.max(np.abs(diag.mass - diag.mass[0]))),
-        "energy": float(np.max(np.abs(diag.energy - diag.energy[0]))),
-        "hamiltonian": float(np.max(np.abs(diag.hamiltonian - diag.hamiltonian[0]))),
-        "l2": float(np.max(np.abs(diag.l2 - diag.l2[0]))),
-    }
+    # large data can overflow an invariant without blowing up the flow; such
+    # a drift is null, and fails its check where it has one
+    drift = {name: _json_float(np.max(np.abs(series - series[0])))
+             for name, series in (("mass", diag.mass), ("energy", diag.energy),
+                                  ("hamiltonian", diag.hamiltonian), ("l2", diag.l2))}
     res = ScenarioResult()
     res.tables.append(
         Table(
@@ -160,10 +165,7 @@ def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
     res.summary = {
         "steps": econf.steps,
         "drift": drift,
-        "final": {
-            "l2": float(diag.l2[-1]),
-            "sup": float(diag.sup[-1]),
-        },
+        "final": {"l2": _json_float(diag.l2[-1]), "sup": _json_float(diag.sup[-1])},
     }
     return res
 
@@ -174,7 +176,16 @@ def run_evolve(cfg: ScenarioConfig) -> ScenarioResult:
 def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     grid = make_grid(p["n"], p["L"])
-    sol = petviashvili(grid, p["alpha"], tol=p["tol"])
+    try:
+        sol = petviashvili(grid, p["alpha"], tol=p["tol"])
+    except NonConvergenceError as e:
+        # a solve can stall above tol (n 64, L 1, alpha 0.1 ends at 1e-3), which
+        # no config rule foresees: no wave, and the last residual fails its check
+        return ScenarioResult(
+            checks=[_at_most("residual_within_tol", e.residual, p["tol"])],
+            summary={"residual": e.residual, "iterations": e.iterations,
+                     "mixed_from": e.mixed_from, "tail": None, "scaled_wave": None,
+                     "oracle_sup_error": None})
     window = tuple(p["window"]) if p["window"] is not None else _tail_window(grid.L)
     target = 1.0 + p["alpha"]
     # the algebraic x^-(1+alpha) tail exists only for fractional dispersion;
@@ -184,7 +195,7 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
     # the run then counts those samples in a failing check
     tail, nonpositive = None, 0
     if p["alpha"] < 2.0:
-        in_window = sol.wave.values[_tail_samples(window, grid.n, grid.L)]
+        in_window = sol.wave.values[_tail_samples(window, grid)]
         nonpositive = int(np.count_nonzero(in_window <= 0.0))
     if p["alpha"] < 2.0 and not nonpositive:
         exponent, r2, samples = fit_tail_exponent(sol.wave, window=window)
@@ -300,7 +311,9 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.params
     corpus = make_corpus(p["n"], p["L"], p["size"], seed=cfg.seed)
     # against a constant weight every commutator vanishes: its measured norm
-    # over ||f||_2 is roundoff, which _constant_tol bounds
+    # over ||f||_2 is roundoff, which _constant_tol bounds; its ratio is 0 where
+    # that check passes (a constant's derivative is exactly 0), and the norm
+    # where it fails, since the ratio would then raise
     const = Field(corpus.grid, np.full(p["n"], 1.5))
     probe_field = corpus.instance(0)[1]
     probe_norm = field_l2(probe_field)
@@ -314,15 +327,11 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
         tag = ";".join(f"{k}={v:g}" for k, v in sorted(fparams.items()))
         constant = _at_most(f"constant_zero({family} {tag})", measured,
                             _constant_tol(corpus.grid, family, **fparams))
-        # the family's ratio for the constant weight, or the measured norm
-        # where it fails, since the ratio then raises
-        const_ratio = (_instance_ratios(const, probe_field, [(family, fparams)])[0]
-                       if constant.passed else measured)
         families += [family] * len(rep.ratios)
         tags += [tag] * len(rep.ratios)
         instances += range(len(rep.ratios))
         ratios += rep.ratios
-        fams_out.append({**_scalars(rep), "constant_weight_ratio": float(const_ratio)})
+        fams_out.append({**_scalars(rep), "constant_weight_ratio": 0.0 if constant.passed else measured})
         res.checks.append(_between(f"refinement({family} {tag})", rep.refinement_factor,
                                    "in [0.5, 2]", lo=0.5, hi=2.0))
         res.checks.append(constant)
@@ -430,9 +439,9 @@ def run_ucp(cfg: ScenarioConfig) -> ScenarioResult:
         res.checks.append(_between("residual_dominates_mass", float(R),
                                    f">= initial mass {mass0:.6g}", lo=mass0 - 1e-9))
     res.summary = {
-        "residual": float(R),
-        "initial_mass": mass0,
-        "mass_drift": mass_drift,
+        "residual": _json_float(R),
+        "initial_mass": _json_float(mass0),
+        "mass_drift": _json_float(mass_drift),
         "sign_asserted": sign_asserted,
     }
     return res
@@ -455,8 +464,8 @@ def envelope(cfg: ScenarioConfig) -> dict:
     env = {"scenario": cfg.scenario, "config_hash": cfg.config_hash(), "seed": cfg.seed,
            "params": cfg.params}
     if "n" in cfg.params:
-        n, L = cfg.params["n"], cfg.params["L"]
-        env["grid"] = {"n": n, "L": L, "dx": 2.0 * L / n}
+        grid = make_grid(cfg.params["n"], cfg.params["L"])
+        env["grid"] = {"n": grid.n, "L": grid.L, "dx": grid.dx}
     return env
 
 

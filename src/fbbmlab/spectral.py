@@ -19,14 +19,14 @@ field is fixed by its samples j = 0..n/2, and _dct1 maps them to its
 Odd (imaginary) symbols zero the unpaired Nyquist mode n/2 so that real
 fields stay real and skew symmetry is exact on the grid.
 
-The full complex spectrum (forward, inverse, apply_multiplier, Spectrum,
-spectrum_l2) is the public reference format, in FFT order; nothing in the
-package calls it.  It matches the continuum transform: hat(u)(xi_k) is the
+The full complex spectrum (forward, inverse, apply_multiplier, Spectrum)
+is the public reference format, in FFT order; nothing in the package calls
+it.  It matches the continuum transform: hat(u)(xi_k) is the
 trapezoid approximation of integral(u(x) exp(-i xi_k x) dx), so a unit
 constant on a box of half-length pi has hat(u)(0) = 2*pi, and Parseval reads
 ||u||_2^2 = (1/2pi) * sum_k |hat(u)(xi_k)|^2 * (pi/L).  Since x_0 = -L and
-xi_k L = pi k, it is the plain DFT times dx and exp(i xi_k L) = (-1)^k, a
-cached exact sign.
+xi_k L = pi k, it is the plain DFT times dx and exp(i xi_k L) = (-1)^k, an
+exact sign.
 
 frac_deriv, bessel, hilbert, op_a, deriv and group_propagate (its phase
 a(xi)) take their half symbol from one LRU cache of 32 read-only entries
@@ -37,7 +37,7 @@ the largest n in use, 4.2 MB at n = 2^14 and 537 MB at n = 2^21.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "apply_multiplier",
     "field_l2",
     "field_linf",
-    "spectrum_l2",
     "frac_deriv",
     "bessel",
     "hilbert",
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)  # equal on (n, L); a grid is not hashed
+@dataclass(frozen=True)
 class SpectralGrid:
     """Uniform periodic grid on [-L, L): n, L and the step dx.
 
@@ -76,7 +75,7 @@ class SpectralGrid:
 
     n: int
     L: float
-    dx: float
+    dx: float = field(compare=False)  # 2L/n, so equal on (n, L)
 
     @property
     def xis(self) -> np.ndarray:
@@ -91,11 +90,6 @@ class SpectralGrid:
         xs = -self.L + self.dx * np.arange(self.n)
         xs.setflags(write=False)
         return xs
-
-    def __eq__(self, other):
-        if not isinstance(other, SpectralGrid):
-            return NotImplemented
-        return self.n == other.n and self.L == other.L
 
 
 @dataclass
@@ -155,12 +149,10 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
 
 
-@functools.lru_cache(maxsize=8)
 def _sign(n: int) -> np.ndarray:
     """exp(i xi_k L) = (-1)^k in FFT order; n is even, so it alternates."""
     sign = np.ones(n)
     sign[1::2] = -1.0
-    sign.setflags(write=False)
     return sign
 
 
@@ -261,12 +253,6 @@ def field_l2(f: Field) -> float:
 
 def field_linf(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
-
-
-def spectrum_l2(s: Spectrum) -> float:
-    """L2 norm computed in spectrum space; equals field_l2 by Parseval."""
-    g = s.grid
-    return float(np.sqrt(np.sum(np.abs(s.coeffs) ** 2) / (2.0 * g.L)))
 
 
 def _finite(symbol: np.ndarray) -> np.ndarray:

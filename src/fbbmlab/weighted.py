@@ -165,6 +165,12 @@ def stein_pointwise(
     return float(np.sqrt(max(total, 0.0)))
 
 
+def _probes(gfun, etas, theta: float, points_per_decade: int = 160) -> np.ndarray:
+    """stein_pointwise of gfun at each probe point of etas."""
+    return np.array([stein_pointwise(gfun, e, theta, points_per_decade=points_per_decade)
+                     for e in etas])
+
+
 def _loglog_fit(xs, ys):
     """Least-squares slope of log ys against log xs and its R^2, NaN where a ys is 0 or inf."""
     lx, ly = np.log(xs), np.log(ys)
@@ -215,23 +221,19 @@ def stein_asymptotics(alpha: float, theta: float) -> SteinAsymptotics:
     """
     _stein_range(alpha, theta)
     g = _power_bump(alpha)
-
-    def value(e):
-        return stein_pointwise(g, e, theta)
-
     etas_small = np.logspace(-3, -1, 81)
-    vals_small = np.array([value(e) for e in etas_small])
+    vals_small = _probes(g, etas_small, theta)
     subtracted = alpha > theta
     plateau = None
     if subtracted:
-        plateau = value(1e-4)
+        plateau = stein_pointwise(g, 1e-4, theta)
         fit_vals = np.abs(vals_small - plateau)
     else:
         fit_vals = vals_small
     p_small, r2_small = _loglog_fit(etas_small, fit_vals)
 
     etas_large = np.logspace(1, 2, 41)
-    vals_large = np.array([value(e) for e in etas_large])
+    vals_large = _probes(g, etas_large, theta)
     p_large, r2_large = _loglog_fit(etas_large, vals_large)
 
     return SteinAsymptotics(
@@ -261,7 +263,7 @@ def l2_threshold_probe(alpha: float, theta: float, decades: int = 4) -> np.ndarr
     incs = []
     for k in range(1, decades + 1):
         es = np.logspace(-k - 1, -k, 25)
-        vs = np.array([stein_pointwise(g, e, theta, points_per_decade=120) for e in es])
+        vs = _probes(g, es, theta, points_per_decade=120)
         incs.append(2.0 * float(np.trapezoid(vs**2, es)))
     return np.array(incs)
 
@@ -284,9 +286,7 @@ def negative_power_probe(beta: float, theta: float, quad_points_per_decade: int 
         return out
 
     etas = np.logspace(-3, 0, 31)
-    vals = np.array(
-        [stein_pointwise(g, e, theta, points_per_decade=quad_points_per_decade) for e in etas]
-    )
+    vals = _probes(g, etas, theta, points_per_decade=quad_points_per_decade)
     return etas, vals * etas ** (beta + theta)
 
 
@@ -304,12 +304,8 @@ def bbm_symbol_stein_bound(alpha: float, theta: float):
 
     g_pow = _power_bump(alpha)
     etas = np.logspace(-3, 2, 26)
-    ratios = []
-    for e in etas:
-        lhs = stein_pointwise(g_res, e, theta)
-        rhs = stein_pointwise(cutoff_bump, e, theta) + stein_pointwise(g_pow, e, theta)
-        ratios.append(lhs / rhs)
-    ratios = np.array(ratios)
+    rhs = _probes(cutoff_bump, etas, theta) + _probes(g_pow, etas, theta)
+    ratios = _probes(g_res, etas, theta) / rhs
     return etas, ratios, float(ratios.max())
 
 

@@ -37,6 +37,7 @@ from fbbmlab.config import (
     validate_config,
 )
 from fbbmlab.estimates import (
+    MAX_SAMPLE_TIMES,
     RATIO_FAMILIES,
     TAIL_TOL,
     BoundaryContaminationError,
@@ -50,7 +51,12 @@ from fbbmlab.estimates import (
     ucp_residual,
 )
 from fbbmlab.evolution import MAX_STEPS, Diagnostics, EvolveConfig, evolve
-from fbbmlab.ground_state import fit_tail_exponent, petviashvili, scale_to_speed
+from fbbmlab.ground_state import (
+    NonConvergenceError,
+    fit_tail_exponent,
+    petviashvili,
+    scale_to_speed,
+)
 from fbbmlab.scenarios import Check, ScenarioResult, Table, envelope, run_scenario
 from fbbmlab.spectral import Field, group_propagate, make_grid, op_a
 from fbbmlab.weighted import cutoff_bump, stein_asymptotics, stein_pointwise, weighted_norm
@@ -217,9 +223,12 @@ def test_families_validation():
         # L is fine, but the speed-c wave's box L / lambda overflows
         ({"scenario": "groundstate", "alpha": 2.0, "n": 4096, "L": 1e307, "c": 1.0001,
           "tol": 1e-9}, "speed-c box .* got L = inf"),
-        # the tail fit needs 8 grid points in its window
+        # the tail fit needs 8 grid points in its window, the default one too;
+        # the run used to exit 1 on the default
         ({"scenario": "groundstate", "alpha": 0.75, "n": 4096, "L": 200.0, "tol": 1e-10,
           "window": [30.0, 30.5]}, "only 5 samples in window"),
+        ({"scenario": "groundstate", "alpha": 0.75, "n": 16, "L": 200.0},
+         "window: only 3 samples in window \\(30.0, 120.0\\)"),
         # the gaussian's peak mean / (width sqrt(pi)) overflows; the run used
         # to exit 1 on non-finite initial data
         ({"scenario": "ucp", "alpha": 0.5, "n": 64, "L": 10.0, "dt": 0.01, "T": 0.1,
@@ -246,15 +255,19 @@ def test_families_validation():
         # t_max a(xi) overflows; the run used to exit 1 on a non-finite symbol
         ({"scenario": "weighted-growth", "n": 256, "L": 50.0, "t_max": 1e308, "t_count": 2,
           "pairs": [[0.5, 0.5]]}, "t_max: phase t a\\(xi\\) of pairs\\[0\\] overflows"),
+        # the run propagates once per sample time, and validation builds the
+        # times: a count past the cap is refused before either
+        ({"scenario": "weighted-growth", "t_count": MAX_SAMPLE_TIMES + 1},
+         "t_count: must lie in 1..MAX_SAMPLE_TIMES = 10000, got 10001"),
     ],
     ids=["stein-theta", "fractional-sum", "hilbert-orders", "hilbert-half-order",
          "generator-alpha", "non-number", "unhashable-family", "groundstate-tol-floor",
          "groundstate-tol-floor-2^18", "evolve-L-overflow", "evolve-L-wavenumber-overflow",
          "commutators-L-box",
          "groundstate-c-box-overflow",
-         "groundstate-window-samples", "ucp-width-peak-overflow", "evolve-T-dt-overflow",
+         "groundstate-window-samples", "groundstate-default-window-samples", "ucp-width-peak-overflow", "evolve-T-dt-overflow",
          "ucp-T-dt-overflow", "evolve-steps-cap", "ucp-steps-cap", "stein-theta-subnormal",
-         "growth-weight-overflow", "growth-phase-overflow"],
+         "growth-weight-overflow", "growth-phase-overflow", "growth-t_count-cap"],
 )
 def test_kernel_ranges_are_config_errors(tmp_path, capsys, obj, message):
     # the ranges the kernels enforce, caught before anything runs
@@ -416,6 +429,104 @@ def growth_configs(draw):
 @example(cfg={"scenario": "weighted-growth", "n": 256, "L": 50.0, "t_max": sys.float_info.max,
               "t_count": 2, "pairs": [[0.5, 0.5]]})
 def test_validated_growth_config_runs(cfg):
+    assert_validated_config_runs(cfg)
+
+
+def _mostly(inside, edges):
+    # one draw in ten from a rule's edges, the others from inside its range
+    return st.sampled_from(range(10)).flatmap(lambda i: edges if i == 9 else inside)
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _grid(draw):
+    # n's rule; boxes across the double range, and at its ends, where the
+    # step 2L/n or the Nyquist wavenumber pi n/2L overflows
+    return {
+        "n": draw(_mostly(st.sampled_from([16, 64, 256]), st.sampled_from([8, 15, 17]))),
+        "L": draw(_mostly(_decades(-305.0, 307.9),
+                          _decades(-310.0, -305.0) | _around(0.0, 8.9e307, sys.float_info.max))),
+        "alpha": draw(_mostly(st.floats(0.0, 2.0, exclude_min=True), _around(0.0, 2.0))),
+    }
+
+
+def _steps(draw):
+    # 1 to 32 steps of any size; T off a step, and step counts that overflow
+    # or pass MAX_STEPS.  Returns the keys and the step count
+    dt = draw(_mostly(_decades(-300.0, 12.0), _around(0.0)))
+    steps = draw(st.integers(1, 32))
+    T = draw(_mostly(st.just(steps * dt), st.sampled_from([
+        1.5 * steps * dt, (MAX_STEPS + 1) * dt, 1e300 * dt, 0.0])))
+    k = draw(_mostly(st.integers(2, 5), st.sampled_from([1, 0])))
+    return {"dt": dt, "T": T, "k": k}, steps
+
+
+# sizes across the double range, up to where u^k, the energy or the mass overflow
+_SIZES = _decades(-300.0, 308.0)
+_SIGNED = st.tuples(_SIZES | st.just(0.0), st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1])
+
+
+@st.composite
+def evolve_configs(draw):
+    return {"scenario": "evolve", **_grid(draw), **_steps(draw)[0],
+            "amplitude": draw(_SIGNED),
+            "width": draw(_mostly(_SIZES, _around(0.0))),
+            "center": draw(st.floats(-1e3, 1e3) | _SIGNED),
+            "linear_only": draw(st.booleans()),
+            "snapshot_stride": draw(_mostly(st.none() | st.integers(1, 40), st.just(0)))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=evolve_configs())
+@example(cfg={"scenario": "evolve", "alpha": 1.0, "n": 16, "L": 1.0, "dt": 1.0, "T": 1.0,
+              "amplitude": 1e103, "width": 1.0, "linear_only": True})
+def test_validated_evolve_config_runs(cfg):
+    assert_validated_config_runs(cfg)
+
+
+@st.composite
+def ucp_configs(draw):
+    keys, steps = _steps(draw)
+    # t1 and t2 on the recorded steps (every step unless a stride is set),
+    # between them, beyond T or out of order
+    times = _mostly(st.integers(0, steps).map(lambda j: j * keys["dt"]),
+                    st.floats(0.0, 2.0).map(lambda u: u * steps * keys["dt"]))
+    return {"scenario": "ucp", **_grid(draw), **keys,
+            "snapshot_stride": draw(_mostly(st.none(), st.integers(0, 40))),
+            "t1": draw(times), "t2": draw(st.none() | times),
+            "profile": draw(st.sampled_from(["gaussian", "odd-gaussian"])),
+            "mean": draw(_SIGNED), "width": draw(_mostly(_SIZES, _around(0.0)))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=ucp_configs())
+@example(cfg={"scenario": "ucp", "alpha": 1.0, "n": 16, "L": 1e304, "dt": 1.0, "T": 1.0,
+              "mean": 1000.0, "width": 1.0})
+def test_validated_ucp_config_runs(cfg):
+    assert_validated_config_runs(cfg)
+
+
+@st.composite
+def groundstate_configs(draw):
+    grid = _grid(draw)
+    L = grid["L"]
+    # tol about the grid's floor 10 eps (1 + (pi n/2L)^alpha), speeds about
+    # c = 1, and windows about the 0.7 L edge and the 8-sample rule
+    window = st.tuples(st.floats(0.0, 0.7), st.floats(0.0, 0.75)).map(
+        lambda w: [w[0] * L, (w[0] + w[1]) * L])
+    return {"scenario": "groundstate", **grid,
+            "tol": draw(_decades(-16.0, 0.0) | st.just(1e-10)),
+            "c": draw(st.none() | _mostly(_decades(-3.0, 3.0).map(lambda d: 1.0 + d), _around(1.0))),
+            "window": draw(st.none() | window), "assert_tail": draw(st.booleans())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=groundstate_configs())
+@example(cfg={"scenario": "groundstate", "alpha": 1.0, "n": 16, "L": 1.0})
+@example(cfg={"scenario": "groundstate", "alpha": 0.1, "n": 64, "L": 1.0})
+def test_validated_groundstate_config_runs(cfg):
     assert_validated_config_runs(cfg)
 
 
@@ -875,6 +986,48 @@ def test_nonpositive_tail_samples_fail_a_check(tmp_path, assert_tail):
     assert len(checks) == 2
     with pytest.raises(ValueError, match="tail samples must be positive"):
         fit_tail_exponent(Field(make_grid(n, L), psi))
+
+
+def test_unconverged_solve_fails_a_check(tmp_path):
+    # the solve stalls near 1e-3 on this box and spends its budget: the run
+    # records the last residual in a failing check and a summary with no
+    # wave, writes no table, and exits 3, not 1; the library still raises
+    obj = {"scenario": "groundstate", "alpha": 0.1, "n": 64, "L": 1.0}
+    assert main(["validate", write_cfg(tmp_path, obj)]) == EXIT_OK
+    code, out = run_cli(tmp_path, obj, "gs")
+    assert code == EXIT_CHECK_FAILED
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["error"] is None
+    assert manifest["outputs"] == ["summary.json"]
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    with pytest.raises(NonConvergenceError) as e:
+        petviashvili(make_grid(64, 1.0), 0.1)
+    assert (summary["residual"], summary["iterations"], summary["mixed_from"]) == (
+        e.value.residual, 400, e.value.mixed_from)
+    assert summary["residual"] > 1e-4
+    assert summary["tail"] is summary["scaled_wave"] is summary["oracle_sup_error"] is None
+    assert [(c["name"], c["passed"]) for c in manifest["checks"]] == [("residual_within_tol", False)]
+
+
+@pytest.mark.parametrize("obj, path, code", [
+    # u^3 overflows in the Hamiltonian, which no check reads; the linear
+    # flow is unaffected
+    ({"scenario": "evolve", "alpha": 1.0, "n": 16, "L": 1.0, "dt": 1.0, "T": 1.0,
+      "amplitude": 1e103, "width": 1.0, "linear_only": True}, ("drift", "hamiltonian"), EXIT_OK),
+    # the step dx = 1.25e303 overflows int u^2 dx at t = 0, so the residual
+    # and its check residual_dominates_mass have no value
+    ({"scenario": "ucp", "alpha": 1.0, "n": 16, "L": 1e304, "dt": 1.0, "T": 1.0,
+      "mean": 1000.0, "width": 1.0}, ("residual",), EXIT_CHECK_FAILED),
+])
+def test_overflowing_invariant_is_null(tmp_path, obj, path, code):
+    # a flow can run while one of its invariants overflows: the summary holds
+    # null for it, and the run exits 0 or 3, not 1 in the JSON writer
+    got, out = run_cli(tmp_path, obj, "o")
+    assert got == code
+    value = json.load(open(os.path.join(out, "summary.json")))
+    for key in path:
+        value = value[key]
+    assert value is None
 
 
 def test_boundary_contamination_fails_a_check(tmp_path):

@@ -18,6 +18,8 @@ from fbbmlab.estimates import (
     BoundaryContaminationError,
     QuadratureInconsistencyError,
     RATIO_FAMILIES,
+    _constant_tol,
+    _instance_ratios,
     _synthesize,
     commutator_a_ratio,
     corpus_ratios,
@@ -124,6 +126,34 @@ def test_constant_weight_gives_zero(corpus):
     assert hilbert_commutator_ratio(const, f, 0, 1) == 0.0
     assert hilbert_commutator_ratio(const, f, 1, 1) == 0.0
     assert frac_commutator_ratio(const, f, 0.25, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(4, 15)])
+def test_constant_weight_ratio_is_zero_where_its_check_passes(n):
+    # run_commutators writes 0 as the constant weight's ratio where its
+    # constant_zero check passes, without computing the ratio: for each
+    # default family (orders 1 and 2) on the config's box range, the ratio
+    # is exactly that 0, since the weight's derivative is exactly 0
+    entries = [(e["family"], {k: v for k, v in e.items() if k != "family"})
+               for e in validate_config({"scenario": "commutators"}).params["families"]]
+    for L in 10.0 ** np.arange(-50, 51, 5):
+        corpus = make_corpus(n, L, 1, seed=SEED)
+        const, f = Field(corpus.grid, np.full(n, 1.5)), corpus.instance(0)[1]
+        for family, params in entries:
+            measured = field_l2(RATIO_FAMILIES[family][0](const, f, **params)) / field_l2(f)
+            if measured <= _constant_tol(corpus.grid, family, **params):
+                assert _instance_ratios(const, f, [(family, params)]) == [0.0], (L, family)
+
+
+def test_constant_weight_ratio_is_zero_at_order_0():
+    # at order 0 (hilbert l = m = 0) the ratio divides by ||psi||_inf, so
+    # _instance_ratios returns a constant weight's commutator roundoff; the
+    # runner writes the exact 0 there too wherever constant_zero passes
+    cfg = validate_config({"scenario": "commutators", "n": 256, "size": 2,
+                           "families": [{"family": "hilbert", "l": 0, "m": 0}]})
+    res = run_commutators(cfg)
+    assert {c.name: c.passed for c in res.checks}["constant_zero(hilbert l=0;m=0)"]
+    assert res.summary["families"][0]["constant_weight_ratio"] == 0.0
 
 
 def test_constant_weight_nonzero_numerator_flags(corpus, monkeypatch):

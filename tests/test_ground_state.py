@@ -379,9 +379,9 @@ def test_tail_samples_are_the_grid_mask(n, L, start, width, nudge):
     mask = (g.xs >= lo) & (g.xs <= hi)
     if not 0 < lo < hi <= 0.7 * L or np.count_nonzero(mask) < 8:
         with pytest.raises(ValueError):
-            _tail_samples((lo, hi), n, L)
+            _tail_samples((lo, hi), g)
     else:
-        picked = np.arange(n)[_tail_samples((lo, hi), n, L)]
+        picked = np.arange(n)[_tail_samples((lo, hi), g)]
         np.testing.assert_array_equal(picked, np.flatnonzero(mask))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fft_reference import fft_xis
+from fft_reference import fft_xis, spectrum_l2
 from fbbmlab.evolution import energy, hamiltonian, mass
 from fbbmlab.ground_state import normalized_residual, traveling_wave_residual
 from fbbmlab.spectral import (
@@ -39,7 +39,6 @@ from fbbmlab.spectral import (
     inverse,
     make_grid,
     op_a,
-    spectrum_l2,
     translate,
 )
 from fbbmlab.weighted import interpolation_ratio, weighted_norm
