@@ -212,9 +212,10 @@ EOF
 # configs that validate but whose run fails a named check: a flow that
 # blows up (evolve, ucp), a ucp integral int u^2 dx that overflows, mass at
 # the box edge and a weighted norm whose squared samples overflow
-# (weighted-growth), nonpositive tail samples and a solve that stalls above
-# tol (groundstate).  Each once made a run exit 1 with a runner or writer
-# error; each must validate, then run to exit 3 with a manifest
+# (weighted-growth), nonpositive tail samples, a solve that stalls above
+# tol and one that returns the constant psi = 2 (groundstate).  Each once
+# made a run exit 1 with a runner or writer error, or exit 0 (the
+# constant); each must validate, then run to exit 3 with a manifest
 # that records no error and lists a summary.json that is there
 echo "== validated configs that fail a check exit 3"
 mkdir -p "$work/fails"
@@ -225,7 +226,8 @@ for entry in \
   'growth_edge_mass|{"scenario":"weighted-growth","n":1024,"L":50.0,"t_max":5.0,"t_count":2,"pairs":[[0.5,0.5]]}' \
   'growth_norm_overflow|{"scenario":"weighted-growth","n":16,"L":1e77,"t_max":2.0,"t_count":2,"pairs":[[2.0,3.4]]}' \
   'groundstate_nonpositive_tail|{"scenario":"groundstate","alpha":1.6047496432423727,"n":64,"L":146.28553447080662,"tol":1e-10}' \
-  'groundstate_unconverged|{"scenario":"groundstate","alpha":0.1,"n":64,"L":1.0}'
+  'groundstate_unconverged|{"scenario":"groundstate","alpha":0.1,"n":64,"L":1.0}' \
+  'groundstate_constant|{"scenario":"groundstate","alpha":0.125,"n":64,"L":1.0,"tol":1e-10}'
 do
   name=${entry%%|*}
   cfg="$work/fails/$name.json"

@@ -36,6 +36,7 @@ from .ground_state import (
     traveling_wave_residual,
 )
 from .spectral import Field, SpectralGrid, field_l2, make_grid
+from .tables import Table
 from .weighted import stein_asymptotics
 
 MASS_DRIFT_TOL = 1e-8
@@ -45,6 +46,11 @@ ORACLE_SUP_TOL = 1e-6
 TAIL_EXPONENT_TOL = 0.15
 TAIL_R2_MIN = 0.995
 STEIN_EXPONENT_TOL = 0.1
+# min psi / max psi of a groundstate wave: at most 0.235 on every localized
+# wave and at least 0.99999999 on the constant psi = 2, which solves the
+# profile equation exactly and which the iteration finds on small boxes
+# (alpha 0.05-2, L 0.25-16 and 800, n 64 and 1024)
+LOCALIZED_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -62,21 +68,6 @@ class Check:
         finite = self.value is not None and math.isfinite(self.value)
         object.__setattr__(self, "value", float(self.value) if finite else None)
         object.__setattr__(self, "passed", bool(self.passed) and finite)
-
-
-@dataclass(frozen=True)
-class Table:
-    """A CSV-ready table by column: data holds one equal-length sequence
-    per header in columns; plot picks the two columns for plot data."""
-
-    name: str
-    columns: tuple
-    data: tuple
-    plot: tuple | None = None
-
-    def __post_init__(self):
-        if len(self.data) != len(self.columns) or len({len(c) for c in self.data}) > 1:
-            raise ValueError(f"table {self.name}: need one equal-length column per header")
 
 
 @dataclass
@@ -217,6 +208,8 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
         )
     )
     res.checks.append(_at_most("residual_within_tol", sol.residual, p["tol"]))
+    psi = sol.wave.values
+    res.checks.append(_at_most("localized", psi.min() / psi.max(), LOCALIZED_MAX))
 
     oracle_sup_error = None
     if p["alpha"] == 2.0:
@@ -268,38 +261,28 @@ def run_groundstate(cfg: ScenarioConfig) -> ScenarioResult:
 
 def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
-    alphas, thetas, branches, etas, values = [], [], [], [], []
-    pairs_out = []
+    rows, pairs_out = [], []
     for alpha, theta in cfg.params["pairs"]:
         fit = stein_asymptotics(alpha, theta)
         target_small = None if fit.subtracted else alpha - theta
         target_large = -(0.5 + theta)
         pairs_out.append({**_scalars(fit), "target_small": target_small,
                           "target_large": target_large})
-        small, large = len(fit.etas_small), len(fit.etas_large)
-        alphas += [alpha] * (small + large)
-        thetas += [theta] * (small + large)
-        branches += ["small"] * small + ["large"] * large
-        etas += [*fit.etas_small, *fit.etas_large]
-        values += [*fit.values_small, *fit.values_large]
+        for branch, etas, values in (("small", fit.etas_small, fit.values_small),
+                                     ("large", fit.etas_large, fit.values_large)):
+            rows += [(alpha, theta, branch, eta, v) for eta, v in zip(etas, values)]
         tag = f"({alpha:g},{theta:g})"
         if not fit.subtracted:
             res.checks.append(_within(f"p_small{tag}", fit.p_small, target_small,
                                       STEIN_EXPONENT_TOL))
         res.checks.append(_within(f"p_large{tag}", fit.p_large, target_large, STEIN_EXPONENT_TOL))
-    res.tables.append(
-        Table(
-            name="probes",
-            columns=(
-                "alpha [dimensionless]",
-                "theta [dimensionless]",
-                "branch [label]",
-                "eta [model units]",
-                "stein_derivative [model units]",
-            ),
-            data=(alphas, thetas, branches, etas, values),
-        )
-    )
+    res.tables.append(Table.from_rows("probes", (
+        "alpha [dimensionless]",
+        "theta [dimensionless]",
+        "branch [label]",
+        "eta [model units]",
+        "stein_derivative [model units]",
+    ), rows))
     res.summary = {"pairs": pairs_out}
     return res
 
@@ -319,34 +302,24 @@ def run_commutators(cfg: ScenarioConfig) -> ScenarioResult:
     probe_norm = field_l2(probe_field)
 
     res = ScenarioResult()
-    families, tags, instances, ratios = [], [], [], []
-    fams_out = []
+    rows, fams_out = [], []
     entries = [(e["family"], {k: v for k, v in e.items() if k != "family"}) for e in p["families"]]
     for (family, fparams), rep in zip(entries, ratio_report(corpus, entries)):
         measured = field_l2(RATIO_FAMILIES[family][0](const, probe_field, **fparams)) / probe_norm
         tag = ";".join(f"{k}={v:g}" for k, v in sorted(fparams.items()))
         constant = _at_most(f"constant_zero({family} {tag})", measured,
                             _constant_tol(corpus.grid, family, **fparams))
-        families += [family] * len(rep.ratios)
-        tags += [tag] * len(rep.ratios)
-        instances += range(len(rep.ratios))
-        ratios += rep.ratios
+        rows += [(family, tag, i, ratio) for i, ratio in enumerate(rep.ratios)]
         fams_out.append({**_scalars(rep), "constant_weight_ratio": 0.0 if constant.passed else measured})
         res.checks.append(_between(f"refinement({family} {tag})", rep.refinement_factor,
                                    "in [0.5, 2]", lo=0.5, hi=2.0))
         res.checks.append(constant)
-    res.tables.append(
-        Table(
-            name="ratios",
-            columns=(
-                "family [label]",
-                "params [label]",
-                "instance [index]",
-                "ratio [dimensionless]",
-            ),
-            data=(families, tags, instances, ratios),
-        )
-    )
+    res.tables.append(Table.from_rows("ratios", (
+        "family [label]",
+        "params [label]",
+        "instance [index]",
+        "ratio [dimensionless]",
+    ), rows))
     res.summary = {"families": fams_out}
     return res
 
@@ -361,8 +334,7 @@ def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
     times = _growth_times(p)
 
     res = ScenarioResult()
-    alphas, rs, ts, norms = [], [], [], []
-    pairs_out = []
+    rows, pairs_out = [], []
     for alpha, r in p["pairs"]:
         tag = f"({alpha:g},{r:g})"
         try:
@@ -373,24 +345,15 @@ def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
             pairs_out.append({"contaminated_at": e.t, "edge_mass_fraction": e.fraction})
             res.checks.append(_at_most(f"edge_mass_fraction{tag}", e.fraction, TAIL_TOL))
             continue
-        alphas += [alpha] * times.size
-        rs += [r] * times.size
-        ts += times.tolist()
-        norms += rep.norms
+        rows += [(alpha, r, t, norm) for t, norm in zip(times.tolist(), rep.norms)]
         pairs_out.append(_scalars(rep))
         res.checks.append(Check(f"slope{tag}", rep.within_bound, rep.slope, f"<= {rep.bound}"))
-    res.tables.append(
-        Table(
-            name="growth",
-            columns=(
-                "alpha [dimensionless]",
-                "r [dimensionless]",
-                "time [model units]",
-                "weighted_norm [model units]",
-            ),
-            data=(alphas, rs, ts, norms),
-        )
-    )
+    res.tables.append(Table.from_rows("growth", (
+        "alpha [dimensionless]",
+        "r [dimensionless]",
+        "time [model units]",
+        "weighted_norm [model units]",
+    ), rows))
     res.summary = {"pairs": pairs_out}
     return res
 

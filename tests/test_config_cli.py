@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import fbbmlab.cli as cli_mod
 import fbbmlab.evolution as evolution_mod
 import fbbmlab.scenarios as scenarios_mod
+import fbbmlab.tables as tables_mod
 
 from fft_reference import stored_states
 from fbbmlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_ERROR, EXIT_OK, load_schema, main
@@ -57,8 +58,9 @@ from fbbmlab.ground_state import (
     petviashvili,
     scale_to_speed,
 )
-from fbbmlab.scenarios import Check, ScenarioResult, Table, envelope, run_scenario
+from fbbmlab.scenarios import Check, ScenarioResult, envelope, run_scenario
 from fbbmlab.spectral import Field, group_propagate, make_grid, op_a
+from fbbmlab.tables import Table
 from fbbmlab.weighted import cutoff_bump, stein_asymptotics, stein_pointwise, weighted_norm
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -528,6 +530,7 @@ def groundstate_configs(draw):
 @given(cfg=groundstate_configs())
 @example(cfg={"scenario": "groundstate", "alpha": 1.0, "n": 16, "L": 1.0})
 @example(cfg={"scenario": "groundstate", "alpha": 0.1, "n": 64, "L": 1.0})
+@example(cfg={"scenario": "groundstate", "alpha": 0.125, "n": 64, "L": 1.0, "tol": 1e-10})
 def test_validated_groundstate_config_runs(cfg):
     assert_validated_config_runs(cfg)
 
@@ -982,12 +985,33 @@ def test_nonpositive_tail_samples_fail_a_check(tmp_path, assert_tail):
     window = psi[(xs >= 0.15 * L) & (xs <= 0.6 * L)]
     assert np.count_nonzero(window <= 0) == 7
     checks = {c["name"]: c for c in manifest["checks"]}
-    assert checks["residual_within_tol"]["passed"]
+    assert checks["residual_within_tol"]["passed"] and checks["localized"]["passed"]
     assert checks["tail_nonpositive_samples"] == {
         "name": "tail_nonpositive_samples", "passed": False, "value": 7.0, "threshold": "<= 0"}
-    assert len(checks) == 2
+    assert len(checks) == 3
     with pytest.raises(ValueError, match="tail samples must be positive"):
         fit_tail_exponent(Field(make_grid(n, L), psi))
+
+
+def test_constant_solution_fails_localized(tmp_path):
+    # psi = 2 solves psi + D^alpha psi = psi^2/2 exactly, and on this small
+    # box the solve converges to it: the residual check passes, and
+    # localized, min psi / max psi, fails at 1; the nearest measured
+    # localized wave (alpha 1, L 4) reads 0.235 and passes
+    obj = {"scenario": "groundstate", "alpha": 0.125, "n": 64, "L": 1.0, "tol": 1e-10}
+    code, out = run_cli(tmp_path, obj, "constant")
+    assert code == EXIT_CHECK_FAILED
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["error"] is None
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert checks["residual_within_tol"]["passed"]
+    assert not checks["localized"]["passed"] and checks["localized"]["value"] >= 0.99999999
+    assert checks["localized"]["threshold"] == f"<= {scenarios_mod.LOCALIZED_MAX:g}"
+    psi = np.loadtxt(os.path.join(out, "profile.csv"), delimiter=",", skiprows=2)[:, 1]
+    assert np.allclose(psi, 2.0, rtol=1e-8)
+    code, out = run_cli(tmp_path, {**obj, "alpha": 1.0, "L": 4.0}, "wave")
+    checks = {c["name"]: c for c in json.load(open(os.path.join(out, "manifest.json")))["checks"]}
+    assert code == EXIT_OK and checks["localized"]["value"] == pytest.approx(0.235, abs=1e-3)
 
 
 def test_unconverged_solve_fails_a_check(tmp_path):
@@ -1948,14 +1972,10 @@ KINDS = {
     .map(lambda v: np.array(v, dtype=np.uint64).view(np.float64)),
     "float": lambda n: st.lists(FLOATS, min_size=n, max_size=n),
     "int": lambda n: st.lists(st.integers(-(10**20), 10**20), min_size=n, max_size=n),
-    "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n),
     "label": lambda n: st.lists(st.text("ab=;.-_ 0\x00é", max_size=6), min_size=n, max_size=n),
     # raw bit patterns: subnormals, every exponent, NaN payloads
     "bits": lambda n: st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n)
     .map(lambda v: np.array(v, dtype=np.uint64).view(np.float64)),
-    "int64": lambda n: st.lists(
-        st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n
-    ).map(lambda v: np.array(v, dtype=np.int64)),
     # strictly increasing, as a grid is; unique by value, so one signed zero
     "increasing": lambda n: st.lists(st.floats(allow_nan=False, width=64), min_size=n,
                                      max_size=n, unique=True).map(sorted).map(np.array),
@@ -1976,7 +1996,7 @@ def tables(draw):
     return Table("t", tuple(f"{k} [label]" for k in kinds), data, plot)
 
 
-_LONG = np.random.default_rng(0).standard_normal(2 * cli_mod.CHUNK_ROWS + 1)
+_LONG = np.random.default_rng(0).standard_normal(2 * tables_mod.CHUNK_ROWS + 1)
 _GRID = np.linspace(-300.0, 300.0, _LONG.size)  # strictly increasing, through 0.0
 # repeats that straddle chunks of 4 rows: mirror pairs, signed zeros, NaNs
 _REPEATS = Table(
@@ -2021,11 +2041,11 @@ _REPEAT_NANS = Table(
 
 
 @settings(max_examples=150, deadline=None)
-@given(table=tables(), chunk=st.sampled_from([1, 2, 3, cli_mod.CHUNK_ROWS]))
+@given(table=tables(), chunk=st.sampled_from([1, 2, 3, tables_mod.CHUNK_ROWS]))
 @example(
     table=Table("long", ("x [model units]", "psi [model units]", "i [index]"),
                 (_GRID, _LONG, range(_LONG.size)), (0, 1)),
-    chunk=cli_mod.CHUNK_ROWS,
+    chunk=tables_mod.CHUNK_ROWS,
 )
 @example(table=Table("empty", ("x [model units]",), (np.array([]),), (0, 0)), chunk=2)
 @example(table=_REPEATS, chunk=4)
@@ -2033,12 +2053,12 @@ _REPEAT_NANS = Table(
 @example(table=_grid_mirrored_table(10), chunk=4)
 @example(table=_grid_mirrored_table(11), chunk=4)
 @example(table=_DYADIC_EDGES, chunk=1)
-@example(table=_DYADIC_EDGES, chunk=cli_mod.CHUNK_ROWS)
+@example(table=_DYADIC_EDGES, chunk=tables_mod.CHUNK_ROWS)
 @example(table=Table("negzero", ("z [u]",), (np.array([-0.0]),), (0, 0)), chunk=1)
 @example(table=_DYADIC_THEN_NOT, chunk=64)
 def test_writers_match_row_reference(table, chunk):
-    with tempfile.TemporaryDirectory() as d, mock.patch.object(cli_mod, "CHUNK_ROWS", chunk):
-        for plot, writer in ((False, cli_mod.write_csv), (True, cli_mod.write_plotdata)):
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(tables_mod, "CHUNK_ROWS", chunk):
+        for plot, writer in ((False, tables_mod.write_csv), (True, tables_mod.write_plotdata)):
             got, want = os.path.join(d, "got"), os.path.join(d, "want")
             writer(got, table, "f00d")
             _reference_write(want, table, "f00d", plot)
@@ -2046,7 +2066,7 @@ def test_writers_match_row_reference(table, chunk):
 
 
 def _shortest_cells(values):
-    m, keep = cli_mod._shortest(values)
+    m, keep = tables_mod._shortest(values)
     return [bytes(row[k]).decode() for row, k in zip(m, keep)]
 
 
@@ -2074,6 +2094,16 @@ def test_shortest_matches_repr_on_boundaries():
         assert _shortest_cells(part) == [repr(v) for v in part.tolist()]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_str_of_a_float64_scalar_is_repr(patterns):
+    # the writer spells a cell of a list column, float64 scalars included,
+    # with str; numpy's str of a float64 must be repr of the float
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    for v in [*np.array(EDGE_FLOATS), *values]:
+        assert str(v) == repr(float(v))
+
+
 def _rows_formatted(counted):
     # the values handed to the shortest-digit formatter, over all its calls
     return sum(call.args[0].size for call in counted.call_args_list)
@@ -2089,9 +2119,9 @@ def test_writer_formats_a_grid_mirrored_column_from_its_first_half(tmp_path, n):
                       (_mirrored(rng.standard_normal(n)), n)):
         table = Table("mirror", ("psi [model units]",), (col,), (0, 0))
         got, want = tmp_path / "got", tmp_path / "want"
-        with mock.patch.object(cli_mod, "CHUNK_ROWS", 64), \
-                mock.patch.object(cli_mod, "_shortest", side_effect=cli_mod._shortest) as counted:
-            cli_mod.write_csv(str(got), table, "f00d")
+        with mock.patch.object(tables_mod, "CHUNK_ROWS", 64), \
+                mock.patch.object(tables_mod, "_shortest", side_effect=tables_mod._shortest) as counted:
+            tables_mod.write_csv(str(got), table, "f00d")
         assert _rows_formatted(counted) == rows
         _reference_write(str(want), table, "f00d", False)
         assert got.read_bytes() == want.read_bytes()
@@ -2105,8 +2135,8 @@ def test_writer_never_searches_for_repeats(tmp_path):
     others = Table("others", ("flip", "even", "palindrome"),
                    (xs[::-1], _grid_mirror(xs[:129] ** 2, 256), _mirrored(xs)))
     with mock.patch.object(np, "unique", side_effect=np.unique) as unique:
-        cli_mod.write_csv(str(tmp_path / "got"), table, "f00d")
-        cli_mod.write_csv(str(tmp_path / "others"), others, "f00d")
+        tables_mod.write_csv(str(tmp_path / "got"), table, "f00d")
+        tables_mod.write_csv(str(tmp_path / "others"), others, "f00d")
     assert unique.call_count == 0
     for name, written in (("got", table), ("others", others)):
         _reference_write(str(tmp_path / "want"), written, "f00d", False)
@@ -2124,9 +2154,9 @@ def test_profile_write_memory_in_n_length_arrays(tmp_path):
     half = 1.0 / (1.0 + xs[: n // 2 + 1] ** 2)
     psi = np.concatenate((half, half[-2:0:-1]))
     table = Table("profile", ("x [model units]", "psi [model units]"), (xs, psi), (0, 1))
-    with mock.patch.object(cli_mod, "CHUNK_ROWS", 4096):
-        cli_mod.write_csv(str(tmp_path / "warm"), table, "f00d")  # the formatter's tables
-        peak = _peak_bytes(lambda: cli_mod.write_csv(str(tmp_path / "got"), table, "f00d"))
+    with mock.patch.object(tables_mod, "CHUNK_ROWS", 4096):
+        tables_mod.write_csv(str(tmp_path / "warm"), table, "f00d")  # the formatter's tables
+        peak = _peak_bytes(lambda: tables_mod.write_csv(str(tmp_path / "got"), table, "f00d"))
     assert peak < 4.5 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
     assert (tmp_path / "got").read_bytes() == (tmp_path / "warm").read_bytes()
 
@@ -2139,8 +2169,8 @@ def test_writer_spells_dyadic_grid_from_digits(tmp_path):
         xs = make_grid(4096, L).xs
         table = Table("grid", ("x [model units]",), (xs,), (0, 0))
         got, want = tmp_path / "got", tmp_path / "want"
-        with mock.patch.object(cli_mod, "_shortest", side_effect=cli_mod._shortest) as counted:
-            cli_mod.write_csv(str(got), table, "f00d")
+        with mock.patch.object(tables_mod, "_shortest", side_effect=tables_mod._shortest) as counted:
+            tables_mod.write_csv(str(got), table, "f00d")
         assert _rows_formatted(counted) == rows
         _reference_write(str(want), table, "f00d", False)
         assert got.read_bytes() == want.read_bytes()
