@@ -270,7 +270,7 @@ def run_stein(cfg: ScenarioConfig) -> ScenarioResult:
                           "target_large": target_large})
         for branch, etas, values in (("small", fit.etas_small, fit.values_small),
                                      ("large", fit.etas_large, fit.values_large)):
-            rows += [(alpha, theta, branch, eta, v) for eta, v in zip(etas, values)]
+            rows += [(alpha, theta, branch, eta, v) for eta, v in zip(etas, values, strict=True)]
         tag = f"({alpha:g},{theta:g})"
         if not fit.subtracted:
             res.checks.append(_within(f"p_small{tag}", fit.p_small, target_small,
@@ -345,7 +345,7 @@ def run_weighted_growth(cfg: ScenarioConfig) -> ScenarioResult:
             pairs_out.append({"contaminated_at": e.t, "edge_mass_fraction": e.fraction})
             res.checks.append(_at_most(f"edge_mass_fraction{tag}", e.fraction, TAIL_TOL))
             continue
-        rows += [(alpha, r, t, norm) for t, norm in zip(times.tolist(), rep.norms)]
+        rows += [(alpha, r, t, norm) for t, norm in zip(times.tolist(), rep.norms, strict=True)]
         pairs_out.append(_scalars(rep))
         res.checks.append(Check(f"slope{tag}", rep.within_bound, rep.slope, f"<= {rep.bound}"))
     res.tables.append(Table.from_rows("growth", (

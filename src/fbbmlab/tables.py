@@ -44,7 +44,7 @@ class Table:
     def from_rows(cls, name: str, columns: tuple, rows: list) -> Table:
         """The table of rows, each a tuple of one cell per header; with no
         rows, every column is empty."""
-        return cls(name, columns, tuple(zip(*rows)) or ((),) * len(columns))
+        return cls(name, columns, tuple(zip(*rows, strict=True)) or ((),) * len(columns))
 
 
 # Table rows formatted and written per write call.  A chunk's cell

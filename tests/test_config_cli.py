@@ -2181,3 +2181,9 @@ def test_table_rejects_ragged_columns():
         Table("t", ("a [label]", "b [label]"), ([1.0, 2.0], [1.0]))
     with pytest.raises(ValueError, match="one equal-length column per header"):
         Table("t", ("a [label]", "b [label]"), ([1.0],))
+    with pytest.raises(ValueError, match="one equal-length column per header"):
+        Table.from_rows("t", ("a [label]", "b [label]"), [(1.0,), (2.0,)])
+    with pytest.raises(ValueError, match="shorter"):
+        Table.from_rows("t", ("a [label]", "b [label]"), [(1.0, 2.0), (1.0,)])
+    assert Table.from_rows("t", ("a [label]", "b [label]"), []).data == ((), ())
+    assert Table.from_rows("t", ("a", "b"), [(1, "x"), (2, "y")]).data == ((1, 2), ("x", "y"))
