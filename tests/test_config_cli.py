@@ -12,6 +12,7 @@ import tempfile
 import time
 import tracemalloc
 import types
+import warnings
 from unittest import mock
 
 import jsonschema
@@ -841,6 +842,25 @@ def test_console_script_installed():
     assert "fbbmlab" in out.stdout
 
 
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_cli_runs_one_blas_thread(preset, want):
+    # OpenBLAS reads the variable when numpy loads, which importing the CLI
+    # does; a value the user set is kept
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(REPO, "src"),
+                                                      env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = ("import os, fbbmlab.cli; print(os.environ.get('OPENBLAS_NUM_THREADS')); "
+             "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+             "else '')")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[0] == want
+    if preset is None and out[1]:
+        assert out[1] == "1"
+
+
 def run_cli(tmp_path, obj, out_name, extra=()):
     cfg = write_cfg(tmp_path, obj, f"{out_name}.json")
     out = str(tmp_path / out_name)
@@ -1045,11 +1065,18 @@ def test_unconverged_solve_fails_a_check(tmp_path):
     # and its check residual_dominates_mass have no value
     ({"scenario": "ucp", "alpha": 1.0, "n": 16, "L": 1e304, "dt": 1.0, "T": 1.0,
       "mean": 1000.0, "width": 1.0}, ("residual",), EXIT_CHECK_FAILED),
+    # the squared samples of the weighted norm overflow, so the norms are
+    # inf and the pair has no slope
+    ({"scenario": "weighted-growth", "n": 16, "L": 1e77, "t_max": 2.0, "t_count": 2,
+      "pairs": [[2.0, 3.4]]}, ("pairs", 0, "slope"), EXIT_CHECK_FAILED),
 ])
 def test_overflowing_invariant_is_null(tmp_path, obj, path, code):
-    # a flow can run while one of its invariants overflows: the summary holds
-    # null for it, and the run exits 0 or 3, not 1 in the JSON writer
-    got, out = run_cli(tmp_path, obj, "o")
+    # a run can go on while one of its values overflows: the summary holds
+    # null for it, and the run exits 0 or 3, not 1 in the JSON writer; the
+    # overflow is expected there, so numpy warns of none of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out = run_cli(tmp_path, obj, "o")
     assert got == code
     value = json.load(open(os.path.join(out, "summary.json")))
     for key in path:
