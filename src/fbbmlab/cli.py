@@ -20,10 +20,10 @@ from importlib import resources
 # OpenBLAS sizes its thread pool once, when numpy first loads (through
 # .config below), and by default starts a worker for each further CPU.
 # The library's only BLAS calls are two-column least-squares fits, yet on
-# 2 vCPUs that worker cost every run about 55 ms of user time: a cold
-# `import numpy` took 0.110-0.173 s with it and 0.052-0.098 s without
-# (9 runs each).  Set here, so it holds for every CLI process and for no
-# library user; a value already set wins.
+# 2 vCPUs that worker slowed every run's start: a cold `import numpy` took
+# 0.110-0.173 s with it and 0.052-0.098 s without (9 runs each).  Set
+# here, so it holds for every CLI process and for no library user; a
+# value already set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import jsonschema
